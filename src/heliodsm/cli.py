@@ -5,7 +5,10 @@ Commands
 synthesize   evaluate the closed-form Cauchy data for a config and write
              cauchy.csv (+ meta.json)
 reconstruct  run dsm or dsm2 on (possibly pre-synthesized) data and write
-             indicator_<ell>.csv, reconstruction.csv, run.json
+             the driver's indicator fields (indicator_<ell>.csv),
+             reconstruction.csv and run.json; an existing <out>/cauchy.csv
+             is reused only if the config.json beside it names the same
+             data (dims, wavenumber, sources, measurement, noise)
 verify       run the built-in oracle suite (quick | full)
 example      run one of the five built-in benchmark presets end to end and
              print a comparison table against the exact source locations
@@ -26,7 +29,6 @@ import numpy as np
 
 from . import _threads, io, verify
 from .forward import add_noise, check_assumptions, synthesize_cauchy
-from .indicators import IndicatorField, indicator_grid_values, reduced_data
 from .locator import dsm, dsm2
 from .presets import PRESETS, ConfigError, ExperimentConfig, exact_table, preset_config
 
@@ -36,6 +38,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFICATION = 3
+
+# config keys that determine the synthesized Cauchy data
+DATA_KEYS = ("dims", "wavenumber", "sources", "measurement", "noise")
 
 
 def _say(args, *message) -> None:
@@ -104,31 +109,31 @@ def cmd_synthesize(args) -> int:
 
 def _obtain_cauchy(cfg: ExperimentConfig, out: Path, args):
     path = out / "cauchy.csv"
-    if path.exists():
-        _say(args, f"reusing {path}")
-        _, noisy = io.read_cauchy_csv(path, cfg.measurement_radius)
-        return noisy
-    _, noisy = _synthesize(cfg, out, args)
+    if not path.exists():
+        return _synthesize(cfg, out, args)[1]
+    stored_path = out / "config.json"
+    if not stored_path.exists():
+        raise ConfigError(f"cannot reuse {path}: no config.json beside it")
+    stored = ExperimentConfig.from_json(stored_path.read_text()).to_dict()
+    wanted = cfg.to_dict()
+    stale = [key for key in DATA_KEYS if stored[key] != wanted[key]]
+    if stale:
+        raise ConfigError(
+            f"cannot reuse {path}: it was synthesized with different {', '.join(stale)}"
+        )
+    _say(args, f"reusing {path}")
+    _, noisy = io.read_cauchy_csv(path, cfg.measurement_radius)
     return noisy
 
 
 def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: str = ""):
     noisy = _obtain_cauchy(cfg, out, args)
-    k = cfg.wavenumber
-    options = cfg.options()
-    grid = cfg.dsm_grid() if algorithm == "dsm" else cfg.grid()
     if algorithm == "dsm":
-        recon = dsm(noisy, k, grid, options)
+        recon = dsm(noisy, cfg.wavenumber, cfg.dsm_grid(), cfg.options())
     else:
-        recon = dsm2(noisy, k, grid, cfg.fine_counts, options)
-
-    # export the global-grid indicator fields used for peak collection
-    comps = options.components if options.components is not None else tuple(range(cfg.dims + 1))
-    red = reduced_data(noisy, k, options.directions)
-    values = indicator_grid_values(red, k, grid, comps)
-    for i, ell in enumerate(comps):
-        fld = IndicatorField(grid=grid, component=ell, values=values[:, i])
-        io.write_indicator_csv(out / f"indicator_{ell}{tag}.csv", fld)
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+    for fld in recon.fields:
+        io.write_indicator_csv(out / f"indicator_{fld.component}{tag}.csv", fld)
     io.write_reconstruction_csv(out / f"reconstruction{tag}.csv", recon)
     io.write_run_json(
         out / f"run{tag}.json",
@@ -182,22 +187,31 @@ def _match_rows(exact_rows, recon):
     return rows
 
 
-def _comparison_table(exact_rows, recon, args, label):
-    lines = [f"-- {label}: recovered {recon.estimated_count} source(s) "
-             f"in {recon.elapsed_seconds:.2f} s"]
+def _compare(exact_rows, recon, args) -> list[dict]:
+    """Print the comparison table of one reconstruction; return its
+    comparison.json rows."""
+    _say(args, f"-- {recon.algorithm.upper()}: recovered {recon.estimated_count} source(s) "
+               f"in {recon.elapsed_seconds:.2f} s")
+    rows = []
     for entry, group, err in _match_rows(exact_rows, recon):
         exact = ", ".join(f"{v:+.4f}" for v in entry["location"])
         if group is None:
-            lines.append(f"   {entry['kind']} {entry['label']}: ({exact})  -> MISSING")
-            continue
-        got = ", ".join(f"{v:+.4f}" for v in group.centroid)
-        lines.append(
-            f"   {entry['kind']} {entry['label']}: exact ({exact})  "
-            f"recovered ({got})  |err| = {err:.4f}"
+            _say(args, f"   {entry['kind']} {entry['label']}: ({exact})  -> MISSING")
+        else:
+            got = ", ".join(f"{v:+.4f}" for v in group.centroid)
+            _say(args, f"   {entry['kind']} {entry['label']}: exact ({exact})  "
+                       f"recovered ({got})  |err| = {err:.4f}")
+        rows.append(
+            {
+                "algorithm": recon.algorithm,
+                "label": entry["label"],
+                "kind": entry["kind"],
+                "exact": list(map(float, entry["location"])),
+                "recovered": None if group is None else list(map(float, group.centroid)),
+                "error": None if group is None else err,
+            }
         )
-    for line in lines:
-        _say(args, line)
-    return lines
+    return rows
 
 
 def cmd_example(args) -> int:
@@ -211,44 +225,19 @@ def cmd_example(args) -> int:
     exact = exact_table(name)
 
     recon2 = _reconstruct(cfg, "dsm2", out, args)
-    _comparison_table(exact, recon2, args, "DSM2")
-    rows = _match_rows(exact, recon2)
-    comparison = [
-        {
-            "algorithm": "dsm2",
-            "label": e["label"],
-            "kind": e["kind"],
-            "exact": list(map(float, e["location"])),
-            "recovered": None if g is None else list(map(float, g.centroid)),
-            "error": None if g is None else err,
-        }
-        for e, g, err in rows
-    ]
     payload = {
         "preset": name,
         "seed": cfg.noise_seed,
         "dsm2_seconds": recon2.elapsed_seconds,
-        "comparison": comparison,
+        "comparison": _compare(exact, recon2, args),
     }
-
     if args.id == 4:
         recon1 = _reconstruct(cfg, "dsm", out, args, tag="_dsm")
-        _comparison_table(exact, recon1, args, "DSM")
+        payload["comparison"] += _compare(exact, recon1, args)
         speedup = recon1.elapsed_seconds / max(recon2.elapsed_seconds, 1e-12)
         _say(args, f"-- DSM2 speedup over DSM: {speedup:.1f}x")
         payload["dsm_seconds"] = recon1.elapsed_seconds
         payload["speedup"] = speedup
-        payload["comparison"] += [
-            {
-                "algorithm": "dsm",
-                "label": e["label"],
-                "kind": e["kind"],
-                "exact": list(map(float, e["location"])),
-                "recovered": None if g is None else list(map(float, g.centroid)),
-                "error": None if g is None else err,
-            }
-            for e, g, err in _match_rows(exact, recon1)
-        ]
 
     io.write_run_json(out / "comparison.json", payload)
     return EXIT_OK

@@ -1,10 +1,14 @@
-"""Peak extraction, clustering, and the one- and two-level sampling drivers.
+"""Peak extraction, clustering, and the direct sampling driver.
 
-The single-level driver evaluates every indicator component on the probe
-grid, collects the significant strict local maxima of each |I_ell|,
-suppresses nearby spurious spikes by greedy merging (strongest first),
-clusters the surviving maximizers across components by single linkage, and
-averages each cluster into one recovered location.
+One driver runs the whole pipeline once: it forms the reduced data R(d),
+evaluates every indicator component on the probe grid, collects the
+significant strict local maxima of each |I_ell|, suppresses nearby
+spurious spikes by greedy merging (strongest first), clusters the
+surviving maximizers across components by single linkage, and averages
+each cluster into one recovered location.  The indicator fields it
+sampled are returned with the result, so callers never evaluate them
+again.  `dsm` (single level) and `dsm2` (two level) are its two entry
+points.
 
 Intensities are read off by fitting the plane-wave identity
 
@@ -17,20 +21,20 @@ terms at its strongest maximizer of components 1..N (|I_ell| peaks at
 dipoles); a group without one kind uses the other's point.  Fitting all
 groups at once removes the cross-source terms that a single-point
 indicator read-off picks up.  The coupled fit needs R(d) itself to be
-accurate, so the drivers compute the boundary-rule resolution ratio
+accurate, so the driver computes the boundary-rule resolution ratio
 
     q = h k (R + rho) / (2 pi R),
 
 with h the mean boundary node spacing, R the measurement radius and rho
 the largest probe-box corner norm (q < 1: the boundary rule resolves every
-plane-wave term of a source inside the box).  For q >= 1 they warn and fit
+plane-wave term of a source inside the box).  For q >= 1 it warns and fits
 each group alone at the same points.
 
-The two-level driver runs the same collection on a coarse grid, then
-re-samples only the relevant component on a small fine grid (side one
-wavelength, 2*pi/k) around each coarse maximizer and keeps the fine argmax
-before clustering.  Fine grids are shifted, never shrunk, to stay inside
-the probe box so every reported location remains inside it.
+`dsm2` runs the same collection on a coarse grid, then re-samples only
+the relevant component on a small fine grid (side one wavelength, 2*pi/k)
+around each coarse maximizer and keeps the fine argmax before clustering.
+Fine grids are shifted, never shrunk, to stay inside the probe box so
+every reported location remains inside it.
 
 Spurious-structure handling is layered, reflecting how the indicator
 fields actually look for multipolar ensembles:
@@ -131,13 +135,18 @@ class PeakGroup:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Recovered source count and locations, with run provenance."""
+    """Recovered source count and locations, with run provenance.
+
+    fields holds the indicator components sampled on the collection grid
+    (the coarse grid of dsm2), in the order of the requested components.
+    """
 
     estimated_count: int
     groups: tuple[PeakGroup, ...]
     algorithm: str
     elapsed_seconds: float
     parameters: dict
+    fields: tuple[IndicatorField, ...] = ()
 
     def centroids(self) -> np.ndarray:
         if not self.groups:
@@ -147,7 +156,7 @@ class Reconstruction:
 
 @dataclass(frozen=True)
 class DsmOptions:
-    """Tunables for the sampling drivers; None fields fall back to defaults.
+    """Tunables for the sampling driver; None fields fall back to defaults.
 
     merge_radius defaults to two wavelengths (4*pi/k) and cluster_radius
     to one (2*pi/k).  components defaults to all N+1 indicator components;
@@ -363,7 +372,7 @@ def _finalize_groups(groups, reduced: ReducedData, k: float, q: float, params: d
             warnings.warn(
                 f"boundary rule under-resolves R(d) (q = {q:.3f} >= 1); "
                 "intensities are read per group without cross-source coupling",
-                stacklevel=3,
+                stacklevel=4,
             )
         fits = [_plane_wave_fit((g,), reduced, k)[0] for g in groups]
     return tuple(
@@ -406,20 +415,23 @@ def _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_c
 
 
 def _collect_peaks(reduced, k, grid, comps, options, merge):
-    """Per-component significant maximizers plus each component's field max."""
+    """Indicator fields on `grid`, their significant maximizers, and each
+    component's field max and peak count."""
     values = indicator_grid_values(reduced, k, grid, comps)
+    fields = tuple(
+        IndicatorField(grid=grid, component=ell, values=values[:, i]) for i, ell in enumerate(comps)
+    )
     peaks: list[Peak] = []
     comp_max: dict[int, float] = {}
     comp_counts: dict[int, int] = {}
-    for i, ell in enumerate(comps):
-        fld = IndicatorField(grid=grid, component=ell, values=values[:, i])
-        comp_max[ell] = float(np.max(np.abs(fld.values)))
+    for fld in fields:
+        comp_max[fld.component] = float(np.max(np.abs(fld.values)))
         found = find_peaks(fld, options.significance, merge)
-        comp_counts[ell] = len(found)
+        comp_counts[fld.component] = len(found)
         peaks.extend(found)
     if not peaks:
-        warnings.warn("no significant indicator maximizers survived", stacklevel=3)
-    return peaks, comp_max, comp_counts
+        warnings.warn("no significant indicator maximizers survived", stacklevel=4)
+    return fields, peaks, comp_max, comp_counts
 
 
 def _accept_groups(groups, comp_max, group_significance):
@@ -435,26 +447,39 @@ def _accept_groups(groups, comp_max, group_significance):
     return accepted, len(groups) - len(accepted)
 
 
-def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | None = None) -> Reconstruction:
-    """Single-level direct sampling over the probe grid."""
+def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_counts) -> Reconstruction:
+    """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
     start = time.perf_counter()
     options, merge, cluster, comps, dirs = _resolved(options, k, cauchy.dims)
     reduced = reduced_data(cauchy, k, dirs)
-    peaks, comp_max, comp_counts = _collect_peaks(reduced, k, grid, comps, options, merge)
+    fields, peaks, comp_max, comp_counts = _collect_peaks(reduced, k, grid, comps, options, merge)
+    if fine_counts is not None:
+        peaks = [_refine(p, reduced, k, grid, fine_counts) for p in peaks]
+        # fine grids resolve peaks better than the coarse lattice; normalize
+        # group strengths by the refined component maxima
+        for p in peaks:
+            comp_max[p.component] = max(comp_max[p.component], p.magnitude)
     accepted, rejected = _accept_groups(
         cluster_peaks(peaks, cluster), comp_max, options.group_significance
     )
-    params = _parameters("dsm", k, options, merge, cluster, comps, dirs, grid)
+    algorithm = "dsm" if fine_counts is None else "dsm2"
+    params = _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_counts)
     groups = _finalize_groups(accepted, reduced, k, resolution_ratio(cauchy, k, grid), params)
     params["component_peak_counts"] = {str(c): n for c, n in sorted(comp_counts.items())}
     params["rejected_groups"] = rejected
     return Reconstruction(
         estimated_count=len(groups),
         groups=groups,
-        algorithm="dsm",
+        algorithm=algorithm,
         elapsed_seconds=time.perf_counter() - start,
         parameters=params,
+        fields=fields,
     )
+
+
+def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | None = None) -> Reconstruction:
+    """Single-level direct sampling over the probe grid."""
+    return _sample(cauchy, k, grid, options, None)
 
 
 def _fine_grid(center: np.ndarray, side: float, grid: SamplingGrid, counts) -> SamplingGrid:
@@ -474,6 +499,19 @@ def _fine_grid(center: np.ndarray, side: float, grid: SamplingGrid, counts) -> S
     return make_grid(lower, upper, counts)
 
 
+def _refine(peak: Peak, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> Peak:
+    """Argmax of |I_ell| over a one-wavelength fine grid around `peak`."""
+    fine = _fine_grid(peak.location, 2.0 * math.pi / k, grid, fine_counts)
+    vals = indicator_grid_values(reduced, k, fine, (peak.component,))[:, 0]
+    best = int(np.argmax(np.abs(vals)))
+    return Peak(
+        location=fine.points[best],
+        component=peak.component,
+        magnitude=float(abs(vals[best])),
+        grid_index=best,
+    )
+
+
 def dsm2(
     cauchy: CauchyData,
     k: float,
@@ -487,53 +525,11 @@ def dsm2(
     centered on it (clamped into the probe box); the refined maximizer is
     the argmax of |I_ell| over that fine grid.
     """
-    start = time.perf_counter()
-    options, merge, cluster, comps, dirs = _resolved(options, k, cauchy.dims)
-    wavelength = 2.0 * math.pi / k
-    if max(coarse_grid.spacing) > wavelength / 2.0:
+    if max(coarse_grid.spacing) > math.pi / k:
         warnings.warn(
             "coarse grid spacing exceeds half a wavelength; maximizers may be missed",
             stacklevel=2,
         )
     if fine_counts is None:
         fine_counts = FINE_COUNTS_2D if cauchy.dims == 2 else FINE_COUNTS_3D
-    reduced = reduced_data(cauchy, k, dirs)
-    coarse_peaks, comp_max, comp_counts = _collect_peaks(
-        reduced, k, coarse_grid, comps, options, merge
-    )
-
-    refined: list[Peak] = []
-    for peak in coarse_peaks:
-        fine = _fine_grid(peak.location, wavelength, coarse_grid, fine_counts)
-        vals = indicator_grid_values(reduced, k, fine, (peak.component,))[:, 0]
-        best = int(np.argmax(np.abs(vals)))
-        refined.append(
-            Peak(
-                location=fine.points[best],
-                component=peak.component,
-                magnitude=float(abs(vals[best])),
-                grid_index=best,
-            )
-        )
-    # fine grids resolve peaks better than the coarse lattice; normalize
-    # group strengths by the refined component maxima
-    for p in refined:
-        comp_max[p.component] = max(comp_max[p.component], p.magnitude)
-    accepted, rejected = _accept_groups(
-        cluster_peaks(refined, cluster), comp_max, options.group_significance
-    )
-    params = _parameters(
-        "dsm2", k, options, merge, cluster, comps, dirs, coarse_grid, fine_counts
-    )
-    groups = _finalize_groups(
-        accepted, reduced, k, resolution_ratio(cauchy, k, coarse_grid), params
-    )
-    params["component_peak_counts"] = {str(c): n for c, n in sorted(comp_counts.items())}
-    params["rejected_groups"] = rejected
-    return Reconstruction(
-        estimated_count=len(groups),
-        groups=groups,
-        algorithm="dsm2",
-        elapsed_seconds=time.perf_counter() - start,
-        parameters=params,
-    )
+    return _sample(cauchy, k, coarse_grid, options, fine_counts)

@@ -340,9 +340,9 @@ def test_criterion_9_intensity_readoff(example1_runs):
     )
     assert m1_gap <= 1e-8
     assert worst_rel <= 0.20, (
-        "centroid read-off attenuation: cluster centroids average in the "
-        "dipole-component ring maximizers at ~1.84/k from each monopole, so "
-        "I(centroid) deterministically under-reads lambda by ~J0(k*|offset|)"
+        "plane-wave read-off error: the joint least-squares fit of R(d) at "
+        "each group's strongest component-0 member misses lambda by more "
+        "than 20% on some example-1 seed"
     )
 
 

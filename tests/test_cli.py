@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+import heliodsm.cli
 import heliodsm.indicators
+import heliodsm.locator
 from heliodsm import verify
 from heliodsm.cli import main
 from heliodsm.geometry import make_grid
@@ -126,6 +128,81 @@ def test_cli_reconstruct_reuses_existing_cauchy(tmp_path, capsys):
     assert main(["reconstruct", "--preset", "example2", "--out", str(out)]) == 0
     assert (out / "cauchy.csv").read_bytes() == first
     assert "reusing" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algorithm", ["dsm2", "dsm"])
+def test_reconstruct_evaluates_reduced_data_and_collection_grid_once(tmp_path, monkeypatch, algorithm):
+    cfg = preset_config("example1")
+    collection = (cfg.dsm_grid() if algorithm == "dsm" else cfg.grid()).counts
+    calls = {"reduce": 0, "grid": 0}
+
+    def counted_reduce(*args, **kwargs):
+        calls["reduce"] += 1
+        return heliodsm.indicators.reduced_data(*args, **kwargs)
+
+    def counted_grid(reduced, k, grid, components=None):
+        calls["grid"] += tuple(grid.counts) == tuple(collection)
+        return heliodsm.indicators.indicator_grid_values(reduced, k, grid, components)
+
+    for module in (heliodsm.locator, heliodsm.cli):
+        monkeypatch.setattr(module, "reduced_data", counted_reduce, raising=False)
+        monkeypatch.setattr(module, "indicator_grid_values", counted_grid, raising=False)
+    out = tmp_path / "run"
+    args = ["reconstruct", "--preset", "example1", "--algorithm", algorithm, "--out", str(out), "--quiet"]
+    assert main(args) == 0
+    assert calls == {"reduce": 1, "grid": 1}
+
+
+def test_indicator_csv_holds_driver_fields(tmp_path, monkeypatch):
+    recons = []
+
+    def recorded(*args, **kwargs):
+        recons.append(heliodsm.locator.dsm2(*args, **kwargs))
+        return recons[-1]
+
+    monkeypatch.setattr(heliodsm.cli, "dsm2", recorded)
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--preset", "example3", "--out", str(out), "--quiet"]) == 0
+    (recon,) = recons
+    assert [f.component for f in recon.fields] == [0, 1, 2]
+    for fld in recon.fields:
+        back = read_indicator_csv(out / f"indicator_{fld.component}.csv", fld.grid, fld.component)
+        assert back.values.tobytes() == fld.values.tobytes()
+
+
+def test_reconstruct_refuses_cauchy_from_other_data(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--seed", "1", "--out", str(out), "--quiet"]) == 0
+    data = (out / "cauchy.csv").read_bytes()
+    assert main(["reconstruct", "--preset", "example1", "--seed", "2", "--out", str(out), "--quiet"]) == 1
+    assert main(["example", "1", "--seed", "3", "--out", str(out), "--quiet"]) == 1
+    assert "noise" in capsys.readouterr().err
+    assert (out / "cauchy.csv").read_bytes() == data
+    assert not (out / "run.json").exists()
+    assert not (out / "comparison.json").exists()
+
+    # locator settings do not determine the data: re-analysis reuses it
+    raw = preset_config("example1").to_dict()
+    raw["noise"]["seed"] = 1
+    raw["locator"]["significance"] = 0.6
+    cfg_path = tmp_path / "reanalysis.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "reusing" in capsys.readouterr().out
+    assert (out / "cauchy.csv").read_bytes() == data
+    run = json.loads((out / "run.json").read_text())
+    assert run["seed"] == 1
+    assert run["parameters"]["significance"] == 0.6
+
+
+def test_reconstruct_refuses_cauchy_without_config(tmp_path):
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
+    (out / "config.json").unlink()
+    data = (out / "cauchy.csv").read_bytes()
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet"]) == 1
+    assert (out / "cauchy.csv").read_bytes() == data
+    assert not (out / "run.json").exists()
 
 
 def test_cli_same_seed_same_bytes(tmp_path):

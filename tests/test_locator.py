@@ -7,7 +7,7 @@ import pytest
 
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
-from heliodsm.indicators import IndicatorField, indicator_at, reduced_data
+from heliodsm.indicators import IndicatorField, indicator_at, indicator_grid_values, reduced_data
 from heliodsm.locator import (
     DsmOptions,
     Peak,
@@ -176,8 +176,8 @@ def test_dsm2_refines_single_source():
     err_coarse = np.linalg.norm(single.groups[0].centroid - z)
     assert err_fine <= max(coarse.spacing)
     assert err_fine <= err_coarse + 1e-12
-    # centroid is within half a fine cell of the source, so the read-off
-    # carries only the corresponding J0 attenuation
+    # the centroid is within half a fine cell of the source, and the
+    # plane-wave fit at that point recovers lambda to within 1%
     assert abs(fine.groups[0].lambda_estimate - 3.0) < 0.01
 
 
@@ -333,3 +333,44 @@ def test_preset_boundary_records_joint_coupling(example1):
     recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
     assert recon.parameters["readoff_q"] == pytest.approx(0.874, abs=1e-3)
     assert recon.parameters["readoff_coupling"] == "joint"
+
+
+@pytest.mark.parametrize("algorithm", ["dsm", "dsm2"])
+def test_reconstruction_carries_collection_grid_fields(example1, algorithm):
+    cfg, _, _, noisy = example1
+    k = cfg.wavenumber
+    grid = make_grid([-4, -4], [4, 4], [60, 50])
+    opts = DsmOptions(components=(2, 0), directions=cfg.direction_set())
+    if algorithm == "dsm":
+        recon = dsm(noisy, k, grid, opts)
+    else:
+        recon = dsm2(noisy, k, grid, (40, 40), opts)
+    expected = indicator_grid_values(reduced_data(noisy, k, cfg.direction_set()), k, grid, (2, 0))
+    assert [f.component for f in recon.fields] == [2, 0]
+    for i, fld in enumerate(recon.fields):
+        assert fld.grid is grid
+        assert fld.values.tobytes() == np.ascontiguousarray(expected[:, i]).tobytes()
+
+
+def test_driver_warnings_point_at_the_caller(example1):
+    cfg, ens, _, noisy = example1
+    k = cfg.wavenumber
+    coarse = make_grid([-4, -4], [4, 4], [10, 10])
+    under = synthesize_cauchy(ens, k, circle_surface(cfg.measurement_radius, 120))
+    silent = CauchyData(
+        surface=noisy.surface,
+        dirichlet=np.zeros_like(noisy.dirichlet),
+        neumann=np.zeros_like(noisy.neumann),
+    )
+    calls = [
+        ("spacing", lambda: dsm2(noisy, k, coarse, (40, 40), cfg.options())),
+        ("under-resolves", lambda: dsm2(under, k, cfg.grid(), cfg.fine_counts, cfg.options())),
+        ("under-resolves", lambda: dsm(under, k, cfg.grid(), cfg.options())),
+        ("no significant", lambda: dsm(silent, k, cfg.grid(), cfg.options())),
+        ("no significant", lambda: dsm2(silent, k, cfg.grid(), cfg.fine_counts, cfg.options())),
+    ]
+    for match, call in calls:
+        with pytest.warns(UserWarning, match=match) as record:
+            call()
+        hits = [w for w in record if match in str(w.message)]
+        assert hits and all(w.filename == __file__ for w in hits), match
