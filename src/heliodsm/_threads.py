@@ -15,17 +15,23 @@ _thread_count: int | None = None
 
 
 def get_thread_count() -> int:
+    """The pinned count, else HELIO_DSM_THREADS, else the CPU count.
+
+    A set but invalid HELIO_DSM_THREADS (not an integer >= 1) raises
+    ValueError rather than falling back silently.
+    """
     if _thread_count is not None:
         return _thread_count
     env = os.environ.get(_ENV_VAR)
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{_ENV_VAR} must be an integer >= 1, got {env!r}")
+    return n
 
 
 def set_thread_count(n: int | None) -> None:

@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -59,9 +60,7 @@ def _load_config(args) -> ExperimentConfig:
     else:
         raise ConfigError("either --config or --preset is required")
     if getattr(args, "seed", None) is not None:
-        raw = cfg.to_dict()
-        raw["noise"]["seed"] = args.seed
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = dataclasses.replace(cfg, noise_seed=args.seed)
     return cfg
 
 
@@ -284,12 +283,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        try:
-            _threads.set_thread_count(args.threads)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+    try:
+        # resolve the worker count first, so a bad one fails before any work
+        _threads.set_thread_count(
+            args.threads if args.threads is not None else _threads.get_thread_count()
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         return args.fn(args)
     except ConfigError as exc:

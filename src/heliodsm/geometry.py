@@ -181,7 +181,7 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
         raise ValueError(f"radius must be positive, got {radius}")
     if count < 8:
         raise ValueError(f"need at least 8 measurement points, got {count}")
-    directions = circle_directions(max(count, 4))
+    directions = circle_directions(count)
     return MeasurementSurface(
         dims=2,
         points=radius * directions.nodes,

@@ -17,11 +17,19 @@ The indicator with component ell (d_0 == 1 by convention) is
 
     I_ell(z) = a_ell / (2^(N-1) pi) * int_{S^(N-1)} R(d) d_ell e^{-ik d.z} ds(d),
 
-with a_0 = 1 and a_ell = N i / k otherwise.  On rectangular grids the
-plane-wave factor separates per axis, so the direction integral is done as
-a staged tensor contraction: only one short complex exponential per grid
-axis is materialized, and every sum runs in a fixed order (einsum without
-BLAS dispatch), making results bitwise independent of the worker count.
+with a_0 = 1 and a_ell = N i / k otherwise.
+
+Both integrals are contractions of a phase table against a few weight
+rows, and all three heavy ones (R(d) over direction chunks, indicators at
+probe points, indicators on grids) run through one private kernel,
+`_chunked`, which fills its result in fixed `_CHUNK`-row blocks across
+the worker threads.  Every sum over boundary points or directions is an
+`np.einsum` (never BLAS `@`), so it runs in an order fixed by the chunk
+bounds alone and results are bitwise independent of the worker count.
+On rectangular grids of any dimension the plane-wave factor separates per
+axis: only one short complex exponential per grid axis is materialized,
+and the products of all axes but the last meet the last axis' factor,
+folded into the component weights, in one contraction.
 
 `moment_2d` / `moment_3d` hold the closed forms of the circle / sphere
 integrals of d_p d_q e^{ik d.z}; they are the verification targets for the
@@ -118,6 +126,19 @@ def default_directions(dims: int) -> DirectionSet:
     return sphere_directions(*DEFAULT_SPHERE_DIRECTIONS)
 
 
+def _chunked(n_rows: int, width: int, block) -> np.ndarray:
+    """(n_rows, width) complex array whose rows s are block(s), for fixed
+    _CHUNK-row slices s.  The slices, not the worker count, fix every sum."""
+    out = np.empty((n_rows, width), dtype=complex)
+
+    def run(start: int) -> None:
+        s = slice(start, min(start + _CHUNK, n_rows))
+        out[s] = block(s)
+
+    _threads.map_chunks(run, list(range(0, n_rows, _CHUNK)))
+    return out
+
+
 def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> ReducedData:
     """Quadrature of the reduced boundary functional over Gamma."""
     if cauchy.dims != directions.dims:
@@ -125,21 +146,21 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
     surf = cauchy.surface
-    w_neu = surf.weights * cauchy.neumann
-    w_dir = [surf.weights * cauchy.dirichlet * surf.normals[:, c] for c in range(surf.dims)]
-    n_dir = len(directions)
-    out = np.empty(n_dir, dtype=complex)
+    nodes = directions.nodes
+    # rows w du/dnu, then w u nu_c for each axis c
+    rows = np.stack(
+        [surf.weights * cauchy.neumann]
+        + [surf.weights * cauchy.dirichlet * surf.normals[:, c] for c in range(surf.dims)]
+    )
 
-    def run(start: int) -> None:
-        stop = min(start + _CHUNK, n_dir)
-        d = directions.nodes[start:stop]
-        phase = np.exp(1j * k * (surf.points @ d.T))  # (m, chunk)
-        r = np.einsum("md,m->d", phase, w_neu)
-        for c in range(surf.dims):
-            r = r - 1j * k * d[:, c] * np.einsum("md,m->d", phase, w_dir[c])
-        out[start:stop] = r
+    def block(s: slice) -> np.ndarray:
+        phase = np.exp(1j * k * (surf.points @ nodes[s].T))  # (m, chunk)
+        return np.einsum("md,cm->dc", phase, rows)
 
-    _threads.map_chunks(run, list(range(0, n_dir, _CHUNK)))
+    parts = _chunked(len(directions), len(rows), block)
+    out = parts[:, 0]
+    for c in range(surf.dims):
+        out = out - 1j * k * nodes[:, c] * parts[:, c + 1]
     return ReducedData(directions=directions, values=out)
 
 
@@ -193,15 +214,9 @@ def indicator_at(reduced: ReducedData, k: float, points, components=None) -> np.
     if pts.shape[1] != reduced.dims:
         raise ValueError("probe points have the wrong dimension")
     v = _component_weights(reduced, k, comps)
-    out = np.empty((pts.shape[0], len(comps)), dtype=complex)
-
-    def run(start: int) -> None:
-        stop = min(start + _CHUNK, pts.shape[0])
-        phase = np.exp(-1j * k * (pts[start:stop] @ reduced.directions.nodes.T))
-        out[start:stop] = np.einsum("pd,dl->pl", phase, v)
-
-    _threads.map_chunks(run, list(range(0, pts.shape[0], _CHUNK)))
-    return out
+    nodes = reduced.directions.nodes
+    return _chunked(len(pts), len(comps), lambda s: np.einsum(
+        "pd,dl->pl", np.exp(-1j * k * (pts[s] @ nodes.T)), v))
 
 
 def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:
@@ -209,44 +224,25 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
 
     Exploits the tensor-product structure of the grid: the plane-wave
     factor e^{-ik d.z} splits into one (n_axis x n_dir) factor per axis.
+    The factors of all axes but the last multiply out into one row per
+    sub-grid point (first axis fastest); the last axis' factor is folded
+    into the component weights as (n_last * L) rows, and one contraction
+    over the directions pairs the two.
     """
     comps = _check_components(reduced.dims, components)
     if grid.dims != reduced.dims:
         raise ValueError("grid and reduced data have different dimensions")
     dirs = reduced.directions
     v = _component_weights(reduced, k, comps)  # (n_dir, L)
-    axes = grid.axes()
-    factors = [np.exp(-1j * k * np.outer(ax, dirs.nodes[:, i])) for i, ax in enumerate(axes)]
-    n_dir = len(dirs)
-    n_l = len(comps)
-
-    if grid.dims == 2:
-        n1, n2 = grid.counts
-        out = np.empty((n2 * n1, n_l), dtype=complex)
-        for li in range(n_l):
-            scaled = factors[1] * v[:, li][None, :]  # (n2, n_dir)
-            # (y, x) layout C-raveled = first axis fastest flat order
-            out[:, li] = np.einsum("yd,xd->yx", scaled, factors[0]).ravel()
-        return out
-
-    n1, n2, n3 = grid.counts
-    # pair factor for (x, y), laid out so C-ravel gives x fastest
-    pair = np.einsum("yd,xd->yxd", factors[1], factors[0]).reshape(n2 * n1, n_dir)
-    heads = (factors[2][:, :, None] * v[None, :, :]).reshape(n3, n_dir, n_l)
-    tail = np.transpose(heads, (1, 0, 2)).reshape(n_dir, n3 * n_l)
-    out_xy = np.empty((n2 * n1, n3 * n_l), dtype=complex)
-
-    def run(start: int) -> None:
-        stop = min(start + _CHUNK, pair.shape[0])
-        out_xy[start:stop] = np.einsum("xd,dm->xm", pair[start:stop], tail)
-
-    _threads.map_chunks(run, list(range(0, pair.shape[0], _CHUNK)))
-    # out_xy[(xy), (z, l)] -> flat grid order xy + n1*n2*z, per component
-    out = np.empty((n1 * n2 * n3, n_l), dtype=complex)
-    cube = out_xy.reshape(n2 * n1, n3, n_l)
-    for li in range(n_l):
-        out[:, li] = cube[:, :, li].ravel(order="F")
-    return out
+    factors = [np.exp(-1j * k * np.outer(ax, dirs.nodes[:, i])) for i, ax in enumerate(grid.axes())]
+    head = factors[0]
+    for f in factors[1:-1]:
+        head = np.einsum("yd,xd->yxd", f, head).reshape(-1, len(dirs))
+    last = factors[-1]
+    tail = (last[:, None, :] * v.T[None, :, :]).reshape(-1, len(dirs))  # rows (z, l)
+    out = _chunked(len(head), len(tail), lambda s: np.einsum("xd,md->xm", head[s], tail))
+    # out[sub-grid point, (z, l)] -> flat grid order: sub-grid point + n_sub * z
+    return out.reshape(len(head), len(last), len(comps)).transpose(1, 0, 2).reshape(-1, len(comps))
 
 
 def indicator_field(reduced: ReducedData, k: float, grid: SamplingGrid, component: int) -> IndicatorField:

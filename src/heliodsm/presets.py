@@ -73,6 +73,22 @@ def _want(mapping: dict, key: str, kind, where: str):
     return value
 
 
+def _ints(values, where: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in values
+    ):
+        raise ConfigError(f"{where} must be a list of integers")
+    return tuple(values)
+
+
+def _counts(values, dims: int, where: str) -> tuple[int, ...]:
+    """Points per grid axis: dims integers, each >= 2."""
+    counts = _ints(values, where)
+    if len(counts) != dims or min(counts) < 2:
+        raise ConfigError(f"{where} must be {dims} integers >= 2")
+    return counts
+
+
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
@@ -178,21 +194,17 @@ class ExperimentConfig:
         grid = _want(raw, "grid", dict, "config")
         lower = tuple(float(v) for v in _want(grid, "lower", list, "grid"))
         upper = tuple(float(v) for v in _want(grid, "upper", list, "grid"))
-        counts = tuple(int(v) for v in _want(grid, "counts", list, "grid"))
-        if not (len(lower) == len(upper) == len(counts) == dims):
-            raise ConfigError("grid lower/upper/counts must have length dims")
+        counts = _counts(_want(grid, "counts", list, "grid"), dims, "grid counts")
+        if not (len(lower) == len(upper) == dims):
+            raise ConfigError("grid lower/upper must have length dims")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise ConfigError("grid lower must be strictly below upper")
 
-        fine = tuple(int(v) for v in _want(raw, "fine_counts", list, "config"))
-        if len(fine) != dims:
-            raise ConfigError("fine_counts must have length dims")
+        fine = _counts(_want(raw, "fine_counts", list, "config"), dims, "fine_counts")
 
         dsm_counts = None
         if raw.get("dsm_counts") is not None:
-            dsm_counts = tuple(int(v) for v in raw["dsm_counts"])
-            if len(dsm_counts) != dims:
-                raise ConfigError("dsm_counts must have length dims")
+            dsm_counts = _counts(raw["dsm_counts"], dims, "dsm_counts")
 
         loc_opts = raw.get("locator", {})
         if not isinstance(loc_opts, dict):
@@ -202,7 +214,7 @@ class ExperimentConfig:
         cluster_radius = loc_opts.get("cluster_radius")
         components = loc_opts.get("components")
         if components is not None:
-            components = tuple(int(c) for c in components)
+            components = _ints(components, "locator components")
             if any(not (0 <= c <= dims) for c in components):
                 raise ConfigError("locator components out of range")
 
@@ -215,7 +227,7 @@ class ExperimentConfig:
             raise ConfigError("'output_dir' must be a string")
 
         try:
-            return cls(
+            cfg = cls(
                 dims=dims,
                 wavenumber=k,
                 sources=tuple(sources),
@@ -236,8 +248,12 @@ class ExperimentConfig:
                 algorithm=algorithm,
                 output_dir=output_dir,
             )
+            # a bad locator or direction value fails here, before any file
+            # is written (the grids are fully checked above)
+            cfg.options()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        return cfg
 
     def to_dict(self) -> dict:
         sources = []
@@ -316,9 +332,8 @@ class ExperimentConfig:
         counts = self.dsm_counts if self.dsm_counts is not None else self.grid_counts
         return make_grid(self.grid_lower, self.grid_upper, counts)
 
-    def noise_spec(self, seed_override: int | None = None) -> NoiseSpec:
-        seed = self.noise_seed if seed_override is None else seed_override
-        return NoiseSpec(level=self.noise_level, seed=seed)
+    def noise_spec(self) -> NoiseSpec:
+        return NoiseSpec(level=self.noise_level, seed=self.noise_seed)
 
     def options(self) -> DsmOptions:
         return DsmOptions(

@@ -245,6 +245,41 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["reconstruct", "--out", str(tmp_path / "w"), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["locator"].__setitem__("significance", 1.5),
+        lambda r: r.__setitem__("fine_counts", [1, 40]),
+        lambda r: r["grid"].__setitem__("counts", [100.7, 100]),
+    ],
+    ids=["significance", "fine_counts", "fractional_grid_counts"],
+)
+def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate):
+    raw = preset_config("example1").to_dict()
+    mutate(raw)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "cauchy.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_cli_rejects_bad_thread_env(tmp_path, monkeypatch, capsys, value):
+    from heliodsm import _threads
+
+    monkeypatch.setenv("HELIO_DSM_THREADS", value)
+    with pytest.raises(ValueError):
+        _threads.get_thread_count()
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 1
+    assert "HELIO_DSM_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit --threads overrides the environment
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--threads", "1", "--quiet"]) == 0
+
+
 def test_config_output_dir_used_when_out_absent(tmp_path, monkeypatch):
     raw = preset_config("example1").to_dict()
     target = tmp_path / "from_config"

@@ -8,7 +8,7 @@ import pytest
 
 import heliodsm.indicators as ind
 from heliodsm.forward import SourceEnsemble, dipole, monopole, synthesize_cauchy
-from heliodsm.geometry import circle_directions, circle_surface, make_grid, sphere_directions
+from heliodsm.geometry import DirectionSet, circle_directions, circle_surface, make_grid, sphere_directions
 from heliodsm.indicators import (
     ReducedData,
     decay_probe,
@@ -232,6 +232,8 @@ def test_indicator_grid_matches_pointwise(example1):
     grid_vals = indicator_grid_values(red, k, grid)
     point_vals = indicator_at(red, k, grid.points)
     assert np.max(np.abs(grid_vals - point_vals)) < 1e-12
+    sub = indicator_grid_values(red, k, grid, (2, 0))
+    assert np.max(np.abs(sub - indicator_at(red, k, grid.points, (2, 0)))) < 1e-12
     fld = indicator_field(red, k, grid, 1)
     assert np.array_equal(fld.values, grid_vals[:, 1])
 
@@ -244,6 +246,8 @@ def test_indicator_grid_matches_pointwise_3d(example4):
     grid_vals = indicator_grid_values(red, k, grid)
     point_vals = indicator_at(red, k, grid.points)
     assert np.max(np.abs(grid_vals - point_vals)) < 1e-12
+    sub = indicator_grid_values(red, k, grid, (3, 0))
+    assert np.max(np.abs(sub - indicator_at(red, k, grid.points, (3, 0)))) < 1e-12
 
 
 def test_conjugation_symmetry_under_mirroring(example1):
@@ -301,20 +305,41 @@ def test_component_out_of_range(example1):
 
 
 def test_thread_count_does_not_change_results(example4):
+    # each input but the first grid spans more than one _CHUNK-row block,
+    # so the chunks of each kernel really are spread over the workers
     from heliodsm import _threads
 
     cfg, _, _, noisy = example4
     k = cfg.wavenumber
     red = reduced_data(noisy, k, cfg.direction_set())
-    grid = make_grid([-3, -3, -3], [3, 3, 3], [17, 16, 15])
+    small = make_grid([-3, -3, -3], [3, 3, 3], [17, 16, 15])
+    dirs = sphere_directions(48, 48)
+    grid = make_grid([-3, -3, -3], [3, 3, 3], [48, 48, 3])
+    probes = np.random.default_rng(5).uniform(-3, 3, size=(4100, 3))
+    assert min(len(dirs), 48 * 48, len(probes)) > ind._CHUNK
+
+    def evaluate():
+        return (
+            indicator_grid_values(red, k, small),
+            reduced_data(noisy, k, dirs).values,
+            indicator_grid_values(red, k, grid, (3, 0)),
+            indicator_at(red, k, probes),
+        )
+
     try:
         _threads.set_thread_count(1)
-        a = indicator_grid_values(red, k, grid)
+        a = evaluate()
         _threads.set_thread_count(3)
-        b = indicator_grid_values(red, k, grid)
+        b = evaluate()
     finally:
         _threads.set_thread_count(None)
-    assert np.array_equal(a, b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+    # the last block lands in the last rows
+    tail_dirs = DirectionSet(3, dirs.nodes[-4:], dirs.weights[-4:])
+    assert np.max(np.abs(a[1][-4:] - reduced_data(noisy, k, tail_dirs).values)) < 1e-10
+    assert np.max(np.abs(a[2][-4:] - indicator_at(red, k, grid.points[-4:], (3, 0)))) < 1e-12
+    assert np.max(np.abs(a[3][-4:] - indicator_at(red, k, probes[-4:]))) < 1e-12
 
 
 # ----------------------------------------------------------------------
