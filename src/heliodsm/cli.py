@@ -131,9 +131,13 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
         recon = dsm(noisy, cfg.wavenumber, cfg.dsm_grid(), cfg.options())
     else:
         recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
-    for fld in recon.fields:
-        io.write_indicator_csv(out / f"indicator_{fld.component}{tag}.csv", fld)
-    io.write_reconstruction_csv(out / f"reconstruction{tag}.csv", recon)
+    t0 = time.perf_counter()
+    written = [out / f"indicator_{fld.component}{tag}.csv" for fld in recon.fields]
+    for path, fld in zip(written, recon.fields):
+        io.write_indicator_csv(path, fld)
+    written.append(out / f"reconstruction{tag}.csv")
+    io.write_reconstruction_csv(written[-1], recon)
+    write_seconds = time.perf_counter() - t0
     io.write_run_json(
         out / f"run{tag}.json",
         {
@@ -141,6 +145,8 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
             "seed": cfg.noise_seed,
             "estimated_count": recon.estimated_count,
             "elapsed_seconds": recon.elapsed_seconds,
+            "write_seconds": write_seconds,
+            "bytes_written": sum(path.stat().st_size for path in written),
             "threads": _threads.get_thread_count(),
         },
     )

@@ -22,13 +22,16 @@ run.json
     determinism guarantees cover the CSV files only.
 
 Floats are written with shortest round-trip precision (repr), so a file
-read back reproduces the in-memory values exactly.
+read back reproduces the in-memory values exactly; rows end in "\r\n".
+The indicator abs column is hypot(re, im), i.e. Python's abs(complex), which
+can differ by 1 ulp from IndicatorField.magnitude() (np.abs, used for peaks).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_rows(lead, columns) -> str:
+    """One CSV row per column entry: its `lead` string, then the values as `_fmt` writes them."""
+    values = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
+    return "".join([p + ",".join(row) + "\r\n" for p, row in zip(lead, values)])
+
+
 def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -> None:
     noisy = noisy if noisy is not None else clean
     surf = clean.surface
@@ -63,16 +72,13 @@ def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -
         + ["weight", "u_re", "u_im", "dnu_re", "dnu_im",
            "u_noisy_re", "u_noisy_im", "dnu_noisy_re", "dnu_noisy_im"]
     )
+    columns = [*surf.points.T, *surf.normals.T, surf.weights]
+    for z in (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann):
+        columns += [z.real, z.imag]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(surf)):
-            row = [_fmt(v) for v in surf.points[i]]
-            row += [_fmt(v) for v in surf.normals[i]]
-            row.append(_fmt(surf.weights[i]))
-            for z in (clean.dirichlet[i], clean.neumann[i], noisy.dirichlet[i], noisy.neumann[i]):
-                row += [_fmt(z.real), _fmt(z.imag)]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for i in range(0, len(surf), 256):  # bounded blocks keep memory small
+            fh.write(_csv_rows(repeat(""), [c[i : i + 256] for c in columns]))
 
 
 def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
@@ -101,16 +107,16 @@ def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
 
 
 def write_indicator_csv(path, field: IndicatorField) -> None:
-    n = field.grid.dims
-    header = [f"z{i+1}" for i in range(n)] + ["abs", "re", "im"]
-    points = field.grid.points
+    # One write per last-axis slice; grid order is first axis fastest, so
+    # every slice has the same leading coordinates, formatted once here.
+    *lead_axes, last = ([_fmt(x) + "," for x in axis] for axis in field.grid.axes())
+    prefixes = [""]
+    for axis in lead_axes:
+        prefixes = [p + x for x in axis for p in prefixes]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(field.grid)):
-            v = field.values[i]
-            row = [_fmt(x) for x in points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
-            writer.writerow(row)
+        csv.writer(fh).writerow([f"z{i+1}" for i in range(field.grid.dims)] + ["abs", "re", "im"])
+        for z, v in zip(last, field.values.reshape(len(last), -1)):
+            fh.write(_csv_rows([p + z for p in prefixes], [np.hypot(v.real, v.imag), v.real, v.imag]))
 
 
 def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorField:

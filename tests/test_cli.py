@@ -1,5 +1,6 @@
 """CLI, config round-trip, file formats, and output determinism."""
 
+import csv
 import json
 import warnings
 
@@ -12,7 +13,7 @@ import heliodsm.locator
 from heliodsm import verify
 from heliodsm.cli import main
 from heliodsm.geometry import make_grid
-from heliodsm.indicators import reduced_data, indicator_field
+from heliodsm.indicators import IndicatorField, reduced_data, indicator_field
 from heliodsm.io import (
     read_cauchy_csv,
     read_indicator_csv,
@@ -82,6 +83,69 @@ def test_indicator_csv_roundtrip(tmp_path, example1):
     assert np.array_equal(back.values, fld.values)
 
 
+def _fmt(x):
+    return repr(float(x))
+
+
+def _reference_csv(path, header, rows):
+    # The per-row writer the column-wise io writers must match byte for byte.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _edge_values(n, seed):
+    """Complex values with parts from 1e-300 to 1e+300, -0.0 and subnormals."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, n))
+    re[: n // 2] *= 10.0 ** rng.integers(-300, 301, n // 2)
+    im[: n // 2] *= 10.0 ** rng.integers(-300, 301, n // 2)
+    values = re + 1j * im
+    values[:5] = [complex(-0.0, -0.0), complex(5e-324, -0.0), complex(-0.0, 1e-310),
+                  complex(1e-300, -1e300), complex(-1e300, 1e300)]
+    return values
+
+
+@pytest.mark.parametrize(
+    "lower, upper, counts",
+    [([-4.0, -4.0], [4.0, 4.0], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])],
+)
+def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts):
+    grid = make_grid(lower, upper, counts)
+    fld = IndicatorField(grid=grid, component=1, values=_edge_values(len(grid), len(counts)))
+    # the abs column is the scalar abs(complex), which np.abs misses by 1 ulp here
+    assert np.any(np.abs(fld.values) != np.array([abs(v) for v in fld.values]))
+    rows = (
+        [_fmt(x) for x in grid.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
+        for i, v in enumerate(fld.values)
+    )
+    header = [f"z{i+1}" for i in range(grid.dims)] + ["abs", "re", "im"]
+    _reference_csv(tmp_path / "want.csv", header, rows)
+    write_indicator_csv(tmp_path / "got.csv", fld)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows
+def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, preset):
+    _, _, clean, noisy = request.getfixturevalue(preset)
+    surf = clean.surface
+    traces = (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann)
+    rows = (
+        [_fmt(v) for v in surf.points[i]] + [_fmt(v) for v in surf.normals[i]] + [_fmt(surf.weights[i])]
+        + [_fmt(p) for z in traces for p in (z[i].real, z[i].imag)]
+        for i in range(len(surf))
+    )
+    header = (
+        [f"x{i+1}" for i in range(surf.dims)] + [f"nu{i+1}" for i in range(surf.dims)]
+        + ["weight", "u_re", "u_im", "dnu_re", "dnu_im",
+           "u_noisy_re", "u_noisy_im", "dnu_noisy_re", "dnu_noisy_im"]
+    )
+    _reference_csv(tmp_path / "want.csv", header, rows)
+    write_cauchy_csv(tmp_path / "got.csv", clean, noisy)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_cli_synthesize_writes_expected_rows(tmp_path):
     out = tmp_path / "run"
     code = main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"])
@@ -119,6 +183,9 @@ def test_cli_reconstruct_and_outputs(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["estimated_count"] == 4
     assert run["parameters"]["algorithm"] == "dsm2"
+    assert run["write_seconds"] >= 0
+    written = [f"indicator_{ell}.csv" for ell in range(3)] + ["reconstruction.csv"]
+    assert run["bytes_written"] == sum((out / name).stat().st_size for name in written)
 
 
 def test_cli_reconstruct_reuses_existing_cauchy(tmp_path, capsys):

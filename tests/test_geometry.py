@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,24 @@ def test_grid_ordering_first_axis_fastest():
     )
     assert np.array_equal(g.points, expected)
     assert g.spacing == (0.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, counts",
+    [([-4.1, -3.3], [4.2, 2.9], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])],
+)
+def test_grid_points_are_product_of_axes_first_axis_fastest(lower, upper, counts):
+    # io.write_indicator_csv formats axes() values in place of points rows
+    g = make_grid(lower, upper, counts)
+    axes = g.axes()
+    expected = np.array(
+        [
+            [axes[a][i] for a, i in enumerate(reversed(idx))]
+            for idx in itertools.product(*(range(c) for c in reversed(counts)))
+        ]
+    )
+    assert g.points.shape == expected.shape
+    assert g.points.tobytes() == expected.tobytes()
 
 
 def test_grid_two_point_corners():
