@@ -2,13 +2,26 @@
 
 Results never depend on the thread count: work is split into fixed-size
 chunks whose internal summation order is fixed, and threads only decide
-which chunk runs where.
+which chunk runs where.  `map_chunks` is the one place that runs work in
+parallel.  While it runs, numpy's bundled OpenBLAS is held to one thread
+(through its `scipy_openblas_set_num_threads64_` export), so the BLAS
+products inside a chunk neither oversubscribe the workers nor change their
+bits with the BLAS thread count.  Under any other BLAS that hold is not
+available: results are then bitwise reproducible only with the BLAS itself
+limited to one thread (`OPENBLAS_NUM_THREADS=1` or that library's
+equivalent).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
+import numpy as np
 
 _ENV_VAR = "HELIO_DSM_THREADS"
 _thread_count: int | None = None
@@ -42,12 +55,44 @@ def set_thread_count(n: int | None) -> None:
     _thread_count = None if n is None else int(n)
 
 
-def map_chunks(fn, starts: list[int]) -> None:
-    """Run fn(start) for every chunk start, possibly across threads."""
-    n = get_thread_count()
-    if n <= 1 or len(starts) <= 1:
-        for s in starts:
-            fn(s)
+@functools.cache
+def openblas():
+    """ctypes handle of numpy's bundled OpenBLAS, or None if there is none
+    that exports the thread-count calls."""
+    here = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_") and hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    lib = openblas()
+    if lib is None:
+        yield
         return
-    with ThreadPoolExecutor(max_workers=min(n, len(starts))) as pool:
-        list(pool.map(fn, starts))
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
+def map_chunks(fn, starts: list[int]) -> None:
+    """Run fn(start) for every chunk start, possibly across threads, with
+    the bundled OpenBLAS held to one thread."""
+    n = get_thread_count()
+    with _one_blas_thread():
+        if n <= 1 or len(starts) <= 1:
+            for s in starts:
+                fn(s)
+            return
+        with ThreadPoolExecutor(max_workers=min(n, len(starts))) as pool:
+            list(pool.map(fn, starts))

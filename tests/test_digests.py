@@ -13,10 +13,8 @@ any other host.  Regenerate the table on the recording host with
 """
 
 import ctypes
-import glob
 import hashlib
 import json
-import os
 import sys
 import tempfile
 import warnings
@@ -25,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heliodsm import _threads
 from heliodsm.cli import main
 
 TABLE = Path(__file__).with_name("csv_digests.json")
@@ -39,11 +38,8 @@ RUNS = {
 
 
 def _openblas_core() -> str | None:
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-    if not libs:
-        return None
-    lib = ctypes.CDLL(libs[0])
-    if not hasattr(lib, "scipy_openblas_get_corename64_"):
+    lib = _threads.openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_corename64_"):
         return None
     lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
     return lib.scipy_openblas_get_corename64_().decode()

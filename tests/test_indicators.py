@@ -1,6 +1,10 @@
 """Indicator machinery against quadrature, extended-precision, and symmetry oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -340,6 +344,21 @@ def test_thread_count_does_not_change_results(example4):
     assert np.max(np.abs(a[1][-4:] - reduced_data(noisy, k, tail_dirs).values)) < 1e-10
     assert np.max(np.abs(a[2][-4:] - indicator_at(red, k, grid.points[-4:], (3, 0)))) < 1e-12
     assert np.max(np.abs(a[3][-4:] - indicator_at(red, k, probes[-4:]))) < 1e-12
+
+
+def test_thread_count_does_not_change_results_with_blas_threads_unset():
+    # map_chunks holds the bundled OpenBLAS to one thread itself, so the
+    # contract must not lean on OPENBLAS_NUM_THREADS=1 being set outside
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    test = f"{__file__}::test_thread_count_does_not_change_results"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "1 passed" in run.stdout
 
 
 # ----------------------------------------------------------------------
