@@ -20,16 +20,26 @@ The indicator with component ell (d_0 == 1 by convention) is
 with a_0 = 1 and a_ell = N i / k otherwise.
 
 Both integrals are contractions of a phase table against a few weight
-rows, and all three heavy ones (R(d) over direction chunks, indicators at
-probe points, indicators on grids) run through one private kernel,
-`_chunked`, which fills its result in fixed `_CHUNK`-row blocks across
-the worker threads.  Every sum over boundary points or directions is an
-`np.einsum` (never BLAS `@`), so it runs in an order fixed by the chunk
-bounds alone and results are bitwise independent of the worker count.
-On rectangular grids of any dimension the plane-wave factor separates per
-axis: only one short complex exponential per grid axis is materialized,
-and the products of all axes but the last meet the last axis' factor,
-folded into the component weights, in one contraction.
+rows.  The heavy ones (R(d) over direction chunks, indicators at probe
+points, indicators on grids) run through one private kernel, `_chunked`,
+which fills its result in fixed `_CHUNK`-row blocks across the worker
+threads; each block is one BLAS product `@`.  The blocks, not the worker
+count, fix every sum, and `_threads.map_chunks` holds the bundled OpenBLAS
+to one thread while they run, so results are bitwise independent of the
+worker count.  On rectangular grids of any dimension the plane-wave factor
+separates per axis: only one short complex exponential per grid axis is
+materialized, and the products of all axes but the last meet the last
+axis' factor, folded into the component weights, in one product.
+
+In 3D, when both the measurement sphere and the direction set are
+Gauss-Legendre x uniform-azimuth product rules with the same azimuth
+count n_phi (detected from the points themselves, see `_product_rule`),
+x.d depends only on the two polar rings and on the azimuth difference
+phi_b - phi'_e mod n_phi.  R(d) then needs one n_theta x n'_theta x n_phi
+phase table instead of one exponential per (point, direction) pair, and
+its sums over the azimuth are circular correlations, done with numpy's
+FFT.  Any other point set, unequal azimuth counts and all of 2D take the
+chunked path.
 
 `moment_2d` / `moment_3d` hold the closed forms of the circle / sphere
 integrals of d_p d_q e^{ik d.z}; they are the verification targets for the
@@ -68,6 +78,9 @@ coefficient_scale = 1.0
 
 _CHUNK = 2048
 
+# Largest coordinate gap at which unit vectors still count as a product rule.
+_RULE_TOL = 1e-12
+
 # Indicator-integral direction defaults (2D count; 3D product factors).
 DEFAULT_CIRCLE_DIRECTIONS = 256
 DEFAULT_SPHERE_DIRECTIONS = (42, 43)
@@ -79,6 +92,7 @@ class ReducedData:
 
     directions: DirectionSet
     values: np.ndarray  # (n_dir,) complex
+    phase_exps: int = 0  # complex exponentials formed to compute values
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -139,6 +153,46 @@ def _chunked(n_rows: int, width: int, block) -> np.ndarray:
     return out
 
 
+def _product_rule(unit: np.ndarray):
+    """(cos theta, sin theta) per ring and n_phi of a ring-major product rule.
+
+    Point a * n_phi + b must be (sin t_a cos p_b, sin t_a sin p_b, cos t_a)
+    with p_b = 2 pi b / n_phi, to _RULE_TOL in every coordinate; otherwise
+    the unit vectors are no product rule and the result is None.
+    """
+    z = unit[:, 2]
+    n_phi = int(np.argmax(np.abs(z - z[0]) > _RULE_TOL)) or len(z)
+    if len(z) % n_phi:
+        return None
+    rings = unit.reshape(-1, n_phi, 3)
+    cos_t, sin_t = rings[:, 0, 2], rings[:, 0, 0]  # p_0 = 0
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    model = np.stack(
+        [np.outer(sin_t, np.cos(phi)), np.outer(sin_t, np.sin(phi)), np.outer(cos_t, np.ones(n_phi))],
+        axis=-1,
+    )
+    if np.max(np.abs(rings - model)) > _RULE_TOL:
+        return None
+    return cos_t, sin_t, n_phi
+
+
+def _circulant_parts(surf, nodes: np.ndarray, rows: np.ndarray, k: float):
+    """reduced_data's (n_dir, n_rows) contraction on two product rules with
+    equal n_phi, and the size of its phase table; None for other inputs."""
+    pts_rule, dir_rule = _product_rule(surf.points / surf.radius), _product_rule(nodes)
+    if pts_rule is None or dir_rule is None or pts_rule[2] != dir_rule[2]:
+        return None
+    (cos_a, sin_a, n), (cos_c, sin_c, _) = pts_rule, dir_rule
+    # x.d at azimuth difference p_b - p'_e = 2 pi m / n, for rings a and c
+    cos_m = np.cos(2.0 * np.pi * np.arange(n) / n)
+    table = np.exp(1j * k * surf.radius * (
+        np.outer(sin_a, sin_c)[:, :, None] * cos_m + np.outer(cos_a, cos_c)[:, :, None]))
+    # parts[r, c, e] = sum_{a, b} rows[r, a, b] table[a, c, (b - e) mod n]
+    spectrum = np.einsum(
+        "raq,acq->rcq", np.fft.fft(rows.reshape(len(rows), -1, n)), np.fft.ifft(table, norm="forward"))
+    return np.fft.ifft(spectrum).transpose(1, 2, 0).reshape(-1, len(rows)), table.size
+
+
 def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> ReducedData:
     """Quadrature of the reduced boundary functional over Gamma."""
     if cauchy.dims != directions.dims:
@@ -152,16 +206,17 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
         [surf.weights * cauchy.neumann]
         + [surf.weights * cauchy.dirichlet * surf.normals[:, c] for c in range(surf.dims)]
     )
-
-    def block(s: slice) -> np.ndarray:
-        phase = np.exp(1j * k * (surf.points @ nodes[s].T))  # (m, chunk)
-        return np.einsum("md,cm->dc", phase, rows)
-
-    parts = _chunked(len(directions), len(rows), block)
+    circulant = _circulant_parts(surf, nodes, rows, k) if surf.dims == 3 else None
+    if circulant is not None:
+        parts, exps = circulant
+    else:
+        parts = _chunked(len(directions), len(rows), lambda s: np.exp(
+            1j * k * (nodes[s] @ surf.points.T)) @ rows.T)
+        exps = len(surf) * len(directions)
     out = parts[:, 0]
     for c in range(surf.dims):
         out = out - 1j * k * nodes[:, c] * parts[:, c + 1]
-    return ReducedData(directions=directions, values=out)
+    return ReducedData(directions=directions, values=out, phase_exps=exps)
 
 
 def plane_wave_identity(ensemble: SourceEnsemble, k: float, d) -> complex:
@@ -215,8 +270,7 @@ def indicator_at(reduced: ReducedData, k: float, points, components=None) -> np.
         raise ValueError("probe points have the wrong dimension")
     v = _component_weights(reduced, k, comps)
     nodes = reduced.directions.nodes
-    return _chunked(len(pts), len(comps), lambda s: np.einsum(
-        "pd,dl->pl", np.exp(-1j * k * (pts[s] @ nodes.T)), v))
+    return _chunked(len(pts), len(comps), lambda s: np.exp(-1j * k * (pts[s] @ nodes.T)) @ v)
 
 
 def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:
@@ -226,8 +280,8 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
     factor e^{-ik d.z} splits into one (n_axis x n_dir) factor per axis.
     The factors of all axes but the last multiply out into one row per
     sub-grid point (first axis fastest); the last axis' factor is folded
-    into the component weights as (n_last * L) rows, and one contraction
-    over the directions pairs the two.
+    into the component weights as (n_last * L) rows, and one product over
+    the directions pairs the two.
     """
     comps = _check_components(reduced.dims, components)
     if grid.dims != reduced.dims:
@@ -240,7 +294,7 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
         head = np.einsum("yd,xd->yxd", f, head).reshape(-1, len(dirs))
     last = factors[-1]
     tail = (last[:, None, :] * v.T[None, :, :]).reshape(-1, len(dirs))  # rows (z, l)
-    out = _chunked(len(head), len(tail), lambda s: np.einsum("xd,md->xm", head[s], tail))
+    out = _chunked(len(head), len(tail), lambda s: head[s] @ tail.T)
     # out[sub-grid point, (z, l)] -> flat grid order: sub-grid point + n_sub * z
     return out.reshape(len(head), len(last), len(comps)).transpose(1, 0, 2).reshape(-1, len(comps))
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -11,8 +12,17 @@ import numpy as np
 import pytest
 
 import heliodsm.indicators as ind
-from heliodsm.forward import SourceEnsemble, dipole, monopole, synthesize_cauchy
-from heliodsm.geometry import DirectionSet, circle_directions, circle_surface, make_grid, sphere_directions
+from heliodsm.forward import SourceEnsemble, add_noise, dipole, monopole, synthesize_cauchy
+from heliodsm.geometry import (
+    DirectionSet,
+    MeasurementSurface,
+    circle_directions,
+    circle_surface,
+    make_grid,
+    sphere_directions,
+    sphere_surface,
+)
+from heliodsm.io import read_cauchy_csv, write_cauchy_csv
 from heliodsm.indicators import (
     ReducedData,
     decay_probe,
@@ -359,6 +369,80 @@ def test_thread_count_does_not_change_results_with_blas_threads_unset():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert "1 passed" in run.stdout
+
+
+# ----------------------------------------------------------------------
+# circulant R(d) on product rules
+# ----------------------------------------------------------------------
+
+def _general_path(monkeypatch, cauchy, k, dirs):
+    with monkeypatch.context() as m:
+        m.setattr(ind, "_circulant_parts", lambda *args: None)
+        return reduced_data(cauchy, k, dirs)
+
+
+def _noisy(cfg, surface):
+    clean = synthesize_cauchy(cfg.ensemble(), cfg.wavenumber, surface)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return add_noise(clean, cfg.noise_spec())
+
+
+@pytest.mark.parametrize("name, surface_theta", [("example4", 42), ("example5", 42), ("example4", 30)])
+def test_circulant_reduced_data_matches_general_path(monkeypatch, name, surface_theta):
+    cfg = preset_config(name)
+    noisy = _noisy(cfg, sphere_surface(cfg.measurement_radius, surface_theta, 43))
+    dirs = cfg.direction_set()
+    assert len(dirs) == 42 * 43
+    fast = reduced_data(noisy, cfg.wavenumber, dirs)
+    general = _general_path(monkeypatch, noisy, cfg.wavenumber, dirs)
+    assert fast.phase_exps == surface_theta * 42 * 43
+    assert general.phase_exps == len(noisy.surface) * len(dirs)
+    gap = np.max(np.abs(fast.values - general.values)) / np.max(np.abs(general.values))
+    assert gap <= 1e-12
+
+
+def _fibonacci_surface(radius, count):
+    idx = np.arange(count) + 0.5
+    ca = 1.0 - 2.0 * idx / count
+    sa = np.sqrt(1.0 - ca * ca)
+    beta = np.pi * (1.0 + math.sqrt(5.0)) * idx
+    unit = np.stack([sa * np.cos(beta), sa * np.sin(beta), ca], axis=1)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    return MeasurementSurface(
+        dims=3, points=radius * unit, normals=unit,
+        weights=np.full(count, 4.0 * np.pi * radius**2 / count), radius=radius,
+    )
+
+
+def _reversed(dirs):
+    return DirectionSet(dirs.dims, dirs.nodes[::-1], dirs.weights[::-1])
+
+
+@pytest.mark.parametrize(
+    "surface, dirs",
+    [
+        (sphere_surface(6.0, 42, 43), sphere_directions(42, 40)),  # unequal n_phi
+        (_fibonacci_surface(6.0, 1806), sphere_directions(42, 43)),  # no product rule
+        (sphere_surface(6.0, 42, 43), _reversed(sphere_directions(42, 43))),  # azimuths descend
+    ],
+)
+def test_non_matching_rules_take_the_general_path_bitwise(monkeypatch, surface, dirs):
+    cfg = preset_config("example4")
+    noisy = _noisy(cfg, surface)
+    red = reduced_data(noisy, cfg.wavenumber, dirs)
+    general = _general_path(monkeypatch, noisy, cfg.wavenumber, dirs)
+    assert red.phase_exps == len(surface) * len(dirs)
+    assert np.array_equal(red.values, general.values)
+
+
+def test_surface_read_back_from_csv_takes_the_circulant_path(tmp_path, example4):
+    cfg, _, clean, noisy = example4
+    write_cauchy_csv(tmp_path / "cauchy.csv", clean, noisy)
+    _, back = read_cauchy_csv(tmp_path / "cauchy.csv", cfg.measurement_radius)
+    red = reduced_data(back, cfg.wavenumber, cfg.direction_set())
+    assert red.phase_exps == 42 * 42 * 43
+    assert np.array_equal(red.values, reduced_data(noisy, cfg.wavenumber, cfg.direction_set()).values)
 
 
 # ----------------------------------------------------------------------
