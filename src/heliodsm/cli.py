@@ -145,6 +145,8 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
             "seed": cfg.noise_seed,
             "estimated_count": recon.estimated_count,
             "elapsed_seconds": recon.elapsed_seconds,
+            "timings": recon.timings,
+            "counts": recon.counts,
             "write_seconds": write_seconds,
             "bytes_written": sum(path.stat().st_size for path in written),
             "threads": _threads.get_thread_count(),

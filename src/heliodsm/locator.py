@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,6 +139,11 @@ class Reconstruction:
 
     fields holds the indicator components sampled on the collection grid
     (the coarse grid of dsm2), in the order of the requested components.
+    timings splits elapsed_seconds into the driver's stages (reduce, grid,
+    peaks, refine, cluster, readoff; they sum to it), and counts records
+    the work done: directions, boundary_points, grid_points (per level:
+    the collection grid, then all fine grids together), fine_grids and
+    phase_exps (the exponentials R(d) formed).
     """
 
     estimated_count: int
@@ -147,6 +152,8 @@ class Reconstruction:
     elapsed_seconds: float
     parameters: dict
     fields: tuple[IndicatorField, ...] = ()
+    timings: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
 
     def centroids(self) -> np.ndarray:
         if not self.groups:
@@ -414,13 +421,9 @@ def _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_c
     return params
 
 
-def _collect_peaks(reduced, k, grid, comps, options, merge):
-    """Indicator fields on `grid`, their significant maximizers, and each
-    component's field max and peak count."""
-    values = indicator_grid_values(reduced, k, grid, comps)
-    fields = tuple(
-        IndicatorField(grid=grid, component=ell, values=values[:, i]) for i, ell in enumerate(comps)
-    )
+def _collect_peaks(fields, options, merge):
+    """Significant maximizers of the indicator fields, and each component's
+    field max and peak count."""
     peaks: list[Peak] = []
     comp_max: dict[int, float] = {}
     comp_counts: dict[int, int] = {}
@@ -431,7 +434,7 @@ def _collect_peaks(reduced, k, grid, comps, options, merge):
         peaks.extend(found)
     if not peaks:
         warnings.warn("no significant indicator maximizers survived", stacklevel=4)
-    return fields, peaks, comp_max, comp_counts
+    return peaks, comp_max, comp_counts
 
 
 def _accept_groups(groups, comp_max, group_significance):
@@ -447,33 +450,67 @@ def _accept_groups(groups, comp_max, group_significance):
     return accepted, len(groups) - len(accepted)
 
 
+class _Stopwatch:
+    """Consecutive stage laps; their sum is the time since construction."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.laps: dict[str, float] = {}
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.laps[stage] = now - self.last
+        self.last = now
+
+
 def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_counts) -> Reconstruction:
     """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
-    start = time.perf_counter()
+    watch = _Stopwatch()
     options, merge, cluster, comps, dirs = _resolved(options, k, cauchy.dims)
     reduced = reduced_data(cauchy, k, dirs)
-    fields, peaks, comp_max, comp_counts = _collect_peaks(reduced, k, grid, comps, options, merge)
+    watch.lap("reduce")
+    values = indicator_grid_values(reduced, k, grid, comps)
+    fields = tuple(
+        IndicatorField(grid=grid, component=ell, values=values[:, i]) for i, ell in enumerate(comps)
+    )
+    watch.lap("grid")
+    peaks, comp_max, comp_counts = _collect_peaks(fields, options, merge)
+    watch.lap("peaks")
+    grid_points, fine_grids = [len(grid)], 0
     if fine_counts is not None:
         peaks = [_refine(p, reduced, k, grid, fine_counts) for p in peaks]
+        fine_grids = len(peaks)
+        grid_points.append(fine_grids * math.prod(fine_counts))
         # fine grids resolve peaks better than the coarse lattice; normalize
         # group strengths by the refined component maxima
         for p in peaks:
             comp_max[p.component] = max(comp_max[p.component], p.magnitude)
+    watch.lap("refine")
     accepted, rejected = _accept_groups(
         cluster_peaks(peaks, cluster), comp_max, options.group_significance
     )
+    watch.lap("cluster")
     algorithm = "dsm" if fine_counts is None else "dsm2"
     params = _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_counts)
     groups = _finalize_groups(accepted, reduced, k, resolution_ratio(cauchy, k, grid), params)
     params["component_peak_counts"] = {str(c): n for c, n in sorted(comp_counts.items())}
     params["rejected_groups"] = rejected
+    watch.lap("readoff")
     return Reconstruction(
         estimated_count=len(groups),
         groups=groups,
         algorithm=algorithm,
-        elapsed_seconds=time.perf_counter() - start,
+        elapsed_seconds=watch.last - watch.start,
         parameters=params,
         fields=fields,
+        timings=watch.laps,
+        counts={
+            "directions": len(dirs),
+            "boundary_points": len(cauchy.surface),
+            "grid_points": grid_points,
+            "fine_grids": fine_grids,
+            "phase_exps": reduced.phase_exps,
+        },
     )
 
 

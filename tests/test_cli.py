@@ -183,6 +183,9 @@ def test_cli_reconstruct_and_outputs(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["estimated_count"] == 4
     assert run["parameters"]["algorithm"] == "dsm2"
+    assert list(run["timings"]) == sorted(["reduce", "grid", "peaks", "refine", "cluster", "readoff"])
+    assert run["counts"]["grid_points"][0] == 100 * 100
+    assert run["counts"]["phase_exps"] == 200 * 256
     assert run["write_seconds"] >= 0
     written = [f"indicator_{ell}.csv" for ell in range(3)] + ["reconstruction.csv"]
     assert run["bytes_written"] == sum((out / name).stat().st_size for name in written)

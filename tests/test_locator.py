@@ -288,6 +288,42 @@ def test_reconstruction_provenance(example1):
     assert recon.estimated_count == len(recon.groups)
 
 
+@pytest.mark.parametrize("algorithm", ["dsm", "dsm2"])
+def test_stage_timings_sum_to_elapsed(example1, algorithm):
+    cfg, _, _, noisy = example1
+    if algorithm == "dsm":
+        recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
+    else:
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+    assert list(recon.timings) == ["reduce", "grid", "peaks", "refine", "cluster", "readoff"]
+    assert all(t >= 0 for t in recon.timings.values())
+    assert abs(sum(recon.timings.values()) - recon.elapsed_seconds) <= 1e-6
+
+
+def test_counts_record_the_work_done(example1, example4):
+    cfg, _, _, noisy = example1
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+    fine = sum(recon.parameters["component_peak_counts"].values())
+    assert fine > 0
+    assert recon.counts == {
+        "directions": 256,
+        "boundary_points": 200,
+        "grid_points": [100 * 100, fine * 40 * 40],
+        "fine_grids": fine,
+        "phase_exps": 200 * 256,
+    }
+    cfg, _, _, noisy = example4
+    with pytest.warns(UserWarning, match="under-resolves"):
+        recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
+    assert recon.counts == {
+        "directions": 42 * 43,
+        "boundary_points": 42 * 43,
+        "grid_points": [30**3],
+        "fine_grids": 0,
+        "phase_exps": 42 * 42 * 43,  # the circulant phase table, not 1806^2
+    }
+
+
 def _point_group(z):
     z = np.asarray(z, dtype=float)
     return PeakGroup(members=(Peak(location=z, component=0, magnitude=1.0, grid_index=0),), centroid=z)
