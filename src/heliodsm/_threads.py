@@ -14,9 +14,7 @@ equivalent).
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -59,9 +57,12 @@ def set_thread_count(n: int | None) -> None:
 def openblas():
     """ctypes handle of numpy's bundled OpenBLAS, or None if there is none
     that exports the thread-count calls."""
+    import ctypes  # on first use: importing ctypes costs ~5 ms of every CLI start
+    import glob
+
     here = os.path.dirname(np.__file__)
-    for path in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
-                       + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+    for path in (glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+                 + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -73,6 +74,12 @@ def openblas():
 
 @contextmanager
 def _one_blas_thread():
+    """Hold the bundled OpenBLAS to one thread, then restore its count.
+
+    The save/restore is not shared between callers: map_chunks calls that
+    overlap from several Python threads may leave the count at 1, which
+    slows later BLAS calls but never changes their results.
+    """
     lib = openblas()
     if lib is None:
         yield
