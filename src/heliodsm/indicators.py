@@ -210,8 +210,9 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
     if circulant is not None:
         parts, exps = circulant
     else:
-        parts = _chunked(len(directions), len(rows), lambda s: np.exp(
-            1j * k * (nodes[s] @ surf.points.T)) @ rows.T)
+        parts = _chunked(
+            len(directions), len(rows), lambda s: np.exp(1j * k * (nodes[s] @ surf.points.T)) @ rows.T
+        )
         exps = len(surf) * len(directions)
     out = parts[:, 0]
     for c in range(surf.dims):
