@@ -85,9 +85,19 @@ def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
     """Load (clean, noisy) Cauchy data written by write_cauchy_csv."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if len(rows) < 2:
+        raise ValueError(f"{path} holds no data rows")
     header, body = rows[0], rows[1:]
     dims = sum(1 for h in header if h.startswith("x"))
-    data = np.array([[float(v) for v in row] for row in body])
+    if dims not in (2, 3) or len(header) != 2 * dims + 9:
+        raise ValueError(f"{path} does not have a cauchy.csv header")
+    bad = next((i for i, row in enumerate(body, 2) if len(row) != len(header)), None)
+    if bad is not None:
+        raise ValueError(f"{path} line {bad} does not match the {len(header)}-column header")
+    try:
+        data = np.array([[float(v) for v in row] for row in body])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     points = data[:, :dims]
     normals = data[:, dims : 2 * dims]
     weights = data[:, 2 * dims]

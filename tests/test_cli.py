@@ -200,6 +200,27 @@ def test_cli_reconstruct_reuses_existing_cauchy(tmp_path, capsys):
     assert "reusing" in capsys.readouterr().out
 
 
+def _short_row(text):
+    lines = text.split("\r\n")
+    lines[2] = lines[2].rsplit(",", 1)[0]  # second data row loses its last field
+    return "\r\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda text: "", lambda text: text.split("\r\n")[0] + "\r\n", _short_row],
+    ids=["empty", "header_only", "row_width"],
+)
+def test_reconstruct_rejects_malformed_cauchy_csv(tmp_path, capsys, damage):
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
+    path = out / "cauchy.csv"
+    path.write_bytes(damage(path.read_bytes().decode()).encode())
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet"]) == 1
+    assert "cauchy.csv" in capsys.readouterr().err
+    assert not (out / "run.json").exists()
+
+
 @pytest.mark.parametrize("algorithm", ["dsm2", "dsm"])
 def test_reconstruct_evaluates_reduced_data_and_collection_grid_once(tmp_path, monkeypatch, algorithm):
     cfg = preset_config("example1")
