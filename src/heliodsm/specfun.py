@@ -20,6 +20,10 @@ Evaluation strategy
 * spherical j_n : closed trigonometric forms, with a short power series
   below t = 0.5 guarding against cancellation.
 
+J_n, Y_n and H_n^(1) take a scalar or an array of arguments through one
+code path, and each element takes the operations a lone scalar would, so
+it equals the scalar result bit for bit.  The spherical j_n stay scalar.
+
 Arguments above t = 1e4 are rejected rather than evaluated with silently
 degraded accuracy.  All functions are pure and reentrant.
 """
@@ -51,17 +55,13 @@ _SERIES_CUTOFF = 12.0
 _SPHERICAL_SERIES_CUTOFF = 0.5
 
 
-def _check_t(t: float, name: str, positive: bool = False) -> float:
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"{name} requires a finite argument, got {t!r}")
-    if positive:
-        if t <= 0.0:
-            raise ValueError(f"{name} requires t > 0, got {t!r}")
-    elif t < 0.0:
-        raise ValueError(f"{name} requires t >= 0, got {t!r}")
-    if t > T_MAX:
-        raise ValueError(f"{name} is only supported for t <= {T_MAX:g}, got {t!r}")
+def _check_t(t, name: str, positive: bool = False) -> np.ndarray:
+    """Arguments as a float array; the first invalid element raises ValueError."""
+    t = np.asarray(t, dtype=float)
+    ok = ((t > 0.0) if positive else (t >= 0.0)) & (t <= T_MAX)  # False for NaN
+    if not ok.all():
+        domain = f"{'0 < t' if positive else '0 <= t'} <= {T_MAX:g}"
+        raise ValueError(f"{name} requires {domain}, got {float(t[~ok].flat[0])!r}")
     return t
 
 
@@ -71,64 +71,105 @@ def _check_order(order: int, allowed: tuple[int, ...], name: str) -> int:
     return int(order)
 
 
+def _branches(t: np.ndarray, series, integral) -> np.ndarray:
+    """series(t) below the crossover, integral(t) from it on, element by element."""
+    flat = t.ravel()
+    out = np.empty(flat.shape)
+    low = flat < _SERIES_CUTOFF
+    if low.any():
+        out[low] = series(flat[low])
+    if not low.all():
+        out[~low] = integral(flat[~low])
+    return out.reshape(t.shape)
+
+
 # ----------------------------------------------------------------------
 # small-argument series (longdouble accumulation)
 # ----------------------------------------------------------------------
+# Each element stops summing at the first term below 1e-24, as a lone
+# scalar would; the loop runs until every element has stopped.
 
-def _j_series(n: int, t: float) -> float:
-    x = np.longdouble(t) / 2
+def _j_series(n: int, t: np.ndarray) -> np.ndarray:
+    x = np.asarray(t, dtype=np.longdouble) / 2
     x2 = x * x
     term = x**n / math.factorial(n)
     total = term
+    live = np.ones(x.shape, dtype=bool)
     for p in range(1, 120):
         term = term * (-x2) / (p * (n + p))
-        total += term
-        if abs(term) < np.longdouble(1e-24):
+        total = np.where(live, total + term, total)
+        live &= abs(term) >= np.longdouble(1e-24)
+        if not live.any():
             break
-    return float(total)
+    return total.astype(float)
 
 
-def _y0_series(t: float) -> float:
-    x = np.longdouble(t) / 2
+def _y0_series(t: np.ndarray) -> np.ndarray:
+    x = np.asarray(t, dtype=np.longdouble) / 2
     x2 = x * x
-    s = np.longdouble(0)
-    term = np.longdouble(1)  # x^(2k) / (k!)^2
+    s = np.zeros(x.shape, dtype=np.longdouble)
+    term = np.ones(x.shape, dtype=np.longdouble)  # x^(2k) / (k!)^2
     harmonic = np.longdouble(0)
+    live = np.ones(x.shape, dtype=bool)
     for kk in range(1, 200):
         term = term * x2 / (kk * kk)
         harmonic += np.longdouble(1) / kk
         contrib = term * harmonic
-        s += contrib if kk % 2 == 1 else -contrib
-        if abs(contrib) < np.longdouble(1e-24):
+        s = np.where(live, s + (contrib if kk % 2 == 1 else -contrib), s)
+        live &= abs(contrib) >= np.longdouble(1e-24)
+        if not live.any():
             break
-    lead = (np.log(x) + np.longdouble(EULER_GAMMA)) * np.longdouble(_j_series(0, t))
-    return float((2 / np.pi) * (lead + s))
+    lead = (np.log(x) + np.longdouble(EULER_GAMMA)) * _j_series(0, t).astype(np.longdouble)
+    return ((2 / np.pi) * (lead + s)).astype(float)
 
 
-def _y1_series(t: float) -> float:
-    x = np.longdouble(t) / 2
+def _y1_series(t: np.ndarray) -> np.ndarray:
+    x = np.asarray(t, dtype=np.longdouble) / 2
     x2 = x * x
     g = np.longdouble(EULER_GAMMA)
-    s = np.longdouble(0)
-    term = np.longdouble(1)  # (-x^2)^k / (k! (k+1)!)
+    s = np.zeros(x.shape, dtype=np.longdouble)
+    term = np.ones(x.shape, dtype=np.longdouble)  # (-x^2)^k / (k! (k+1)!)
     harmonic = np.longdouble(0)  # H_k
+    live = np.ones(x.shape, dtype=bool)
     for kk in range(0, 200):
         if kk > 0:
             term = term * (-x2) / (kk * (kk + 1))
             harmonic += np.longdouble(1) / kk
         # psi(k+1) + psi(k+2) = -2*gamma + 2*H_k + 1/(k+1)
         contrib = term * (-2 * g + 2 * harmonic + np.longdouble(1) / (kk + 1))
-        s += contrib
-        if kk > 3 and abs(contrib) < np.longdouble(1e-24):
-            break
-    lead = np.log(x) * np.longdouble(_j_series(1, t))
-    t_ld = np.longdouble(t)
-    return float((2 / np.pi) * lead - 2 / (np.pi * t_ld) - (t_ld / (2 * np.pi)) * s)
+        s = np.where(live, s + contrib, s)
+        if kk > 3:
+            live &= abs(contrib) >= np.longdouble(1e-24)
+            if not live.any():
+                break
+    lead = np.log(x) * _j_series(1, t).astype(np.longdouble)
+    t_ld = np.asarray(t, dtype=np.longdouble)
+    return ((2 / np.pi) * lead - 2 / (np.pi * t_ld) - (t_ld / (2 * np.pi)) * s).astype(float)
 
 
 # ----------------------------------------------------------------------
 # large-argument integral representations
 # ----------------------------------------------------------------------
+# Node counts are chosen per argument, so arguments are grouped by count
+# and each group is integrated in row blocks of at most _BLOCK nodes; a
+# row sum is then the same sum a lone argument would take.
+
+_BLOCK = 1 << 16
+
+
+def _grouped(t: np.ndarray, node_counts: list[int], rows_fn) -> np.ndarray:
+    """rows_fn(nodes, t[block]) over blocks of arguments with equal node counts."""
+    groups: dict[int, list[int]] = {}
+    for i, nodes in enumerate(node_counts):
+        groups.setdefault(nodes, []).append(i)
+    out = np.empty(t.shape)
+    for nodes, idx in groups.items():
+        step = max(1, _BLOCK // nodes)
+        for i in range(0, len(idx), step):
+            sel = idx[i : i + step]
+            out[sel] = rows_fn(nodes, t[sel])
+    return out
+
 
 @lru_cache(maxsize=64)
 def _trapezoid_angles(node_count: int) -> np.ndarray:
@@ -141,75 +182,95 @@ def _j_node_count(t: float) -> int:
     return int(2 * math.ceil((t + 60.0 + 10.0 * t ** (1.0 / 3.0)) / 2.0))
 
 
-def _j_integral(n: int, t: float) -> float:
-    node_count = _j_node_count(t)
-    theta = _trapezoid_angles(node_count)
-    return float(np.sum(np.cos(t * np.sin(theta) - n * theta)) / node_count)
+def _j_integral(n: int, t: np.ndarray) -> np.ndarray:
+    def rows(node_count, tb):
+        theta = _trapezoid_angles(node_count)
+        phase = tb[:, None] * np.sin(theta) - n * theta
+        return np.sum(np.cos(phase), axis=1) / node_count
+
+    return _grouped(t, [_j_node_count(v) for v in t.tolist()], rows)
 
 
 @lru_cache(maxsize=8)
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _y_integral(n: int, t: float) -> float:
-    # Oscillatory part: (1/pi) * int_0^pi sin(t sin(theta) - n theta) dtheta,
-    # composite 16-point Gauss panels sized to a few oscillations each.
+def _y_panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # composite 16-point Gauss panels on [0, pi]
     xg, wg = _gauss_nodes(16)
-    panels = max(4, int(math.ceil(t / 3.0)))
     edges = np.linspace(0.0, np.pi, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     theta = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weight = (half[:, None] * wg[None, :]).ravel()
-    oscillatory = np.sum(weight * np.sin(t * np.sin(theta) - n * theta)) / np.pi
+    return theta, weight
 
-    # Monotone tail: (1/pi) * int_0^inf (e^{n tau} + (-1)^n e^{-n tau})
-    # e^{-t sinh tau} dtau, truncated where the decay hits e^{-60}.
+
+def _y_integral(n: int, t: np.ndarray) -> np.ndarray:
     xg2, wg2 = _gauss_nodes(64)
-    tau_max = math.asinh(60.0 / t)
-    tau = 0.5 * tau_max * (xg2 + 1.0)
-    wt = 0.5 * tau_max * wg2
-    tail = (np.exp(n * tau) + (-1) ** n * np.exp(-n * tau)) * np.exp(-t * np.sinh(tau))
-    return float(oscillatory - np.sum(wt * tail) / np.pi)
+
+    def rows(nodes, tb):
+        # Oscillatory part: (1/pi) * int_0^pi sin(t sin(theta) - n theta) dtheta,
+        # on panels sized to a few oscillations each.
+        theta, weight = _y_panel_rule(nodes // 16)
+        oscillatory = np.sum(weight * np.sin(tb[:, None] * np.sin(theta) - n * theta), axis=1) / np.pi
+
+        # Monotone tail: (1/pi) * int_0^inf (e^{n tau} + (-1)^n e^{-n tau})
+        # e^{-t sinh tau} dtau, truncated where the decay hits e^{-60}.
+        # math.asinh, as for a lone argument: numpy's arcsinh may round differently.
+        half_max = 0.5 * np.array([math.asinh(60.0 / v) for v in tb.tolist()])[:, None]
+        tau = half_max * (xg2 + 1.0)
+        wt = half_max * wg2
+        tail = (np.exp(n * tau) + (-1) ** n * np.exp(-n * tau)) * np.exp(-tb[:, None] * np.sinh(tau))
+        return oscillatory - np.sum(wt * tail, axis=1) / np.pi
+
+    return _grouped(t, [16 * max(4, math.ceil(v / 3.0)) for v in t.tolist()], rows)
 
 
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
+# Each function takes a scalar or an array of arguments; an array gives an
+# array of the same shape, a scalar a Python float (complex for hankel1).
 
-def bessel_j(order: int, t: float) -> float:
+def _j(n: int, t: np.ndarray) -> np.ndarray:
+    return _branches(t, lambda s: _j_series(n, s), lambda s: _j_integral(n, s))
+
+
+def _y(n: int, t: np.ndarray) -> np.ndarray:
+    return _branches(t, _y0_series if n == 0 else _y1_series, lambda s: _y_integral(n, s))
+
+
+def _out(values: np.ndarray):
+    return values.item() if values.ndim == 0 else values
+
+
+def bessel_j(order: int, t):
     """Bessel function of the first kind J_order(t) for order in {0, 1, 2}.
 
     Absolute error stays below 1e-12 on [0, 200]; arguments up to 1e4 are
     accepted, larger ones rejected.
     """
     order = _check_order(order, (0, 1, 2), "bessel_j")
-    t = _check_t(t, "bessel_j")
-    if t < _SERIES_CUTOFF:
-        return _j_series(order, t)
-    return _j_integral(order, t)
+    return _out(_j(order, _check_t(t, "bessel_j")))
 
 
-def bessel_y(order: int, t: float) -> float:
+def bessel_y(order: int, t):
     """Bessel function of the second kind Y_order(t) for order in {0, 1}.
 
     Requires t > 0 (logarithmic singularity at the origin); absolute error
     stays below 1e-10 on [1e-3, 200].
     """
     order = _check_order(order, (0, 1), "bessel_y")
-    t = _check_t(t, "bessel_y", positive=True)
-    if t < _SERIES_CUTOFF:
-        return _y0_series(t) if order == 0 else _y1_series(t)
-    return _y_integral(order, t)
+    return _out(_y(order, _check_t(t, "bessel_y", positive=True)))
 
 
-def hankel1(order: int, t: float) -> complex:
+def hankel1(order: int, t):
     """Hankel function of the first kind, H_order^(1)(t) = J + i*Y, order in {0, 1}."""
     order = _check_order(order, (0, 1), "hankel1")
     t = _check_t(t, "hankel1", positive=True)
-    return complex(bessel_j(order, t), bessel_y(order, t))
+    return _out(_j(order, t) + 1j * _y(order, t))
 
 
 def _spherical_series(n: int, t: float) -> float:
@@ -235,7 +296,7 @@ def spherical_j(order: int, t: float) -> float:
     avoids the small-argument cancellation; absolute error below 1e-12.
     """
     order = _check_order(order, (0, 1, 2), "spherical_j")
-    t = _check_t(t, "spherical_j")
+    t = float(_check_t(t, "spherical_j"))
     if t < _SPHERICAL_SERIES_CUTOFF:
         return _spherical_series(order, t)
     s, c = math.sin(t), math.cos(t)

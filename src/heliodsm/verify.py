@@ -13,7 +13,7 @@ them at a fixed tolerance:
 
 `run(level)` prints one pass/fail line per check and returns False if any
 check fails.  The quick level runs in seconds; full adds the 3D identity,
-the decay fits, and multi-source read-off bands (minutes).
+the decay fits, and multi-source read-off bands (a few seconds more).
 """
 
 from __future__ import annotations
@@ -51,18 +51,14 @@ class Check:
 
 def _check_wronskian() -> Check:
     ts = np.linspace(0.1, 100.0, 1201)
-    worst = 0.0
-    for t in ts:
-        w = bessel_j(1, t) * bessel_y(0, t) - bessel_j(0, t) * bessel_y(1, t)
-        worst = max(worst, abs(w - 2.0 / (np.pi * t)))
+    w = bessel_j(1, ts) * bessel_y(0, ts) - bessel_j(0, ts) * bessel_y(1, ts)
+    worst = float(np.max(np.abs(w - 2.0 / (np.pi * ts))))
     return Check("wronskian J1*Y0 - J0*Y1 = 2/(pi t)", worst <= 1e-10, f"max |resid| = {worst:.2e}")
 
 
 def _check_recurrence() -> Check:
     ts = np.linspace(0.5, 100.0, 997)
-    worst = max(
-        abs(bessel_j(2, t) - (2.0 / t * bessel_j(1, t) - bessel_j(0, t))) for t in ts
-    )
+    worst = float(np.max(np.abs(bessel_j(2, ts) - (2.0 / ts * bessel_j(1, ts) - bessel_j(0, ts)))))
     return Check("recurrence J2 = (2/t) J1 - J0", worst <= 1e-10, f"max |resid| = {worst:.2e}")
 
 
@@ -70,11 +66,13 @@ def _check_series_bounds() -> Check:
     ok = True
     worst = ""
     eps = 1e-10  # order-0 upper-bound margins are O(t^6), sub-ulp near 0
-    for t in np.linspace(1e-4, 1.0 - 1e-9, 600):
+    ts = np.linspace(1e-4, 1.0 - 1e-9, 600)
+    js = [bessel_j(n, ts) for n in range(3)]
+    for t, j0, j1, j2 in zip(ts, *js):
         checks = [
-            0.0 < bessel_j(0, t) < 1.0 - t * t / 4.0 + t**4 / 64.0 + eps,
-            0.0 < bessel_j(1, t) < t / 2.0,
-            0.0 < bessel_j(2, t) < t * t / 8.0,
+            0.0 < j0 < 1.0 - t * t / 4.0 + t**4 / 64.0 + eps,
+            0.0 < j1 < t / 2.0,
+            0.0 < j2 < t * t / 8.0,
             0.0 < spherical_j(0, t) < 1.0 - t * t / 6.0 + t**4 / 120.0 + eps,
             0.0 < spherical_j(1, t) < t / 3.0,
             0.0 < spherical_j(2, t) < t * t / 15.0,
@@ -87,13 +85,10 @@ def _check_series_bounds() -> Check:
 
 
 def _check_branch_agreement() -> Check:
-    worst = 0.0
-    for t in np.linspace(10.0, 14.0, 81):
-        worst = max(worst, abs(_j_series(0, t) - _j_integral(0, t)))
-        worst = max(worst, abs(_j_series(1, t) - _j_integral(1, t)))
-        worst = max(worst, abs(_j_series(2, t) - _j_integral(2, t)))
-        worst = max(worst, abs(_y0_series(t) - _y_integral(0, t)))
-        worst = max(worst, abs(_y1_series(t) - _y_integral(1, t)))
+    ts = np.linspace(10.0, 14.0, 81)
+    gaps = [_j_series(n, ts) - _j_integral(n, ts) for n in range(3)]
+    gaps += [_y0_series(ts) - _y_integral(0, ts), _y1_series(ts) - _y_integral(1, ts)]
+    worst = float(np.max(np.abs(gaps)))
     return Check("series/integral branch agreement", worst <= 1e-9, f"max gap = {worst:.2e}")
 
 

@@ -191,3 +191,54 @@ def test_outputs_finite_on_valid_domain():
             assert math.isfinite(bessel_y(order, t))
             h = hankel1(order, t)
             assert math.isfinite(h.real) and math.isfinite(h.imag)
+
+
+# ----------------------------------------------------------------------
+# array arguments
+# ----------------------------------------------------------------------
+
+# Both sides of the t = 12 crossover, integral arguments spread over many
+# node counts and panel counts, and repeated values inside one batch.
+ARRAY_ARGS = np.concatenate([
+    np.linspace(1e-3, 11.999, 37),
+    np.linspace(11.9, 12.1, 21),
+    np.linspace(12.0, 400.0, 53),
+    [2500.5, 9999.0, 3.3, 3.3, 57.0, 57.0],
+])
+
+
+@pytest.mark.parametrize(
+    "fn, order",
+    [(bessel_j, 0), (bessel_j, 1), (bessel_j, 2), (bessel_y, 0), (bessel_y, 1), (hankel1, 0), (hankel1, 1)],
+)
+def test_array_equals_scalar_bitwise(fn, order):
+    ts = np.random.default_rng(order).permutation(ARRAY_ARGS)
+    values = fn(order, ts)
+    scalars = np.array([fn(order, float(t)) for t in ts])
+    assert values.dtype == scalars.dtype
+    assert values.tobytes() == scalars.tobytes()
+    # a scalar argument still gives a Python scalar
+    expected = complex if fn is hankel1 else float
+    assert type(fn(order, 12.5)) is expected and type(fn(order, np.float64(3.0))) is expected
+
+
+def test_array_shape_is_kept():
+    ts = ARRAY_ARGS[:24].reshape(2, 3, 4)
+    for fn in (bessel_j, bessel_y, hankel1):
+        values = fn(1, ts)
+        assert values.shape == ts.shape
+        assert values[1, 2, 3] == fn(1, float(ts[1, 2, 3]))
+    assert bessel_j(0, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, T_MAX * 1.01, 0.0])
+def test_one_invalid_element_rejects_the_array(bad):
+    ts = np.array([0.5, 20.0, bad, 3.0])
+    for fn in (bessel_y, hankel1):
+        with pytest.raises(ValueError):
+            fn(0, ts)
+    if bad != 0.0:
+        with pytest.raises(ValueError):
+            bessel_j(0, ts)
+    else:
+        assert bessel_j(0, ts)[2] == 1.0
