@@ -1,8 +1,15 @@
 """Closed-form radiating fields for monopole/dipole ensembles.
 
 Synthesizes exact Cauchy data (u and its normal derivative on the
-measurement boundary) at a single wavenumber, and applies the
-multiplicative random noise model
+measurement boundary) at a single wavenumber,
+
+    u = -sum_j (lam_j Phi + eta_j . grad_x Phi)(x - z_j),
+
+with Phi the outgoing fundamental solution, (i/4) H0(k r) in 2D and
+e^{ikr}/(4 pi r) in 3D.  One private kernel, `_traces`, forms both traces
+for either dimension from the radial profile (Phi, Phi') alone, one source
+at a time over all points (one H0 and one H1 evaluation per source in 2D).
+The module also applies the multiplicative random noise model
 
     u_noisy = u + eps * r1 * |u| * exp(i pi r2),
 
@@ -33,10 +40,6 @@ __all__ = [
     "NoiseSpec",
     "monopole",
     "dipole",
-    "field_2d",
-    "neumann_2d",
-    "field_3d",
-    "neumann_3d",
     "synthesize_cauchy",
     "add_noise",
     "check_assumptions",
@@ -211,74 +214,49 @@ class NoiseSpec:
 
 
 # ----------------------------------------------------------------------
-# closed-form fields
+# closed-form traces
 # ----------------------------------------------------------------------
 
-def _offsets(ensemble: SourceEnsemble, x: np.ndarray) -> list[tuple[PointSource, np.ndarray, float]]:
-    out = []
+def _radial(dims: int, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(r) and Phi'(r): (i/4) H0(kr) in 2D, e^{ikr}/(4 pi r) in 3D."""
+    if dims == 2:
+        kr = k * r
+        return 0.25j * hankel1(0, kr), -0.25j * k * hankel1(1, kr)
+    phi = np.exp(1j * k * r) / (4.0 * np.pi * r)
+    return phi, phi * (1j * k - 1.0 / r)
+
+
+def _traces(
+    ensemble: SourceEnsemble, k: float, points: np.ndarray, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """u and its derivative along `normals` at `points` (both (m, N)), as two (m,) arrays.
+
+    u = -sum_j (lam_j Phi + eta_j . grad_x Phi) with Phi = Phi(|x - z_j|).
+    With t = x - z_j, r = |t| and g = Phi'(r)/r, the identity
+    Phi'' = -(N-1) Phi'/r - k^2 Phi gives the Hessian term, so
+
+        u       = -sum_j [lam_j Phi + g (eta_j.t)]
+        d_nu u  = -sum_j [lam_j g (nu.t) + g (eta_j.nu) - (eta_j.t)(nu.t)(N g + k^2 Phi)/r^2]
+
+    in any dimension N; only the radial profile (Phi, Phi') depends on N.
+    """
+    u = np.zeros(len(points), dtype=complex)
+    du = np.zeros(len(points), dtype=complex)
     for s in ensemble.sources:
-        t = x - s.location
-        r = float(np.linalg.norm(t))
-        if r == 0.0:
+        t = points - s.location
+        # r enters the phase k r, so its last bit shows in u: take each row's
+        # norm as np.linalg.norm takes one point's (a BLAS dot per row)
+        r = np.sqrt(np.matmul(t[:, None, :], t[:, :, None])[:, 0, 0])
+        if not np.all(r > 0.0):
             raise ValueError("field evaluated at a source location")
-        out.append((s, t, r))
-    return out
-
-
-def field_2d(ensemble: SourceEnsemble, k: float, x) -> complex:
-    """u(x) for a 2D ensemble: -(i/4) sum_j [lam_j H0(k r) - k (eta_j.t/r) H1(k r)]."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0 + 0.0j
-    for s, t, r in _offsets(ensemble, x):
-        h0 = hankel1(0, k * r)
-        term = s.scalar_intensity * h0
-        eta_t = complex(np.dot(s.vector_intensity, t))
-        if eta_t != 0.0:
-            term -= k * (eta_t / r) * hankel1(1, k * r)
-        total += term
-    return -0.25j * total
-
-
-def neumann_2d(ensemble: SourceEnsemble, k: float, x, normal) -> complex:
-    """Normal derivative of the 2D field at x for the given unit normal."""
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(normal, dtype=float)
-    total = 0.0 + 0.0j
-    for s, t, r in _offsets(ensemble, x):
-        h0 = hankel1(0, k * r)
-        h1 = hankel1(1, k * r)
-        eta = s.vector_intensity
-        eta_t = complex(np.dot(eta, t))
-        vec = (s.scalar_intensity * t + eta) * h1 * r * r
-        vec = vec + eta_t * (k * r * h0 - 2.0 * h1) * t
-        total += complex(np.dot(nu, vec)) / r**3
-    return 0.25j * k * total
-
-
-def field_3d(ensemble: SourceEnsemble, k: float, x) -> complex:
-    """u(x) for a 3D ensemble via the outgoing spherical-wave closed form."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0 + 0.0j
-    for s, t, r in _offsets(ensemble, x):
-        eta_t = complex(np.dot(s.vector_intensity, t))
-        phase = np.exp(1j * k * r)
-        total += phase / r**3 * (s.scalar_intensity * r * r + eta_t * (1j * k * r - 1.0))
-    return -total / (4.0 * np.pi)
-
-
-def neumann_3d(ensemble: SourceEnsemble, k: float, x, normal) -> complex:
-    """Normal derivative of the 3D field at x for the given unit normal."""
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(normal, dtype=float)
-    total = 0.0 + 0.0j
-    for s, t, r in _offsets(ensemble, x):
-        eta = s.vector_intensity
-        eta_t = complex(np.dot(eta, t))
-        phase = np.exp(1j * k * r)
-        vec = (s.scalar_intensity * t + eta) * (1j * k * r - 1.0) * r * r
-        vec = vec - eta_t * (k * k * r * r + 3j * k * r - 3.0) * t
-        total += phase / r**5 * complex(np.dot(nu, vec))
-    return -total / (4.0 * np.pi)
+        phi, dphi = _radial(ensemble.dims, k, r)
+        g = dphi / r
+        nu_t = np.einsum("md,md->m", normals, t)
+        eta_t = t @ s.vector_intensity
+        u -= s.scalar_intensity * phi + g * eta_t
+        du -= (s.scalar_intensity * nu_t + normals @ s.vector_intensity) * g
+        du += eta_t * nu_t * (ensemble.dims * g + k * k * phi) / (r * r)
+    return u, du
 
 
 def synthesize_cauchy(ensemble: SourceEnsemble, k: float, surface: MeasurementSurface) -> CauchyData:
@@ -292,17 +270,7 @@ def synthesize_cauchy(ensemble: SourceEnsemble, k: float, surface: MeasurementSu
         gap = np.min(np.linalg.norm(surface.points - s.location, axis=1))
         if gap <= guard:
             raise ValueError("a source lies on the measurement surface")
-    if surface.dims == 2:
-        field_fn, neumann_fn = field_2d, neumann_2d
-    else:
-        field_fn, neumann_fn = field_3d, neumann_3d
-    m = len(surface)
-    dirichlet = np.empty(m, dtype=complex)
-    neumann = np.empty(m, dtype=complex)
-    for i in range(m):
-        x = surface.points[i]
-        dirichlet[i] = field_fn(ensemble, k, x)
-        neumann[i] = neumann_fn(ensemble, k, x, surface.normals[i])
+    dirichlet, neumann = _traces(ensemble, k, surface.points, surface.normals)
     return CauchyData(surface=surface, dirichlet=dirichlet, neumann=neumann)
 
 

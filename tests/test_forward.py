@@ -14,14 +14,12 @@ from heliodsm.forward import (
     add_noise,
     check_assumptions,
     dipole,
-    field_2d,
-    field_3d,
     monopole,
-    neumann_2d,
-    neumann_3d,
     synthesize_cauchy,
 )
+from heliodsm.forward import _traces
 from heliodsm.geometry import circle_surface, sphere_surface
+from heliodsm.presets import preset_config
 from heliodsm.specfun import hankel1
 
 
@@ -59,12 +57,20 @@ def test_ensemble_distinct_locations_and_separation():
 # closed-form field values
 # ----------------------------------------------------------------------
 
+def field(ens, k, points):
+    """u at one point (a vector) or at each row of a point array."""
+    points = np.asarray(points, dtype=float)
+    rows = np.atleast_2d(points)
+    u, _ = _traces(ens, k, rows, np.zeros_like(rows))
+    return u if points.ndim == 2 else u[0]
+
+
 def test_2d_monopole_modulus():
     k = 7.0
     ens = SourceEnsemble(sources=(monopole([0.0, 0.0], 1.0),))
-    for x in ([1.3, 0.4], [-2.0, 0.7]):
-        r = np.linalg.norm(x)
-        assert almost(abs(field_2d(ens, k, x)), 0.25 * abs(hankel1(0, k * r)), 1e-13)
+    x = np.array([[1.3, 0.4], [-2.0, 0.7]])
+    r = np.linalg.norm(x, axis=1)
+    assert np.max(np.abs(np.abs(field(ens, k, x)) - 0.25 * np.abs(hankel1(0, k * r)))) <= 1e-13
 
 
 def test_2d_dipole_specialization():
@@ -74,7 +80,7 @@ def test_2d_dipole_specialization():
     x = np.array([1.1, 0.3])
     r = np.linalg.norm(x)
     expected = 0.25j * k * (eta @ x / r) * hankel1(1, k * r)
-    assert abs(field_2d(ens, k, x) - expected) < 1e-13
+    assert abs(field(ens, k, x) - expected) < 1e-13
 
 
 def test_3d_monopole_modulus_and_phase():
@@ -83,7 +89,7 @@ def test_3d_monopole_modulus_and_phase():
     ens = SourceEnsemble(sources=(monopole(z, 1.0),))
     x = np.array([2.0, 1.0, -1.0])
     r = np.linalg.norm(x - z)
-    u = field_3d(ens, k, x)
+    u = field(ens, k, x)
     assert almost(abs(u), 1.0 / (4 * math.pi * r), 1e-15)
     assert almost((np.angle(u) - (k * r + math.pi)) % (2 * math.pi), 0.0, 1e-10) or almost(
         (np.angle(u) - (k * r + math.pi)) % (2 * math.pi), 2 * math.pi, 1e-10
@@ -94,48 +100,72 @@ def test_radial_symmetry_of_central_monopole():
     k = 15.0
     ens = SourceEnsemble(sources=(monopole([0.0, 0.0], 2.0),))
     surf = circle_surface(6.0, 64)
-    values = [
-        neumann_2d(ens, k, surf.points[i], surf.normals[i]) for i in range(len(surf))
-    ]
+    _, values = _traces(ens, k, surf.points, surf.normals)
     assert np.max(np.abs(np.diff(values))) < 1e-12
 
 
 def test_field_rejected_at_source():
-    ens = SourceEnsemble(sources=(monopole([1.0, 1.0], 1.0),))
-    with pytest.raises(ValueError):
-        field_2d(ens, 5.0, [1.0, 1.0])
+    for loc in ([1.0, 1.0], [1.0, 1.0, 1.0]):
+        ens = SourceEnsemble(sources=(monopole(loc, 1.0),))
+        with pytest.raises(ValueError):
+            field(ens, 5.0, loc)
+
+
+def _reference_traces(ens, k, x, nu):
+    """u and du/dnu at one point, from the hand-expanded per-point closed forms."""
+    u = du = 0j
+    for s in ens.sources:
+        t = x - s.location
+        r = np.linalg.norm(t)
+        lam, eta = s.scalar_intensity, s.vector_intensity
+        eta_t = complex(eta @ t)
+        if ens.dims == 2:
+            h0, h1 = hankel1(0, k * r), hankel1(1, k * r)
+            u -= 0.25j * (lam * h0 - k * (eta_t / r) * h1)
+            vec = (lam * t + eta) * h1 * r * r + eta_t * (k * r * h0 - 2.0 * h1) * t
+            du += 0.25j * k * complex(nu @ vec) / r**3
+        else:
+            phase = np.exp(1j * k * r) / (4.0 * np.pi)
+            u -= phase / r**3 * (lam * r * r + eta_t * (1j * k * r - 1.0))
+            vec = (lam * t + eta) * (1j * k * r - 1.0) * r * r - eta_t * (k * k * r * r + 3j * k * r - 3.0) * t
+            du -= phase / r**5 * complex(nu @ vec)
+    return u, du
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5"])
+def test_traces_match_per_point_closed_forms(name):
+    cfg = preset_config(name)
+    ens, k, radius = cfg.ensemble(), cfg.wavenumber, cfg.measurement_radius
+    surf = circle_surface(radius, 48) if ens.dims == 2 else sphere_surface(radius, 6, 8)
+    u, du = _traces(ens, k, surf.points, surf.normals)
+    ref_u, ref_du = np.array([_reference_traces(ens, k, x, nu) for x, nu in zip(surf.points, surf.normals)]).T
+    assert np.max(np.abs(u - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
+    assert np.max(np.abs(du - ref_du)) <= 1e-14 * np.max(np.abs(ref_du))
 
 
 # ----------------------------------------------------------------------
 # finite-difference oracles
 # ----------------------------------------------------------------------
 
-def _fd_normal_derivative(field, ens, k, x, nu, h=1e-5):
-    up = field(ens, k, x + h * nu)
-    dn = field(ens, k, x - h * nu)
-    return (up - dn) / (2 * h)
+def _assert_neumann_matches_finite_difference(name, surf, h=1e-5):
+    cfg = preset_config(name)
+    ens, k = cfg.ensemble(), cfg.wavenumber
+    x, nu = surf.points, surf.normals
+    _, exact = _traces(ens, k, x, nu)
+    fd = (field(ens, k, x + h * nu) - field(ens, k, x - h * nu)) / (2 * h)
+    assert np.max(np.abs(exact - fd) / np.abs(exact)) < 1e-6
 
 
-def test_neumann_2d_matches_finite_difference(example1):
-    cfg, ens, _, _ = example1
-    k = cfg.wavenumber
-    surf = circle_surface(6.0, 16)
-    for i in range(len(surf)):
-        x, nu = surf.points[i], surf.normals[i]
-        exact = neumann_2d(ens, k, x, nu)
-        fd = _fd_normal_derivative(field_2d, ens, k, x, nu)
-        assert abs(exact - fd) / abs(exact) < 1e-6
+def test_neumann_2d_matches_finite_difference():
+    # example1 holds monopoles only, example3 adds two dipoles
+    for name in ("example1", "example3"):
+        _assert_neumann_matches_finite_difference(name, circle_surface(6.0, 16))
 
 
-def test_neumann_3d_matches_finite_difference(example4):
-    cfg, ens, _, _ = example4
-    k = cfg.wavenumber
-    surf = sphere_surface(6.0, 4, 8)
-    for i in range(len(surf)):
-        x, nu = surf.points[i], surf.normals[i]
-        exact = neumann_3d(ens, k, x, nu)
-        fd = _fd_normal_derivative(field_3d, ens, k, x, nu)
-        assert abs(exact - fd) / abs(exact) < 1e-6
+def test_neumann_3d_matches_finite_difference():
+    # example4 holds monopoles only, example5 adds two dipoles
+    for name in ("example4", "example5"):
+        _assert_neumann_matches_finite_difference(name, sphere_surface(6.0, 4, 8))
 
 
 def test_helmholtz_residual_2d(example1):
@@ -147,11 +177,9 @@ def test_helmholtz_residual_2d(example1):
         x = rng.uniform(-5.0, 5.0, size=2)
         if min(np.linalg.norm(x - s.location) for s in ens.sources) < 0.5:
             continue
-        lap = -4.0 * field_2d(ens, k, x)
-        for off in ([h, 0], [-h, 0], [0, h], [0, -h]):
-            lap += field_2d(ens, k, x + np.array(off))
-        lap /= h * h
-        u = field_2d(ens, k, x)
+        stencil = x + np.array([[0, 0], [h, 0], [-h, 0], [0, h], [0, -h]])
+        u, *around = field(ens, k, stencil)
+        lap = (sum(around) - 4.0 * u) / (h * h)
         assert abs(lap + k * k * u) <= 1e-4 * k * k * abs(u)
 
 
@@ -164,26 +192,21 @@ def test_helmholtz_residual_3d(example4):
         x = rng.uniform(-4.0, 4.0, size=3)
         if min(np.linalg.norm(x - s.location) for s in ens.sources) < 0.5:
             continue
-        lap = -6.0 * field_3d(ens, k, x)
-        for axis in range(3):
-            for sign in (1, -1):
-                off = np.zeros(3)
-                off[axis] = sign * h
-                lap += field_3d(ens, k, x + off)
-        lap /= h * h
-        u = field_3d(ens, k, x)
+        offsets = np.vstack([np.zeros(3), h * np.eye(3), -h * np.eye(3)])
+        u, *around = field(ens, k, x + offsets)
+        lap = (sum(around) - 6.0 * u) / (h * h)
         assert abs(lap + k * k * u) <= 1e-4 * k * k * abs(u)
 
 
 def test_reciprocity_of_monopole_kernel():
     k = 11.0
     a, b = np.array([0.3, -1.2]), np.array([2.0, 0.9])
-    u_ab = field_2d(SourceEnsemble(sources=(monopole(a, 1.0),)), k, b)
-    u_ba = field_2d(SourceEnsemble(sources=(monopole(b, 1.0),)), k, a)
+    u_ab = field(SourceEnsemble(sources=(monopole(a, 1.0),)), k, b)
+    u_ba = field(SourceEnsemble(sources=(monopole(b, 1.0),)), k, a)
     assert abs(u_ab - u_ba) < 1e-13
     a3, b3 = np.array([0.3, -1.2, 0.4]), np.array([2.0, 0.9, -0.6])
-    u_ab = field_3d(SourceEnsemble(sources=(monopole(a3, 1.0),)), k, b3)
-    u_ba = field_3d(SourceEnsemble(sources=(monopole(b3, 1.0),)), k, a3)
+    u_ab = field(SourceEnsemble(sources=(monopole(a3, 1.0),)), k, b3)
+    u_ba = field(SourceEnsemble(sources=(monopole(b3, 1.0),)), k, a3)
     assert abs(u_ab - u_ba) < 1e-13
 
 
