@@ -138,7 +138,8 @@ def test_traces_match_per_point_closed_forms(name):
     ens, k, radius = cfg.ensemble(), cfg.wavenumber, cfg.measurement_radius
     surf = circle_surface(radius, 48) if ens.dims == 2 else sphere_surface(radius, 6, 8)
     u, du = _traces(ens, k, surf.points, surf.normals)
-    ref_u, ref_du = np.array([_reference_traces(ens, k, x, nu) for x, nu in zip(surf.points, surf.normals)]).T
+    ref = [_reference_traces(ens, k, x, nu) for x, nu in zip(surf.points, surf.normals)]
+    ref_u, ref_du = np.array(ref).T
     assert np.max(np.abs(u - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
     assert np.max(np.abs(du - ref_du)) <= 1e-14 * np.max(np.abs(ref_du))
 
