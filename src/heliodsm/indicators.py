@@ -22,14 +22,23 @@ with a_0 = 1 and a_ell = N i / k otherwise.
 Both integrals are contractions of a phase table against a few weight
 rows.  The heavy ones (R(d) over direction chunks, indicators at probe
 points, indicators on grids) run through one private kernel, `_chunked`,
-which fills its result in fixed `_CHUNK`-row blocks across the worker
-threads; each block is one BLAS product `@`.  The blocks, not the worker
-count, fix every sum, and `_threads.map_chunks` holds the bundled OpenBLAS
-to one thread while they run, so results are bitwise independent of the
-worker count.  On rectangular grids of any dimension the plane-wave factor
-separates per axis: only one short complex exponential per grid axis is
-materialized, and the products of all axes but the last meet the last
-axis' factor, folded into the component weights, in one product.
+which fills its result in blocks of rows fixed by the problem size across
+the worker threads; each block is one or two BLAS products.  The blocks,
+not the worker count, fix every sum, and `_threads.map_chunks` holds the
+bundled OpenBLAS to one thread while they run, so results are bitwise
+independent of the worker count.
+
+On rectangular grids of any dimension the plane-wave factor separates per
+axis, and the grid kernel sees the directions as A rings of B directions
+that share their last coordinate d_N.  A ring-major product rule (see
+`_product_rule`) gives n_theta rings of B = n_phi; any other set, and all
+of 2D, gives n_dir rings of B = 1.  The kernel folds the component weights
+and the factors of the middle axes into (A, B, R) rows W_a, forms one
+per-ring product H_a = X_a @ W_a with the first axis' factor X_a, and
+contracts the rings with the last axis' factor e^{-ik z d_N}, which is
+constant on every ring.  On the 42 x 43 rule and a 60^3 grid that is
+about 16 M complex multiply-adds per component instead of 390 M for one
+product over all directions.
 
 In 3D, when both the measurement sphere and the direction set are
 Gauss-Legendre x uniform-azimuth product rules with the same azimuth
@@ -77,6 +86,9 @@ __all__ = [
 coefficient_scale = 1.0
 
 _CHUNK = 2048
+
+# Entries of the per-ring sums H that one grid-kernel block holds at most.
+_RING_BLOCK = 1 << 15
 
 # Largest coordinate gap at which unit vectors still count as a product rule.
 _RULE_TOL = 1e-12
@@ -140,16 +152,16 @@ def default_directions(dims: int) -> DirectionSet:
     return sphere_directions(*DEFAULT_SPHERE_DIRECTIONS)
 
 
-def _chunked(n_rows: int, width: int, block) -> np.ndarray:
+def _chunked(n_rows: int, width: int, block, rows: int = _CHUNK) -> np.ndarray:
     """(n_rows, width) complex array whose rows s are block(s), for fixed
-    _CHUNK-row slices s.  The slices, not the worker count, fix every sum."""
+    slices s of `rows` rows.  The slices, not the worker count, fix every sum."""
     out = np.empty((n_rows, width), dtype=complex)
 
     def run(start: int) -> None:
-        s = slice(start, min(start + _CHUNK, n_rows))
+        s = slice(start, min(start + rows, n_rows))
         out[s] = block(s)
 
-    _threads.map_chunks(run, list(range(0, n_rows, _CHUNK)))
+    _threads.map_chunks(run, list(range(0, n_rows, rows)))
     return out
 
 
@@ -274,30 +286,58 @@ def indicator_at(reduced: ReducedData, k: float, points, components=None) -> np.
     return _chunked(len(pts), len(comps), lambda s: np.exp(-1j * k * (pts[s] @ nodes.T)) @ v)
 
 
+def _rings(directions: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
+    """Directions as (A, B, dims) rings and the d_N each ring shares.
+
+    A ring-major product rule gives its n_theta rings of n_phi directions,
+    with d_N = cos theta of the ring (within a ring the stored d_N differ
+    by rounding); any other set is one ring per direction.
+    """
+    nodes = directions.nodes
+    rule = _product_rule(nodes) if directions.dims == 3 else None
+    if rule is None:
+        return nodes[:, None, :], nodes[:, -1]
+    cos_t, _, n_phi = rule
+    return nodes.reshape(-1, n_phi, 3), cos_t
+
+
 def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:
     """All requested indicator components on a grid; returns (len(grid), L).
 
-    Exploits the tensor-product structure of the grid: the plane-wave
-    factor e^{-ik d.z} splits into one (n_axis x n_dir) factor per axis.
-    The factors of all axes but the last multiply out into one row per
-    sub-grid point (first axis fastest); the last axis' factor is folded
-    into the component weights as (n_last * L) rows, and one product over
-    the directions pairs the two.
+    Exploits the tensor-product structure of the grid and the ring
+    structure of the directions (see `_rings`): with x, y, z the first,
+    middle and last axes,
+
+        I(x, y, z) = sum_a e^{-ik z c_a} sum_b e^{-ik x d_x} [v e^{-ik y d_y}](a, b),
+
+    where c_a is ring a's d_N and v the component weights.  The bracket is
+    folded into (A, B, n_y * L) rows W; for each block of first-axis
+    points, one batched product forms the ring sums H_a = X_a @ W_a and one
+    product contracts them with the last axis' (A x n_z) factor.  Blocks
+    hold at most _RING_BLOCK entries of H (or one first-axis point), which
+    also bounds the memory when every ring has one direction.
     """
     comps = _check_components(reduced.dims, components)
     if grid.dims != reduced.dims:
         raise ValueError("grid and reduced data have different dimensions")
-    dirs = reduced.directions
-    v = _component_weights(reduced, k, comps)  # (n_dir, L)
-    factors = [np.exp(-1j * k * np.outer(ax, dirs.nodes[:, i])) for i, ax in enumerate(grid.axes())]
-    head = factors[0]
-    for f in factors[1:-1]:
-        head = np.einsum("yd,xd->yxd", f, head).reshape(-1, len(dirs))
-    last = factors[-1]
-    tail = (last[:, None, :] * v.T[None, :, :]).reshape(-1, len(dirs))  # rows (z, l)
-    out = _chunked(len(head), len(tail), lambda s: head[s] @ tail.T)
-    # out[sub-grid point, (z, l)] -> flat grid order: sub-grid point + n_sub * z
-    return out.reshape(len(head), len(last), len(comps)).transpose(1, 0, 2).reshape(-1, len(comps))
+    rings, level = _rings(reduced.directions)
+    n_ring, per_ring, dims = rings.shape
+    axes = grid.axes()
+    w = _component_weights(reduced, k, comps).reshape(n_ring, per_ring, -1)
+    for i in range(1, dims - 1):  # middle axes; a later axis varies slower
+        f = np.exp(-1j * k * rings[:, :, i, None] * axes[i])
+        w = (f[:, :, :, None] * w[:, :, None, :]).reshape(n_ring, per_ring, -1)
+    first = np.exp(-1j * k * axes[0][:, None] * rings[:, None, :, 0])  # (A, n_x, B)
+    last = np.exp(-1j * k * np.outer(level, axes[-1]))  # (A, n_z)
+    width = w.shape[2]
+
+    def block(s: slice) -> np.ndarray:
+        ring_sums = np.matmul(first[:, s], w).reshape(n_ring, -1)  # (A, n_s * width)
+        return (ring_sums.T @ last).reshape(s.stop - s.start, -1)
+
+    out = _chunked(len(axes[0]), width * len(axes[-1]), block, max(1, _RING_BLOCK // (n_ring * width)))
+    # out[x, (y, l, z)] -> flat grid order: x + n_x * (y + n_y * z)
+    return out.reshape(len(axes[0]), -1, len(comps), len(axes[-1])).transpose(3, 1, 0, 2).reshape(-1, len(comps))
 
 
 def indicator_field(reduced: ReducedData, k: float, grid: SamplingGrid, component: int) -> IndicatorField:

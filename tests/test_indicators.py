@@ -264,6 +264,58 @@ def test_indicator_grid_matches_pointwise_3d(example4):
     assert np.max(np.abs(sub - indicator_at(red, k, grid.points, (3, 0)))) < 1e-12
 
 
+def _fibonacci_units(count):
+    idx = np.arange(count) + 0.5
+    ca = 1.0 - 2.0 * idx / count
+    sa = np.sqrt(1.0 - ca * ca)
+    beta = np.pi * (1.0 + math.sqrt(5.0)) * idx
+    unit = np.stack([sa * np.cos(beta), sa * np.sin(beta), ca], axis=1)
+    return unit / np.linalg.norm(unit, axis=1)[:, None]
+
+
+def _fibonacci_directions(count):
+    return DirectionSet(3, _fibonacci_units(count), np.full(count, 4.0 * np.pi / count))
+
+
+@pytest.mark.parametrize("components", [(2,), (0, 1, 2, 3)])
+@pytest.mark.parametrize("rule", ["product", "fibonacci", "circle"])
+def test_grid_kernel_matches_pointwise(example1, example4, rule, components):
+    # every ring view of the grid kernel: 42 x 43 rings of 43 directions,
+    # 1806 and 256 rings of one direction; odd, unequal axis counts
+    if rule == "circle":
+        cfg, _, _, noisy = example1
+        dirs, grid = cfg.direction_set(), make_grid([-4, -3], [4, 3.5], [13, 7])
+        components = tuple(c for c in components if c <= 2)
+    else:
+        cfg, _, _, noisy = example4
+        dirs = cfg.direction_set() if rule == "product" else _fibonacci_directions(1806)
+        grid = make_grid([-3, -2.5, -2], [3, 2, 3.5], [9, 7, 11])
+        assert (ind._product_rule(dirs.nodes) is None) == (rule == "fibonacci")
+    k = cfg.wavenumber
+    red = reduced_data(noisy, k, dirs)
+    grid_vals = indicator_grid_values(red, k, grid, components)
+    point_vals = indicator_at(red, k, grid.points, components)
+    assert np.max(np.abs(grid_vals - point_vals)) <= 1e-12 * np.max(np.abs(point_vals))
+
+
+def test_grid_kernel_peak_allocation(example4):
+    # the 60^3 product over all 1806 directions held a 104 MB phase table;
+    # the ring sums stay within a few MB besides the 3.5 MB result
+    import tracemalloc
+
+    cfg, _, _, noisy = example4
+    k = cfg.wavenumber
+    red = reduced_data(noisy, k, cfg.direction_set())
+    grid = make_grid([-3, -3, -3], [3, 3, 3], [60, 60, 60])
+    tracemalloc.start()
+    try:
+        indicator_grid_values(red, k, grid, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def test_conjugation_symmetry_under_mirroring(example1):
     # |I(z; ensemble)| equals |I(-z; mirrored ensemble)| for real intensities
     cfg, ens, _, _ = example1
@@ -319,8 +371,8 @@ def test_component_out_of_range(example1):
 
 
 def test_thread_count_does_not_change_results(example4):
-    # each input but the first grid spans more than one _CHUNK-row block,
-    # so the chunks of each kernel really are spread over the workers
+    # every input spans more than one block of its kernel, so the chunks
+    # of each kernel really are spread over the workers
     from heliodsm import _threads
 
     cfg, _, _, noisy = example4
@@ -330,7 +382,10 @@ def test_thread_count_does_not_change_results(example4):
     dirs = sphere_directions(48, 48)
     grid = make_grid([-3, -3, -3], [3, 3, 3], [48, 48, 3])
     probes = np.random.default_rng(5).uniform(-3, 3, size=(4100, 3))
-    assert min(len(dirs), 48 * 48, len(probes)) > ind._CHUNK
+    assert min(len(dirs), len(probes)) > ind._CHUNK
+    # grid-kernel blocks: _RING_BLOCK entries of 42 rings x (n_y * L) columns
+    for g, n_comps in ((small, 4), (grid, 2)):
+        assert g.counts[0] * 42 * g.counts[1] * n_comps > ind._RING_BLOCK
 
     def evaluate():
         return (
@@ -403,12 +458,7 @@ def test_circulant_reduced_data_matches_general_path(monkeypatch, name, surface_
 
 
 def _fibonacci_surface(radius, count):
-    idx = np.arange(count) + 0.5
-    ca = 1.0 - 2.0 * idx / count
-    sa = np.sqrt(1.0 - ca * ca)
-    beta = np.pi * (1.0 + math.sqrt(5.0)) * idx
-    unit = np.stack([sa * np.cos(beta), sa * np.sin(beta), ca], axis=1)
-    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    unit = _fibonacci_units(count)
     return MeasurementSurface(
         dims=3, points=radius * unit, normals=unit,
         weights=np.full(count, 4.0 * np.pi * radius**2 / count), radius=radius,
