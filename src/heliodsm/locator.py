@@ -192,9 +192,10 @@ class DsmOptions:
 def find_peaks(field: IndicatorField, significance: float, merge_radius: float) -> list[Peak]:
     """Significant strict local maxima of |I|, greedily merged.
 
-    A grid point is a candidate when its magnitude strictly exceeds every
-    existing immediate neighbor (8 in 2D, 26 in 3D) and reaches at least
-    significance * max|I|.  Candidates are then processed in descending
+    A grid point is a candidate when its magnitude reaches at least
+    significance * max|I| and strictly exceeds every existing immediate
+    neighbor (8 in 2D, 26 in 3D); the neighbor test runs on the points
+    above the threshold only.  Candidates are then processed in descending
     magnitude (ties: lowest grid index), each absorbing all remaining
     candidates within merge_radius.
     """
@@ -203,27 +204,20 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     if merge_radius <= 0:
         raise ValueError("merge radius must be positive")
     grid = field.grid
-    mag = field.magnitude().reshape(grid.counts, order="F")
-    if mag.size == 0:
+    magnitude = field.magnitude()
+    if magnitude.size == 0:
         raise ValueError("empty indicator field")
+    threshold = significance * float(magnitude.max())
+    idx = np.nonzero((magnitude >= threshold) & (magnitude > 0.0))[0]
 
-    padded = np.full(tuple(n + 2 for n in mag.shape), -np.inf)
-    core = tuple(slice(1, 1 + n) for n in mag.shape)
-    padded[core] = mag
-    is_max = np.ones_like(mag, dtype=bool)
-    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims)
-    for off in offsets:
-        if not np.any(off):
-            continue
-        shifted = tuple(slice(1 + o, 1 + o + n) for o, n in zip(off, mag.shape))
-        is_max &= mag > padded[shifted]
-
-    peak_level = float(mag.max())
-    threshold = significance * peak_level
-    is_max &= mag >= threshold
-    is_max &= mag > 0.0
-    flat = is_max.ravel(order="F")
-    idx = np.nonzero(flat)[0]
+    padded = np.full(tuple(n + 2 for n in grid.counts), -np.inf)
+    padded[tuple(slice(1, 1 + n) for n in grid.counts)] = magnitude.reshape(grid.counts, order="F")
+    at = np.array(np.unravel_index(idx, grid.counts, order="F")) + 1  # (dims, n) in padded
+    is_max = np.ones(idx.size, dtype=bool)
+    for off in np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims):
+        if np.any(off):
+            is_max &= magnitude[idx] > padded[tuple(at + off[:, None])]
+    idx = idx[is_max]
     if idx.size == 0:
         return []
     mags = np.abs(field.values[idx])

@@ -87,6 +87,53 @@ def test_tie_break_lowest_grid_index():
     assert peaks[0].grid_index == 2 + 9 * 2
 
 
+def _peaks_by_shifts(fld, significance, merge_radius):
+    # reference: the strict-neighbour test by whole-array shifts over every
+    # grid point, then the same ordering and greedy merge as find_peaks
+    grid = fld.grid
+    mag = fld.magnitude().reshape(grid.counts, order="F")
+    padded = np.full(tuple(n + 2 for n in mag.shape), -np.inf)
+    padded[tuple(slice(1, 1 + n) for n in mag.shape)] = mag
+    is_max = (mag >= significance * mag.max()) & (mag > 0.0)
+    for off in np.ndindex(*([3] * grid.dims)):
+        if any(o != 1 for o in off):
+            is_max &= mag > padded[tuple(slice(o, o + n) for o, n in zip(off, mag.shape))]
+    idx = np.nonzero(is_max.ravel(order="F"))[0]
+    mags = np.abs(fld.values[idx])
+    order = np.lexsort((idx, -mags))
+    idx, mags = idx[order], mags[order]
+    kept, alive = [], np.ones(idx.size, dtype=bool)
+    for i in range(idx.size):
+        if alive[i]:
+            kept.append((tuple(grid.points[idx[i]]), float(mags[i]), int(idx[i])))
+            alive &= np.linalg.norm(grid.points[idx] - grid.points[idx[i]], axis=1) > merge_radius
+    return kept
+
+
+@pytest.mark.parametrize("counts", [(9, 7), (6, 5, 4), (11, 3, 8)])
+def test_find_peaks_matches_the_shift_rule(counts):
+    # few distinct levels give ties and plateaus; the border is half the
+    # points on these small grids, so border peaks are common
+    rng = np.random.default_rng(sum(counts))
+    grid = make_grid([0.0] * len(counts), [1.0] * len(counts), counts)
+    fields = [rng.integers(0, 4, size=len(grid)), rng.integers(0, 2, size=len(grid)) * 3.0,
+              rng.uniform(size=len(grid)), np.round(rng.uniform(size=len(grid)), 1)]
+    plateau = rng.uniform(size=counts)
+    plateau[tuple(slice(1, 3) for _ in counts)] = 2.0  # interior plateau at the max
+    plateau[(0,) * len(counts)] = 1.9  # corner peak
+    fields.append(plateau.ravel(order="F"))
+    checked = 0
+    for values in fields:
+        fld = IndicatorField(grid=grid, component=0, values=np.asarray(values, dtype=complex) * (1 - 1j))
+        for significance in (0.1, 0.5, 1.0):
+            for merge in (1e-9, 0.3):
+                got = [(tuple(p.location), p.magnitude, p.grid_index)
+                       for p in find_peaks(fld, significance, merge)]
+                assert got == _peaks_by_shifts(fld, significance, merge)
+                checked += len(got)
+    assert checked > 0
+
+
 def test_find_peaks_validation():
     grid = make_grid([0, 0], [1, 1], [4, 4])
     fld = IndicatorField(grid=grid, component=0, values=np.ones(16, dtype=complex))
