@@ -357,30 +357,31 @@ def _sorted_pair(p: int, q: int, top: int) -> tuple[int, int]:
     return (p, q) if p <= q else (q, p)
 
 
-def moment_2d(p: int, q: int, z, k: float) -> complex:
-    """Closed form of int_{S^1} d_p d_q e^{ik d.z} ds(d), with d_0 == 1."""
+def moment_2d(p: int, q: int, z, k: float):
+    """Closed form of int_{S^1} d_p d_q e^{ik d.z} ds(d), with d_0 == 1.
+
+    z is one point (2,), giving a complex, or an array (..., 2) of points,
+    giving a complex array of the leading shape.
+    """
     p, q = _sorted_pair(p, q, 2)
     z = np.asarray(z, dtype=float)
-    t = k * float(np.linalg.norm(z))
-    if t == 0.0:
-        if (p, q) == (0, 0):
-            return complex(2.0 * np.pi)
-        if p == q:
-            return complex(np.pi)
-        return 0.0j
-    alpha = math.atan2(z[1], z[0])
-    j0, j1, j2 = bessel_j(0, t), bessel_j(1, t), bessel_j(2, t)
+    t = k * np.linalg.norm(z, axis=-1)
+    alpha = np.arctan2(z[..., 1], z[..., 0])  # 0 at the origin, where J1 = J2 = 0
+    j0, j1, j2 = (bessel_j(n, t) for n in range(3))
     if (p, q) == (0, 0):
-        return complex(2.0 * np.pi * j0)
-    if (p, q) == (0, 1):
-        return 2.0j * np.pi * math.cos(alpha) * j1
-    if (p, q) == (0, 2):
-        return 2.0j * np.pi * math.sin(alpha) * j1
-    if (p, q) == (1, 1):
-        return complex(np.pi * j0 - np.pi * math.cos(2 * alpha) * j2)
-    if (p, q) == (2, 2):
-        return complex(np.pi * j0 + np.pi * math.cos(2 * alpha) * j2)
-    return complex(-np.pi * math.sin(2 * alpha) * j2)  # (1, 2)
+        out = 2.0 * np.pi * j0
+    elif (p, q) == (0, 1):
+        out = 2.0j * np.pi * np.cos(alpha) * j1
+    elif (p, q) == (0, 2):
+        out = 2.0j * np.pi * np.sin(alpha) * j1
+    elif (p, q) == (1, 1):
+        out = np.pi * j0 - np.pi * np.cos(2 * alpha) * j2
+    elif (p, q) == (2, 2):
+        out = np.pi * j0 + np.pi * np.cos(2 * alpha) * j2
+    else:  # (1, 2)
+        out = -np.pi * np.sin(2 * alpha) * j2
+    out = np.asarray(out, dtype=complex)
+    return complex(out) if out.ndim == 0 else out
 
 
 def moment_3d(p: int, q: int, z, k: float) -> complex:
@@ -452,13 +453,13 @@ def decay_probe(dims: int, p: int, q: int, kl_values, orientations: int = 24, wi
         raise ValueError("kl_values must be strictly increasing")
     if kl and kl[0] < 10.0:
         raise ValueError("decay probe starts at kl >= 10")
-    moment = moment_2d if dims == 2 else moment_3d
     dirs = _orientation_sample(dims, orientations)
     out = []
     for base in kl:
-        best = 0.0
-        for t in np.linspace(base, base + np.pi, window_samples):
-            for zhat in dirs:
-                best = max(best, abs(moment(p, q, t * zhat, 1.0)))
-        out.append(best)
+        window = np.linspace(base, base + np.pi, window_samples)[:, None, None] * dirs
+        if dims == 2:
+            values = moment_2d(p, q, window, 1.0)
+        else:
+            values = [moment_3d(p, q, z, 1.0) for z in window.reshape(-1, 3)]
+        out.append(float(np.max(np.abs(values))))
     return out
