@@ -514,6 +514,28 @@ def test_decay_probe_3d_00_env():
         assert val == pytest.approx(4 * math.pi / base, rel=0.05)
 
 
+def test_moment_2d_takes_point_arrays():
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=(4, 5, 2)) * 7.0
+    z[0, 0] = 0.0
+    for p in range(3):
+        for q in range(p, 3):
+            got = moment_2d(p, q, z, 1.3)
+            assert got.shape == (4, 5)
+            ref = np.array([[moment_2d(p, q, point, 1.3) for point in row] for row in z])
+            assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("dims, moment", [(2, moment_2d), (3, moment_3d)])
+def test_decay_probe_is_the_window_max_of_the_moments(dims, moment):
+    kl = [12.0, 30.0]
+    env = decay_probe(dims, 1, dims, kl, orientations=5, window_samples=4)
+    dirs = ind._orientation_sample(dims, 5)
+    ref = [max(abs(moment(1, dims, t * zhat, 1.0)) for t in np.linspace(base, base + np.pi, 4) for zhat in dirs)
+           for base in kl]
+    assert env == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 def test_coefficient_debug_hook_scales_readoff():
     k = 12.0
     z = np.array([0.5, 0.5])
