@@ -213,10 +213,11 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     padded = np.full(tuple(n + 2 for n in grid.counts), -np.inf)
     padded[tuple(slice(1, 1 + n) for n in grid.counts)] = magnitude.reshape(grid.counts, order="F")
     at = np.array(np.unravel_index(idx, grid.counts, order="F")) + 1  # (dims, n) in padded
+    level = magnitude[idx]
     is_max = np.ones(idx.size, dtype=bool)
     for off in np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims):
         if np.any(off):
-            is_max &= magnitude[idx] > padded[tuple(at + off[:, None])]
+            is_max &= level > padded[tuple(at + off[:, None])]
     idx = idx[is_max]
     if idx.size == 0:
         return []
