@@ -80,7 +80,9 @@ def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
     clean = synthesize_cauchy(ensemble, cfg.wavenumber, cfg.surface())
     noisy = add_noise(clean, cfg.noise_spec())
     elapsed = time.perf_counter() - t0
+    t0 = time.perf_counter()
     io.write_cauchy_csv(out / "cauchy.csv", clean, noisy)
+    write_seconds = time.perf_counter() - t0
     (out / "config.json").write_text(cfg.to_json())
     finite = lambda v: v if math.isfinite(v) else None
     io.write_run_json(
@@ -93,6 +95,8 @@ def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
             "separation_ratio": finite(report.separation_ratio),
             "warnings": list(report.warnings),
             "synthesize_seconds": elapsed,
+            "write_seconds": write_seconds,
+            "bytes_written": (out / "cauchy.csv").stat().st_size,
         },
     )
     _say(args, f"wrote {out / 'cauchy.csv'} ({len(clean.surface)} points)")

@@ -21,8 +21,9 @@ run.json
     Parameters, seed, timings, thread count.  Timings vary run to run, so
     determinism guarantees cover the CSV files only.
 
-Floats are written with shortest round-trip precision (repr), so a file
-read back reproduces the in-memory values exactly; rows end in "\r\n".
+Floats are written with shortest round-trip precision, byte for byte the
+text of Python's repr (rendered for whole arrays by `_text`), so a file read
+back reproduces the in-memory values exactly; rows end in "\r\n".
 The indicator abs column is hypot(re, im), i.e. Python's abs(complex), which
 can differ by 1 ulp from IndicatorField.magnitude() (np.abs, used for peaks).
 """
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from . import _text
 from .forward import CauchyData
 from .geometry import MeasurementSurface, SamplingGrid
 from .indicators import IndicatorField
@@ -52,14 +53,8 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _csv_rows(lead, columns) -> str:
-    """One CSV row per column entry: its `lead` string, then the values as `_fmt` writes them."""
-    values = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
-    return "".join([p + ",".join(row) + "\r\n" for p, row in zip(lead, values)])
+def _header(names) -> bytes:
+    return (",".join(names) + "\r\n").encode()
 
 
 def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -> None:
@@ -75,10 +70,9 @@ def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -
     columns = [*surf.points.T, *surf.normals.T, surf.weights]
     for z in (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann):
         columns += [z.real, z.imag]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for i in range(0, len(surf), 256):  # bounded blocks keep memory small
-            fh.write(_csv_rows(repeat(""), [c[i : i + 256] for c in columns]))
+    with open(path, "wb") as fh:
+        fh.write(_header(header))
+        _text.write_rows(fh, columns)
 
 
 def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
@@ -117,16 +111,28 @@ def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
 
 
 def write_indicator_csv(path, field: IndicatorField) -> None:
-    # One write per last-axis slice; grid order is first axis fastest, so
-    # every slice has the same leading coordinates, formatted once here.
-    *lead_axes, last = ([_fmt(x) + "," for x in axis] for axis in field.grid.axes())
+    # Grid order is first axis fastest, so row r is prefix[r % P] then
+    # last[r // P], P points per last-axis slice; both formatted once here.
+    *lead_axes, last = ([x + "," for x in _text.strings(axis)] for axis in field.grid.axes())
     prefixes = [""]
     for axis in lead_axes:
         prefixes = [p + x for x in axis for p in prefixes]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([f"z{i+1}" for i in range(field.grid.dims)] + ["abs", "re", "im"])
-        for z, v in zip(last, field.values.reshape(len(last), -1)):
-            fh.write(_csv_rows([p + z for p in prefixes], [np.hypot(v.real, v.imag), v.real, v.imag]))
+    prefix, last = _nul_padded(prefixes), _nul_padded(last)
+    v = field.values
+    with open(path, "wb") as fh:
+        fh.write(_header([f"z{i+1}" for i in range(field.grid.dims)] + ["abs", "re", "im"]))
+        _text.write_rows(
+            fh,
+            [np.hypot(v.real, v.imag), v.real, v.imag],
+            lead=lambda r: np.hstack([prefix[r % len(prefix)], last[r // len(prefix)]]),
+        )
+
+
+def _nul_padded(texts: list[str]) -> np.ndarray:
+    """The ASCII texts as the rows of a uint8 matrix, NUL-padded to the longest."""
+    width = max(map(len, texts))
+    data = "".join(t.ljust(width, "\0") for t in texts).encode()
+    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
 def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorField:
@@ -151,16 +157,13 @@ def write_reconstruction_csv(path, recon: Reconstruction) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for gi, g in enumerate(recon.groups):
-            row = [str(gi), "|".join(str(c) for c in g.components)]
-            row += [_fmt(v) for v in g.centroid]
             lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
-            row += [_fmt(lam.real), _fmt(lam.imag)]
             eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(dims, complex)
-            for v in eta:
-                row += [_fmt(v.real), _fmt(v.imag)]
-            row.append(_fmt(max(p.magnitude for p in g.members)))
-            row.append(g.kind or "")
-            writer.writerow(row)
+            values = [*g.centroid, lam.real, lam.imag]
+            values += [part for v in eta for part in (v.real, v.imag)]
+            values.append(max(p.magnitude for p in g.members))
+            components = "|".join(str(c) for c in g.components)
+            writer.writerow([str(gi), components, *_text.strings(values), g.kind or ""])
 
 
 def read_reconstruction_csv(path) -> list[dict]:

@@ -2,9 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from heliodsm.forward import add_noise, synthesize_cauchy
 from heliodsm.presets import preset_config
+
+# `--hypothesis-profile=ci` widens the property tests that do not fix their
+# own example count (the float renderer's); tier-1 keeps the default budget.
+settings.register_profile("ci", max_examples=20000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import csv
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from heliodsm.io import (
     read_reconstruction_csv,
     write_cauchy_csv,
     write_indicator_csv,
+    write_reconstruction_csv,
 )
+from heliodsm.locator import Peak, PeakGroup, Reconstruction
 from heliodsm.presets import ConfigError, ExperimentConfig, preset_config
 
 
@@ -96,7 +99,7 @@ def _reference_csv(path, header, rows):
 
 
 def _edge_values(n, seed):
-    """Complex values with parts from 1e-300 to 1e+300, -0.0 and subnormals."""
+    """Complex values with parts from 1e-300 to 1e+300, -0.0 and subnormals; one |v| overflows."""
     rng = np.random.default_rng(seed)
     re, im = rng.standard_normal((2, n))
     re[: n // 2] *= 10.0 ** rng.integers(-300, 301, n // 2)
@@ -104,25 +107,56 @@ def _edge_values(n, seed):
     values = re + 1j * im
     values[:5] = [complex(-0.0, -0.0), complex(5e-324, -0.0), complex(-0.0, 1e-310),
                   complex(1e-300, -1e300), complex(-1e300, 1e300)]
+    values[5] = complex(1.5e308, -1.5e308)
     return values
 
 
 @pytest.mark.parametrize(
     "lower, upper, counts",
-    [([-4.0, -4.0], [4.0, 4.0], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])],
+    [([-4.0, -4.0], [4.0, 4.0], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5]),
+     ([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [23, 19, 13])],  # 5681 rows: three blocks
 )
 def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts):
     grid = make_grid(lower, upper, counts)
     fld = IndicatorField(grid=grid, component=1, values=_edge_values(len(grid), len(counts)))
     # the abs column is the scalar abs(complex), which np.abs misses by 1 ulp here
     assert np.any(np.abs(fld.values) != np.array([abs(v) for v in fld.values]))
-    rows = (
-        [_fmt(x) for x in grid.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
-        for i, v in enumerate(fld.values)
-    )
+    # IndicatorField holds finite values only; the writer gets +-inf and nan through a stand-in
+    special = fld.values.copy()
+    special[6:10] = [complex(np.inf, -np.inf), complex(np.nan, 1.0), complex(-2.5, np.nan),
+                     complex(-np.nan, -np.inf)]
     header = [f"z{i+1}" for i in range(grid.dims)] + ["abs", "re", "im"]
+    for values in (fld, SimpleNamespace(grid=grid, values=special)):
+        rows = (
+            [_fmt(x) for x in grid.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
+            for i, v in enumerate(values.values)
+        )
+        _reference_csv(tmp_path / "want.csv", header, rows)
+        with np.errstate(over="ignore"):  # |values[5]| overflows to inf, as abs() does
+            write_indicator_csv(tmp_path / "got.csv", values)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path):
+    peak = Peak(location=[0.0, 0.0], component=0, magnitude=3.0000000000000004, grid_index=0)
+    groups = (
+        PeakGroup(members=(peak,), centroid=[-0.0, 1e-5], lambda_estimate=complex(1e16, -2.5e-308),
+                  eta_estimate=np.array([complex(0.1, -np.inf), complex(np.nan, 5e-324)]), kind="dipole"),
+        PeakGroup(members=(peak,), centroid=[123456789.0, -9007199254740993.0]),
+    )
+    recon = Reconstruction(estimated_count=2, groups=groups, algorithm="dsm2", elapsed_seconds=0.0,
+                           parameters={})
+    rows = []
+    for gi, g in enumerate(groups):
+        lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
+        eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(2, complex)
+        rows.append([str(gi), "0"] + [_fmt(v) for v in g.centroid] + [_fmt(lam.real), _fmt(lam.imag)]
+                    + [_fmt(p) for v in eta for p in (v.real, v.imag)]
+                    + [_fmt(3.0000000000000004), g.kind or ""])
+    header = ["group", "components", "z1", "z2", "lambda_re", "lambda_im",
+              "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"]
     _reference_csv(tmp_path / "want.csv", header, rows)
-    write_indicator_csv(tmp_path / "got.csv", fld)
+    write_reconstruction_csv(tmp_path / "got.csv", recon)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -154,6 +188,8 @@ def test_cli_synthesize_writes_expected_rows(tmp_path):
     assert len(rows) == 201  # header + 200 measurement angles
     meta = json.loads((out / "meta.json").read_text())
     assert meta["points"] == 200
+    assert meta["write_seconds"] >= 0
+    assert meta["bytes_written"] == (out / "cauchy.csv").stat().st_size
     cfg_round = ExperimentConfig.from_json((out / "config.json").read_text())
     assert cfg_round == preset_config("example1")
 

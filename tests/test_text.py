@@ -1,0 +1,93 @@
+"""The CSV float renderer: byte for byte the text of repr(float(v))."""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from heliodsm import _text
+
+
+def _mismatches(values, columns=1):
+    """(value, rendered, repr) for each value whose CSV text is not its repr."""
+    values = np.asarray(values, dtype=np.float64)
+    fh = io.BytesIO()
+    _text.write_rows(fh, [values[i::columns] for i in range(columns)])
+    got = fh.getvalue().decode().replace("\r\n", ",").split(",")[:-1]
+    want = [repr(float(v)) for v in values]
+    assert len(got) == len(want)
+    return [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+
+
+@given(st.lists(st.floats(), max_size=64))
+@settings(deadline=None)
+def test_matches_repr_on_any_float(values):
+    # st.floats() draws nan, +-inf, subnormals and +-0.0 among the rest
+    assert _mismatches(values) == []
+    assert _text.strings(values) == [repr(v) for v in values]
+
+
+def test_matches_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(2020).integers(0, 2**64 - 1, 1_000_000, dtype=np.uint64, endpoint=True)
+    assert _mismatches(bits.view(np.float64), columns=4)[:5] == []
+
+
+def _around(v, steps=3):
+    out = [v]
+    for direction in (-np.inf, np.inf):
+        x = v
+        for _ in range(steps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return out
+
+
+def test_matches_repr_at_boundaries():
+    powers = [np.ldexp(1.0, e) for e in range(-1074, 1024)]  # asymmetric intervals
+    layouts = [x for v in (1e-5, 1e-4, 1e15, 1e16, 1e17) for x in _around(v)]
+    named = [2.0**53 - 1, 2.0**53 + 1, 2.0**53 + 2, np.finfo(float).max, 5e-324, 1e23,
+             9007199254740993.0, 2.2250738585072014e-308, 0.1, 0.0, -0.0]
+    values = np.array(powers + layouts + named)
+    assert _mismatches(np.concatenate([values, -values])) == []
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_block_edges(columns, offset):
+    rows = _text.BLOCK // columns
+    rng = np.random.default_rng(rows + offset)
+    values = rng.standard_normal(columns * (rows + offset)) * 10.0 ** rng.integers(-20, 20, columns * (rows + offset))
+    assert _mismatches(values, columns) == []
+    assert _text.strings(values) == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_short_arrays(n):
+    values = np.full(n, -1.25)
+    assert _mismatches(values) == []
+    assert _text.strings(values) == ["-1.25"] * n
+
+
+def test_scale_table_keeps_products_in_range():
+    # (4c + 2) << h < 2^60 for every significand c < 2^53, which keeps the
+    # 32-bit-limb partial sums of `_round_to_odd` below 2^64
+    scale, powers = _text._tables()[:2]
+    h = scale[1, 2:4094]
+    assert h.min() >= 0 and h.max() <= 5
+    assert int(powers[4].max()) < 2**63 and int(powers[4].min()) >= 2**62
+
+
+def test_import_builds_no_tables():
+    # building them takes tens of milliseconds, which every CLI start would pay
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import heliodsm.cli, heliodsm._text as t; print(t._tables.cache_info().currsize)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
