@@ -24,9 +24,10 @@ Python call per value:
 * **Fallback.** Subnormals, infinities and nan take ``repr`` itself, one
   value at a time.
 
-All integer work stays in uint64 with explicit ``np.uint64`` constants:
-numpy 1.x promotes uint64 mixed with a Python int or an int64 array to
-float64. The tables are built on first use, not at import.
+Integer work runs in int64 where the values fit and otherwise in uint64
+with explicit ``np.uint64`` constants only: numpy 1.x promotes uint64 mixed
+with a Python int or an int64 array to float64. The tables are built on
+first use, not at import.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["write_rows", "strings", "SLOT"]
+__all__ = ["write_rows", "strings"]
 
 SLOT = 32  # bytes per value: text (at most 24 bytes, in bytes 0-29), NUL, separator
 # Values rendered per pass. Every temporary stays under 128 kB, so numpy
@@ -77,18 +78,17 @@ def _span(lo: int, hi: int) -> int:
 @cache
 def _tables():
     """(scale, powers, layouts, suffixes, ascii4); see the module docstring."""
-    # scale[:, 2 be + irregular]: k, h and cb - cbl, for biased exponent be.
-    # The interval below a power of two (irregular) is half as wide.
+    # scale[:, 2 be + irregular]: k, h and cb - cbl for biased exponent be;
+    # below a power of two (zero significand bits) the interval is half as
+    # wide, except at 2^-1022, where the subnormals keep the spacing regular
     scale = np.zeros((3, 4096), np.int64)
-    for be in range(1, 2047):
+    for i in range(2, 4094):
+        be, irregular = divmod(i, 2)
+        irregular &= be > 1
         q = be - 1075
-        for irregular in (0, 1) if be > 1 else (0,):
-            k = _floor_log10(3 << max(q, 0), 4 << max(-q, 0)) if irregular else (
-                _floor_log10(1 << max(q, 0), 1 << max(-q, 0)))
-            h = q + _floor_log2_pow10(-k) + 2
-            scale[:, 2 * be + irregular] = k, h, 2 - irregular
-        if be == 1:  # below 2^-1022 the subnormals keep the regular spacing
-            scale[:, 3] = scale[:, 2]
+        num, den = (3 if irregular else 1) << max(q, 0), (4 if irregular else 1) << max(-q, 0)
+        k = _floor_log10(num, den)
+        scale[:, i] = k, q + _floor_log2_pow10(-k) + 2, 2 - irregular
     # powers[:, k - _KMIN]: g = floor(10^-k 2^r) + 1 in [2^125, 2^126), as
     # 32-bit limbs of its low and high 63-bit halves, then the high half
     powers = np.zeros((5, 617), np.uint64)
@@ -101,9 +101,9 @@ def _tables():
             g = (1 << shift) // 10**-e + 1
         lo, hi = g & ((1 << 63) - 1), g >> 63
         powers[:, i] = lo & 0xFFFFFFFF, lo >> 32, hi & 0xFFFFFFFF, hi >> 32, hi
-    # layouts[:, id]: the digit window kept (3 words), the bytes from the
-    # point on (3 words), the point itself (4 words). The digits z sit in
-    # bytes 7-23 of the slot behind seven '0's; a text is z[a:b] '.' z[b:c].
+    # layouts[:, id]: the digit window kept, the bytes from the point on and
+    # the point itself, 3 words each. The digits z sit in bytes 7-23 of the
+    # slot behind seven '0's; a text is z[a:b] '.' z[b:c], and b < 24.
     rows = []
     for decpt in range(-3, 17):  # positional: 0.000ddd .. dddd.0
         for n in range(1, 18):
@@ -118,7 +118,7 @@ def _tables():
         after = dot = 0
         if b is not None:
             after, dot = _span(b, SLOT), _bytes_at(b, b".")
-        layouts.append(_words(_span(a, c))[:3] + _words(after)[:3] + _words(dot))
+        layouts.append(_words(_span(a, c))[:3] + _words(after)[:3] + _words(dot)[:3])
     layouts = np.array(layouts, np.uint64).T.copy()
     # suffixes[e + 309]: the top word of an exponent-form slot, 'e', sign
     # and digits in bytes 25-29 (the hundreds byte NUL below 100); [0] is empty
@@ -183,25 +183,25 @@ def _render(x, out) -> None:
     d = np.where(upin != wpin, np.where(wpin, sp + _U(10), sp), np.where(up, s + _U(1), s))
     # d has 16 or 17 digits; make it 17, decpt places the point after digit decpt
     short = d < _U(10**16)
-    d = np.where(short, d * _U(10), d)
+    d = np.where(short, d * _U(10), d).view(np.int64)  # int64 indexes the table without a cast
     decpt = k + np.where(short, 16, 17)
-    lead = d // _U(10**16)
-    rest = d - lead * _U(10**16)
-    hi = rest // _U(10**8)
-    lo = rest - hi * _U(10**8)
-    hi4 = hi // _U(10**4)
-    lo4 = lo // _U(10**4)
-    z0 = np.where(zero, _ZEROS, (lead << _U(56)) | _ZEROS)
-    z1 = ascii4[hi4] | (ascii4[hi - hi4 * _U(10**4)] << _U(32))
-    z2 = ascii4[lo4] | (ascii4[lo - lo4 * _U(10**4)] << _U(32))
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    hi = rest // 10**8
+    lo = rest - hi * 10**8
+    hi4 = hi // 10**4
+    lo4 = lo // 10**4
+    z0 = np.where(zero, _ZEROS, (lead.view(_U) << _U(56)) | _ZEROS)
+    z1 = ascii4[hi4] | (ascii4[hi - hi4 * 10**4] << _U(32))
+    z2 = ascii4[lo4] | (ascii4[lo - lo4 * 10**4] << _U(32))
     # significant digits: from the highest byte of z1, z2 that is not '0'
     # (a float64 conversion gives its bit length exactly: each byte is < 10)
     top1 = ((z1 ^ _ZEROS).astype(np.float64).view(np.int64) >> np.int64(52)) - 1023 >> 3
     top2 = ((z2 ^ _ZEROS).astype(np.float64).view(np.int64) >> np.int64(52)) - 1023 >> 3
-    nsig = np.maximum(np.maximum(top1 + 2, top2 + 10), 1)  # a zero byte gives top < -100
+    nsig = np.maximum(np.maximum(top1 + 2, top2 + 10), 1)  # eight '0's give top = -128
     positional = (decpt >= -3) & (decpt <= 16)
     layout = np.where(positional, (decpt + 3) * 17, 340) + (nsig - 1)
-    w0, w1, w2, a0, a1, a2, p0, p1, p2, p3 = np.take(layouts, layout, axis=1)
+    w0, w1, w2, a0, a1, a2, p0, p1, p2 = np.take(layouts, layout, axis=1)
     z0 &= w0
     z1 &= w1
     z2 &= w2
@@ -211,44 +211,43 @@ def _render(x, out) -> None:
     out[..., 0] = (z0 ^ a0) | (a0 << _U(8)) | p0 | ((bits.view(_U) >> _U(63)) * _U(ord("-")))
     out[..., 1] = (z1 ^ a1) | (a1 << _U(8)) | (a0 >> _U(56)) | p1
     out[..., 2] = (z2 ^ a2) | (a2 << _U(8)) | (a1 >> _U(56)) | p2
-    out[..., 3] = (a2 >> _U(56)) | p3 | suffixes[np.where(positional, 0, decpt + 308)]
+    out[..., 3] = (a2 >> _U(56)) | suffixes[np.where(positional, 0, decpt + 308)]
     for i in zip(*np.nonzero(special & ~zero)):
         out[i] = np.frombuffer(repr(float(x[i])).encode().ljust(SLOT, b"\0"), "<u8")
 
 
-def _slots(values) -> np.ndarray:
-    """(n, SLOT) uint8: the text of each value, NUL-padded."""
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    words = np.empty((len(x), SLOT // 8), "<u8")
-    for i in range(0, len(x), BLOCK):
-        _render(x[i : i + BLOCK], words[i : i + BLOCK])
-    return words.view(np.uint8)
-
-
 def strings(values) -> list[str]:
     """``[repr(float(v)) for v in values]``, rendered by the same code as `write_rows`."""
-    return [slot[slot != 0].tobytes().decode() for slot in _slots(values)]
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    slots = np.empty((len(x), SLOT), np.uint8)
+    for i in range(0, len(x), BLOCK):
+        _render(x[i : i + BLOCK], slots[i : i + BLOCK].view("<u8"))
+    return [slot[slot != 0].tobytes().decode() for slot in slots]
 
 
-def write_rows(fh, columns, lead=None) -> None:
+def write_rows(fh, columns, lead=()) -> None:
     """Write one CSV row per entry of the float `columns` to the binary file `fh`.
 
-    Row i is ``lead(rows)[i]`` (NUL bytes dropped) when `lead` is given,
-    then ``repr(float(c[i]))`` of each column, joined by ',' and ended by
-    "\\r\\n". `lead` maps an array of row numbers to a uint8 matrix, one row
-    each, and is called once per block.
+    Row i is the `lead` bytes of row i (NUL bytes dropped), then
+    ``repr(float(c[i]))`` of each column, joined by ',' and ended by
+    "\r\n". `lead` is a sequence of (table, divisor) pairs: row i takes
+    row (i // divisor) % len(table) of each uint8 matrix `table`, in order.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n, m = len(columns[0]), len(columns)
-    step = max(1, BLOCK // m)
+    step = max(1, min(n, BLOCK // m))
+    widths = np.cumsum([0] + [table.shape[1] for table, _ in lead])
+    start = -(-widths[-1] // 8) * 8  # the slots start on a word
+    text = np.zeros((step, start + m * SLOT), np.uint8)
+    slots = text[:, start:].reshape(step, m, SLOT)
+    words = slots.view("<u8")
     for i in range(0, n, step):
-        rows = np.arange(i, min(i + step, n))
-        head = lead(rows) if lead is not None else np.zeros((len(rows), 0), np.uint8)
-        width = -(-head.shape[1] // 8) * 8  # the slots start on a word
-        text = np.zeros((len(rows), width + m * SLOT), np.uint8)
-        text[:, : head.shape[1]] = head
-        slots = text[:, width:].reshape(len(rows), m, SLOT)
-        _render(np.stack([c[rows] for c in columns], axis=1), slots.view("<u8"))
-        slots[:, :, -1] = ord(",")
-        slots[:, -1, -2:] = (ord("\r"), ord("\n"))
-        fh.write(text[text != 0].tobytes())
+        rows = min(step, n - i)
+        block = np.arange(i, i + rows)
+        for (table, divisor), lo, hi in zip(lead, widths, widths[1:]):
+            np.take(table, block // divisor, axis=0, mode="wrap", out=text[:rows, lo:hi])
+        _render(np.stack([c[i : i + rows] for c in columns], axis=1), words[:rows])
+        slots[:rows, :, -1] = ord(",")
+        slots[:rows, -1, -2:] = (ord("\r"), ord("\n"))
+        part = text[:rows]
+        fh.write(part[part != 0])

@@ -121,11 +121,8 @@ def write_indicator_csv(path, field: IndicatorField) -> None:
     v = field.values
     with open(path, "wb") as fh:
         fh.write(_header([f"z{i+1}" for i in range(field.grid.dims)] + ["abs", "re", "im"]))
-        _text.write_rows(
-            fh,
-            [np.hypot(v.real, v.imag), v.real, v.imag],
-            lead=lambda r: np.hstack([prefix[r % len(prefix)], last[r // len(prefix)]]),
-        )
+        columns = [np.hypot(v.real, v.imag), v.real, v.imag]
+        _text.write_rows(fh, columns, lead=[(prefix, 1), (last, len(prefix))])
 
 
 def _nul_padded(texts: list[str]) -> np.ndarray:
