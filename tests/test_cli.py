@@ -114,7 +114,7 @@ def _edge_values(n, seed):
 @pytest.mark.parametrize(
     "lower, upper, counts",
     [([-4.0, -4.0], [4.0, 4.0], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5]),
-     ([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [23, 19, 13])],  # 5681 rows: three blocks
+     ([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [23, 19, 13])],  # 5681 rows span several blocks
 )
 def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts):
     grid = make_grid(lower, upper, counts)
