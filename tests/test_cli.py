@@ -126,14 +126,14 @@ def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts
     special[6:10] = [complex(np.inf, -np.inf), complex(np.nan, 1.0), complex(-2.5, np.nan),
                      complex(-np.nan, -np.inf)]
     header = [f"z{i+1}" for i in range(grid.dims)] + ["abs", "re", "im"]
-    for values in (fld, SimpleNamespace(grid=grid, values=special)):
+    for field in (fld, SimpleNamespace(grid=grid, values=special)):
         rows = (
             [_fmt(x) for x in grid.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
-            for i, v in enumerate(values.values)
+            for i, v in enumerate(field.values)
         )
         _reference_csv(tmp_path / "want.csv", header, rows)
         with np.errstate(over="ignore"):  # |values[5]| overflows to inf, as abs() does
-            write_indicator_csv(tmp_path / "got.csv", values)
+            write_indicator_csv(tmp_path / "got.csv", field)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
