@@ -34,8 +34,7 @@ from .indicators import (
     ReducedData,
     indicator_at,
     indicator_field,
-    moment_2d,
-    moment_3d,
+    moment,
     plane_wave_identity,
     reduced_data,
 )

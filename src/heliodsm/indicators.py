@@ -50,9 +50,10 @@ its sums over the azimuth are circular correlations, done with numpy's
 FFT.  Any other point set, unequal azimuth counts and all of 2D take the
 chunked path.
 
-`moment_2d` / `moment_3d` hold the closed forms of the circle / sphere
-integrals of d_p d_q e^{ik d.z}; they are the verification targets for the
-direction-set quadrature and the source of the decay-rate checks.
+`moment` holds the closed form of the circle and sphere integrals of
+d_p d_q e^{ik d.z}, one expression for both dimensions; it is the
+verification target for the direction-set quadrature and the source of the
+decay-rate checks.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ __all__ = [
     "indicator_grid_values",
     "indicator_at",
     "default_directions",
-    "moment_2d",
-    "moment_3d",
+    "moment",
     "decay_probe",
 ]
 
@@ -232,14 +232,19 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
     return ReducedData(directions=directions, values=out, phase_exps=exps)
 
 
-def plane_wave_identity(ensemble: SourceEnsemble, k: float, d) -> complex:
-    """Exact value of R(d) from the ensemble (Green's identity route)."""
+def plane_wave_identity(ensemble: SourceEnsemble, k: float, d):
+    """Exact value of R(d) from the ensemble (Green's identity route).
+
+    d is one direction (dims,), giving a complex, or an (n, dims) array of
+    directions, giving n values; each row takes the operations a lone
+    direction would.
+    """
     d = np.asarray(d, dtype=float)
-    total = 0.0 + 0.0j
+    total = np.zeros(d.shape[:-1], dtype=complex)
     for s in ensemble.sources:
-        phase = np.exp(1j * k * float(np.dot(d, s.location)))
-        total += (s.scalar_intensity - 1j * k * complex(np.dot(s.vector_intensity, d))) * phase
-    return total
+        phase = np.exp(1j * k * (d * s.location).sum(-1))
+        total = total + (s.scalar_intensity - 1j * k * (d * s.vector_intensity).sum(-1)) * phase
+    return complex(total) if total.ndim == 0 else total
 
 
 def _coefficients(dims: int, k: float, components: tuple[int, ...]) -> np.ndarray:
@@ -350,83 +355,43 @@ def indicator_field(reduced: ReducedData, k: float, grid: SamplingGrid, componen
 # closed-form moments (circle and sphere integrals of d_p d_q e^{ik d.z})
 # ----------------------------------------------------------------------
 
-def _sorted_pair(p: int, q: int, top: int) -> tuple[int, int]:
-    p, q = int(p), int(q)
-    if not (0 <= p <= top and 0 <= q <= top):
-        raise ValueError(f"moment indices must lie in 0..{top}")
-    return (p, q) if p <= q else (q, p)
+# radial kernels f_n of the moments: cylinder J_n on the circle, spherical
+# j_n on the sphere
+_RADIAL = {2: bessel_j, 3: spherical_j}
 
 
-def moment_2d(p: int, q: int, z, k: float):
-    """Closed form of int_{S^1} d_p d_q e^{ik d.z} ds(d), with d_0 == 1.
+def moment(p: int, q: int, z, k: float):
+    """Closed form of int_{S^(N-1)} d_p d_q e^{ik d.z} ds(d), with d_0 == 1.
 
-    z is one point (2,), giving a complex, or an array (..., 2) of points,
-    giving a complex array of the leading shape.
+    N is z.shape[-1] (2 or 3).  z is one point (N,), giving a complex, or
+    an array (..., N) of points, giving a complex array of the leading
+    shape.  With t = k|z|, zhat = z/|z| (0 at the origin), |S| = 2^(N-1) pi
+    and f_n = J_n (N = 2) or j_n (N = 3):
+
+        (0, 0) -> |S| f0(t),   (0, q) -> i |S| f1(t) zhat_q,
+        (p, q) -> |S| [(f0 + f2)(t) / N delta_pq - f2(t) zhat_p zhat_q].
     """
-    p, q = _sorted_pair(p, q, 2)
     z = np.asarray(z, dtype=float)
-    t = k * np.linalg.norm(z, axis=-1)
-    alpha = np.arctan2(z[..., 1], z[..., 0])  # 0 at the origin, where J1 = J2 = 0
-    j0, j1, j2 = (bessel_j(n, t) for n in range(3))
-    if (p, q) == (0, 0):
-        out = 2.0 * np.pi * j0
-    elif (p, q) == (0, 1):
-        out = 2.0j * np.pi * np.cos(alpha) * j1
-    elif (p, q) == (0, 2):
-        out = 2.0j * np.pi * np.sin(alpha) * j1
-    elif (p, q) == (1, 1):
-        out = np.pi * j0 - np.pi * np.cos(2 * alpha) * j2
-    elif (p, q) == (2, 2):
-        out = np.pi * j0 + np.pi * np.cos(2 * alpha) * j2
-    else:  # (1, 2)
-        out = -np.pi * np.sin(2 * alpha) * j2
+    dims = z.shape[-1] if z.ndim else 0
+    if dims not in _RADIAL:
+        raise ValueError(f"moment points must have 2 or 3 coordinates, got shape {z.shape}")
+    p, q = sorted((int(p), int(q)))
+    if not (0 <= p and q <= dims):
+        raise ValueError(f"moment indices must lie in 0..{dims}")
+    r = np.linalg.norm(z, axis=-1)[..., None]
+    zhat = np.divide(z, r, out=np.zeros_like(z), where=r > 0.0)
+    area = 2 ** (dims - 1) * np.pi
+
+    def f(n):
+        return _RADIAL[dims](n, k * r[..., 0])
+
+    if p == 0:
+        out = area * f(0) if q == 0 else 1j * area * f(1) * zhat[..., q - 1]
+    else:
+        f2 = f(2)
+        out = area * (((f(0) + f2) / dims if p == q else 0.0) - f2 * zhat[..., p - 1] * zhat[..., q - 1])
     out = np.asarray(out, dtype=complex)
     return complex(out) if out.ndim == 0 else out
-
-
-def moment_3d(p: int, q: int, z, k: float) -> complex:
-    """Closed form of int_{S^2} d_p d_q e^{ik d.z} ds(d), with d_0 == 1.
-
-    z is resolved as |z| (sin a cos b, sin a sin b, cos a) with a in [0, pi],
-    so sin a >= 0 throughout.
-    """
-    p, q = _sorted_pair(p, q, 3)
-    z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(z))
-    t = k * r
-    if t == 0.0:
-        if (p, q) == (0, 0):
-            return complex(4.0 * np.pi)
-        if p == q:
-            return complex(4.0 * np.pi / 3.0)
-        return 0.0j
-    j0, j1, j2 = spherical_j(0, t), spherical_j(1, t), spherical_j(2, t)
-    zhat = z / r
-    sa_cb, sa_sb, ca = zhat  # sin a cos b, sin a sin b, cos a
-    sa = math.hypot(sa_cb, sa_sb)
-    if (p, q) == (0, 0):
-        return complex(4.0 * np.pi * j0)
-    if p == 0:
-        return 4.0j * np.pi * j1 * zhat[q - 1]
-    if (p, q) == (3, 3):
-        return complex(4.0 * np.pi / 3.0 * j0 - 4.0 * np.pi / 3.0 * j2 * (3.0 * ca * ca - 1.0))
-    # the remaining forms need cos/sin of the azimuth
-    if sa == 0.0:
-        cb = sb = 0.0  # azimuth-dependent terms all carry a sin a factor
-    else:
-        cb, sb = sa_cb / sa, sa_sb / sa
-    if (p, q) in ((1, 1), (2, 2)):
-        sign = -1.0 if p == 1 else 1.0
-        return complex(
-            4.0 * np.pi / 3.0 * j0
-            + 2.0 * np.pi / 3.0 * j2 * (3.0 * ca * ca - 1.0)
-            + sign * 2.0 * np.pi * j2 * sa * sa * (cb * cb - sb * sb)
-        )
-    if (p, q) == (1, 2):
-        return complex(-2.0 * np.pi * j2 * sa * sa * 2.0 * sb * cb)
-    if (p, q) == (1, 3):
-        return complex(-4.0 * np.pi * j2 * sa * ca * cb)
-    return complex(-4.0 * np.pi * j2 * sa * ca * sb)  # (2, 3)
 
 
 def _orientation_sample(dims: int, count: int) -> np.ndarray:
@@ -457,9 +422,5 @@ def decay_probe(dims: int, p: int, q: int, kl_values, orientations: int = 24, wi
     out = []
     for base in kl:
         window = np.linspace(base, base + np.pi, window_samples)[:, None, None] * dirs
-        if dims == 2:
-            values = moment_2d(p, q, window, 1.0)
-        else:
-            values = [moment_3d(p, q, z, 1.0) for z in window.reshape(-1, 3)]
-        out.append(float(np.max(np.abs(values))))
+        out.append(float(np.max(np.abs(moment(p, q, window, 1.0)))))
     return out

@@ -75,23 +75,29 @@ def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -
         _text.write_rows(fh, columns)
 
 
+def _read_table(path) -> tuple[list[str], np.ndarray]:
+    """Header fields and float body of a CSV written here; errors name the file."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        body = fh.tell()
+        if not fh.readline().strip():  # loadtxt would only warn
+            raise ValueError(f"{path} holds no data rows")
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # ragged rows and non-numbers; rows count from 1 after the header
+            raise ValueError(f"{path} body: {exc}") from None
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path} rows do not match the {len(header)}-column header")
+    return header, data
+
+
 def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
     """Load (clean, noisy) Cauchy data written by write_cauchy_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"{path} holds no data rows")
-    header, body = rows[0], rows[1:]
+    header, data = _read_table(path)
     dims = sum(1 for h in header if h.startswith("x"))
     if dims not in (2, 3) or len(header) != 2 * dims + 9:
         raise ValueError(f"{path} does not have a cauchy.csv header")
-    bad = next((i for i, row in enumerate(body, 2) if len(row) != len(header)), None)
-    if bad is not None:
-        raise ValueError(f"{path} line {bad} does not match the {len(header)}-column header")
-    try:
-        data = np.array([[float(v) for v in row] for row in body])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     points = data[:, :dims]
     normals = data[:, dims : 2 * dims]
     weights = data[:, 2 * dims]
@@ -133,11 +139,9 @@ def _nul_padded(texts: list[str]) -> np.ndarray:
 
 
 def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorField:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
     n = grid.dims
-    values = np.array([float(r[n + 1]) + 1j * float(r[n + 2]) for r in body])
+    _, data = _read_table(path)
+    values = data[:, n + 1] + 1j * data[:, n + 2]
     return IndicatorField(grid=grid, component=component, values=values)
 
 

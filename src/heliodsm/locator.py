@@ -10,7 +10,8 @@ sampled are returned with the result, so callers never evaluate them
 again.  `dsm` (single level) and `dsm2` (two level) are its two entry
 points.
 
-Intensities are read off by fitting the plane-wave identity
+Intensities are read off by `recover_intensities`, which fits the
+plane-wave identity
 
     R(d) ~ sum_j (lambda_j - ik eta_j.d) e^{ik d.z_j}
 
@@ -48,9 +49,9 @@ fields actually look for multipolar ensembles:
   demonstrably lets them through while two wavelengths absorbs them, and
   source sparsity keeps two wavelengths far below the separation scale;
 * after clustering, a group is accepted only if its best member reaches
-  `group_significance` (default 0.65) of its component's maximum, which
-  removes far-field interference bumps that no per-component threshold
-  can separate from the weakest true peak.
+  DEFAULT_GROUP_SIGNIFICANCE (0.65, not an option) of its component's
+  maximum, which removes far-field interference bumps that no
+  per-component threshold can separate from the weakest true peak.
 
 Everything here is deterministic: ties in magnitude are broken by the
 lowest grid index, group and member orderings are fixed, and all heavy
@@ -169,8 +170,8 @@ class DsmOptions:
     to one (2*pi/k).  components defaults to all N+1 indicator components;
     restrict it (e.g. to (0,) for a priori monopole-only sources) to skip
     the others.  directions overrides the indicator-integral direction
-    set.  group_significance filters clustered groups by their best
-    component-normalized magnitude.
+    set.  Clustered groups are always filtered at
+    DEFAULT_GROUP_SIGNIFICANCE (see the module docstring).
     """
 
     significance: float = DEFAULT_SIGNIFICANCE
@@ -178,13 +179,10 @@ class DsmOptions:
     cluster_radius: float | None = None
     components: tuple[int, ...] | None = None
     directions: DirectionSet | None = None
-    group_significance: float = DEFAULT_GROUP_SIGNIFICANCE
 
     def __post_init__(self):
         if not (0.0 < self.significance <= 1.0):
             raise ValueError("significance must lie in (0, 1]")
-        if not (0.0 <= self.group_significance <= 1.0):
-            raise ValueError("group significance must lie in [0, 1]")
         if self.components is not None:
             object.__setattr__(self, "components", tuple(int(c) for c in self.components))
 
@@ -305,11 +303,15 @@ def _readoff_points(group: PeakGroup) -> tuple[np.ndarray, np.ndarray]:
     return lam_at, eta_at
 
 
-def _plane_wave_fit(groups, reduced: ReducedData, k: float) -> list[tuple[complex, np.ndarray]]:
-    """Joint weighted least-squares fit of the plane-wave identity.
+def recover_intensities(groups, reduced: ReducedData, k: float) -> list[tuple[complex, np.ndarray]]:
+    """Intensity read-offs (lambda, eta), one per group, fitted jointly.
 
     Minimizes sum_d w_d |R(d) - sum_j (lambda_j - ik eta_j.d) e^{ik d.z_j}|^2
-    over the direction nodes, with z_j the read-off points of each group.
+    over the direction nodes, with z_j the read-off points of each group
+    (see the module docstring).  Fitting the groups together keeps each
+    source's terms out of the others' read-offs; one group alone gives the
+    single-group fit.  For a lone source at its exact location the result
+    is exact up to the quadrature error of R(d).
     """
     if not groups:
         return []
@@ -324,20 +326,6 @@ def _plane_wave_fit(groups, reduced: ReducedData, k: float) -> list[tuple[comple
     design = np.stack(cols, axis=1) * sqrt_w[:, None]
     coef = np.linalg.lstsq(design, reduced.values * sqrt_w, rcond=None)[0]
     return [(complex(c[0]), c[1:]) for c in coef.reshape(len(groups), dirs.dims + 1)]
-
-
-def recover_intensities(
-    group: PeakGroup, reduced: ReducedData, k: float, others=()
-) -> tuple[complex, np.ndarray]:
-    """Intensity read-off (lambda, eta) of `group`, fitted jointly with `others`.
-
-    Fits the plane-wave identity for `group` and every group in `others`
-    at once (see the module docstring), so the cross-source terms of the
-    other groups are not attributed to this one; with no others it is the
-    single-group fit.  For a lone source at its exact location the result
-    is exact up to the quadrature error of R(d).
-    """
-    return _plane_wave_fit((group, *others), reduced, k)[0]
 
 
 def _classify(lam: complex, eta: np.ndarray, k: float) -> str:
@@ -368,7 +356,7 @@ def _finalize_groups(groups, reduced: ReducedData, k: float, q: float, params: d
     params["readoff_q"] = q
     params["readoff_coupling"] = "joint" if joint else "per_group"
     if joint:
-        fits = _plane_wave_fit(groups, reduced, k)
+        fits = recover_intensities(groups, reduced, k)
     else:
         if groups:
             warnings.warn(
@@ -376,7 +364,7 @@ def _finalize_groups(groups, reduced: ReducedData, k: float, q: float, params: d
                 "intensities are read per group without cross-source coupling",
                 stacklevel=4,
             )
-        fits = [_plane_wave_fit((g,), reduced, k)[0] for g in groups]
+        fits = [recover_intensities((g,), reduced, k)[0] for g in groups]
     return tuple(
         replace(g, lambda_estimate=lam, eta_estimate=eta, kind=_classify(lam, eta, k))
         for g, (lam, eta) in zip(groups, fits)
@@ -404,7 +392,7 @@ def _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_c
         "significance": options.significance,
         "merge_radius": merge,
         "cluster_radius": cluster,
-        "group_significance": options.group_significance,
+        "group_significance": DEFAULT_GROUP_SIGNIFICANCE,
         "components": list(comps),
         "direction_count": len(dirs),
         "grid_counts": list(grid.counts),
@@ -432,7 +420,7 @@ def _collect_peaks(fields, options, merge):
     return peaks, comp_max, comp_counts
 
 
-def _accept_groups(groups, comp_max, group_significance):
+def _accept_groups(groups, comp_max):
     """Drop groups whose best component-normalized magnitude is weak."""
 
     def strength(g: PeakGroup) -> float:
@@ -441,7 +429,7 @@ def _accept_groups(groups, comp_max, group_significance):
             for p in g.members
         )
 
-    accepted = [g for g in groups if strength(g) >= group_significance]
+    accepted = [g for g in groups if strength(g) >= DEFAULT_GROUP_SIGNIFICANCE]
     return accepted, len(groups) - len(accepted)
 
 
@@ -481,9 +469,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
         for p in peaks:
             comp_max[p.component] = max(comp_max[p.component], p.magnitude)
     watch.lap("refine")
-    accepted, rejected = _accept_groups(
-        cluster_peaks(peaks, cluster), comp_max, options.group_significance
-    )
+    accepted, rejected = _accept_groups(cluster_peaks(peaks, cluster), comp_max)
     watch.lap("cluster")
     algorithm = "dsm" if fine_counts is None else "dsm2"
     params = _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_counts)

@@ -20,9 +20,9 @@ Evaluation strategy
 * spherical j_n : closed trigonometric forms, with a short power series
   below t = 0.5 guarding against cancellation.
 
-J_n, Y_n and H_n^(1) take a scalar or an array of arguments through one
-code path, and each element takes the operations a lone scalar would, so
-it equals the scalar result bit for bit.  The spherical j_n stay scalar.
+Every function takes a scalar or an array of arguments through one code
+path, and each element takes the operations a lone scalar would, so it
+equals the scalar result bit for bit.
 
 Arguments above t = 1e4 are rejected rather than evaluated with silently
 degraded accuracy.  All functions are pure and reentrant.
@@ -71,11 +71,11 @@ def _check_order(order: int, allowed: tuple[int, ...], name: str) -> int:
     return int(order)
 
 
-def _branches(t: np.ndarray, series, integral) -> np.ndarray:
-    """series(t) below the crossover, integral(t) from it on, element by element."""
+def _branches(t: np.ndarray, series, integral, cutoff: float = _SERIES_CUTOFF) -> np.ndarray:
+    """series(t) below the cutoff, integral(t) from it on, element by element."""
     flat = t.ravel()
     out = np.empty(flat.shape)
-    low = flat < _SERIES_CUTOFF
+    low = flat < cutoff
     if low.any():
         out[low] = series(flat[low])
     if not low.all():
@@ -273,35 +273,41 @@ def hankel1(order: int, t):
     return _out(_j(order, t) + 1j * _y(order, t))
 
 
-def _spherical_series(n: int, t: float) -> float:
-    # j_n(t) = sum_p (-1)^p t^(n+2p) / (2^p p! (2n+2p+1)!!)
-    double_fact = 1.0
-    for m in range(1, 2 * n + 2, 2):
-        double_fact *= m
-    term = t**n / double_fact
+def _spherical_series(n: int, t: np.ndarray) -> np.ndarray:
+    # j_n(t) = sum_p (-1)^p t^(n+2p) / (2^p p! (2n+2p+1)!!); each element
+    # stops after the first term below 1e-20
+    term = t**n / math.prod(range(1, 2 * n + 2, 2))
     total = term
     t2 = t * t
+    live = np.ones(t.shape, dtype=bool)
     for p in range(1, 60):
-        term *= -t2 / (2.0 * p * (2 * n + 2 * p + 1))
-        total += term
-        if abs(term) < 1e-20:
+        term = term * (-t2 / (2.0 * p * (2 * n + 2 * p + 1)))
+        total = np.where(live, total + term, total)
+        live &= abs(term) >= 1e-20
+        if not live.any():
             break
     return total
 
 
-def spherical_j(order: int, t: float) -> float:
+def _spherical_trig(n: int, t: np.ndarray) -> np.ndarray:
+    s, c = np.sin(t), np.cos(t)
+    if n == 0:
+        return s / t
+    if n == 1:
+        return s / (t * t) - c / t
+    return (3.0 / t**3 - 1.0 / t) * s - 3.0 * c / (t * t)
+
+
+def spherical_j(order: int, t):
     """Spherical Bessel function j_order(t) for order in {0, 1, 2}.
 
     Closed trigonometric forms, with a series branch below t = 0.5 that
     avoids the small-argument cancellation; absolute error below 1e-12.
     """
     order = _check_order(order, (0, 1, 2), "spherical_j")
-    t = float(_check_t(t, "spherical_j"))
-    if t < _SPHERICAL_SERIES_CUTOFF:
-        return _spherical_series(order, t)
-    s, c = math.sin(t), math.cos(t)
-    if order == 0:
-        return s / t
-    if order == 1:
-        return s / (t * t) - c / t
-    return (3.0 / t**3 - 1.0 / t) * s - 3.0 * c / (t * t)
+    return _out(_branches(
+        _check_t(t, "spherical_j"),
+        lambda s: _spherical_series(order, s),
+        lambda s: _spherical_trig(order, s),
+        _SPHERICAL_SERIES_CUTOFF,
+    ))

@@ -23,15 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import SourceEnsemble, dipole, monopole, synthesize_cauchy
-from .geometry import circle_directions, circle_surface, sphere_directions, sphere_surface
-from .indicators import (
-    decay_probe,
-    indicator_at,
-    moment_2d,
-    moment_3d,
-    plane_wave_identity,
-    reduced_data,
-)
+from .geometry import DirectionSet, circle_directions, circle_surface, sphere_directions, sphere_surface
+from .indicators import decay_probe, indicator_at, moment, plane_wave_identity, reduced_data
 from .presets import preset_config
 from .specfun import bessel_j, bessel_y, spherical_j
 from .specfun import _j_integral, _j_series, _y0_series, _y1_series, _y_integral
@@ -92,32 +85,21 @@ def _check_branch_agreement() -> Check:
     return Check("series/integral branch agreement", worst <= 1e-9, f"max gap = {worst:.2e}")
 
 
-def _moment_check(dims: int) -> Check:
-    if dims == 2:
-        dirs = circle_directions(512)
-        pairs = [(p, q) for p in range(3) for q in range(p, 3)]
-        moment = moment_2d
-    else:
-        dirs = sphere_directions(64, 128)
-        pairs = [(p, q) for p in range(4) for q in range(p, 4)]
-        moment = moment_3d
+def _moment_check(dirs: DirectionSet) -> Check:
+    dims = dirs.dims
     rng = np.random.default_rng(2024 + dims)
     worst = 0.0
     k = 1.0
     for t in (0.0, 1.0, 5.0, 20.0, 50.0):
-        for _ in range(8):
-            zhat = rng.normal(size=dims)
-            zhat /= np.linalg.norm(zhat)
-            z = t * zhat
-            phase = np.exp(1j * k * (dirs.nodes @ z))
-            for p, q in pairs:
-                mono = np.ones(len(dirs))
-                if p > 0:
-                    mono = mono * dirs.nodes[:, p - 1]
-                if q > 0:
-                    mono = mono * dirs.nodes[:, q - 1]
-                quad = np.sum(dirs.weights * mono * phase)
-                worst = max(worst, abs(quad - moment(p, q, z, k)))
+        zhat = rng.normal(size=(8, dims))
+        zhat /= np.linalg.norm(zhat, axis=1)[:, None]
+        z = t * zhat
+        phase = np.exp(1j * k * (z @ dirs.nodes.T))  # (8, n_dir)
+        mono = np.vstack([np.ones(len(dirs)), dirs.nodes.T])  # d_0 == 1, d_1 .. d_N
+        for p in range(dims + 1):
+            for q in range(p, dims + 1):
+                quad = np.sum(dirs.weights * mono[p] * mono[q] * phase, axis=1)
+                worst = max(worst, float(np.max(np.abs(quad - moment(p, q, z, k)))))
     return Check(
         f"{dims}D closed-form moments vs quadrature", worst <= 1e-10, f"max gap = {worst:.2e}"
     )
@@ -136,7 +118,7 @@ def _identity_check(dims: int) -> Check:
     k = cfg.wavenumber
     cauchy = synthesize_cauchy(ens, k, surface)
     reduced = reduced_data(cauchy, k, dirs)
-    closed = np.array([plane_wave_identity(ens, k, d) for d in dirs.nodes])
+    closed = plane_wave_identity(ens, k, dirs.nodes)
     scale = np.max(np.abs(closed))
     gap = np.max(np.abs(reduced.values - closed)) / scale
     return Check(
@@ -214,8 +196,8 @@ def quick_checks() -> list:
         _check_recurrence,
         _check_series_bounds,
         _check_branch_agreement,
-        lambda: _moment_check(2),
-        lambda: _moment_check(3),
+        lambda: _moment_check(circle_directions(512)),
+        lambda: _moment_check(sphere_directions(64, 128)),
         lambda: _identity_check(2),
         lambda: _single_source_readoff(2),
     ]

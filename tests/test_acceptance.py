@@ -27,8 +27,7 @@ from heliodsm.indicators import (
     decay_probe,
     indicator_at,
     indicator_grid_values,
-    moment_2d,
-    moment_3d,
+    moment,
     plane_wave_identity,
     reduced_data,
 )
@@ -113,7 +112,7 @@ def test_criterion_2_moment_oracle():
                     if q:
                         mono = mono * dirs2.nodes[:, q - 1]
                     quad = np.sum(dirs2.weights * mono * phase2)
-                    worst = max(worst, abs(quad - moment_2d(p, q, z2, 1.0)))
+                    worst = max(worst, abs(quad - moment(p, q, z2, 1.0)))
             z3 = rng.normal(size=3)
             z3 *= radius / np.linalg.norm(z3)
             phase3 = np.exp(1j * (dirs3.nodes @ z3))
@@ -125,7 +124,7 @@ def test_criterion_2_moment_oracle():
                     if q:
                         mono = mono * dirs3.nodes[:, q - 1]
                     quad = np.sum(dirs3.weights * mono * phase3)
-                    worst = max(worst, abs(quad - moment_3d(p, q, z3, 1.0)))
+                    worst = max(worst, abs(quad - moment(p, q, z3, 1.0)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 30.0
     _report(2, ok, f"max |quadrature - closed form| = {worst:.2e}, {elapsed:.1f} s")
@@ -318,7 +317,7 @@ def test_criterion_9_intensity_readoff(example1_runs):
         members=(Peak(location=z, component=0, magnitude=abs(lam), grid_index=0),),
         centroid=z,
     )
-    lam_hat, eta_hat = recover_intensities(group, red, k)
+    [(lam_hat, eta_hat)] = recover_intensities((group,), red, k)
     m1_gap = max(abs(lam_hat - lam), float(np.max(np.abs(eta_hat))))
 
     # Example 1 at eps = 5%: relative read-off error per source, 5 seeds

@@ -11,7 +11,7 @@ from heliodsm.geometry import (
     sphere_directions,
     sphere_surface,
 )
-from heliodsm.indicators import moment_2d, moment_3d
+from heliodsm.indicators import moment
 
 
 def test_circle_directions_small():
@@ -40,7 +40,7 @@ def test_circle_monomial_quadrature_matches_closed_form():
     d = circle_directions(256)
     val = np.sum(d.weights * d.nodes[:, 0] ** 2)
     assert abs(val - math.pi) < 1e-13  # closed form of the d1^2 moment at z = 0
-    assert abs(val - moment_2d(1, 1, [0.0, 0.0], 1.0).real) < 1e-13
+    assert abs(val - moment(1, 1, [0.0, 0.0], 1.0).real) < 1e-13
 
 
 def test_sphere_directions_counts_and_sum():
@@ -61,7 +61,7 @@ def test_sphere_monomial_quadrature_matches_closed_forms():
             if q > 0:
                 mono = mono * d.nodes[:, q - 1]
             val = np.sum(d.weights * mono)
-            assert abs(val - moment_3d(p, q, z0, 1.0)) < 1e-12
+            assert abs(val - moment(p, q, z0, 1.0)) < 1e-12
 
 
 def test_sphere_d3_squared():

@@ -29,8 +29,7 @@ from heliodsm.indicators import (
     indicator_at,
     indicator_field,
     indicator_grid_values,
-    moment_2d,
-    moment_3d,
+    moment,
     plane_wave_identity,
     reduced_data,
 )
@@ -51,11 +50,14 @@ def _moment_by_quadrature(directions, p, q, z, k):
     return complex(np.sum(directions.weights * mono * phase))
 
 
-def test_moment_2d_trivial_values():
-    assert moment_2d(0, 0, [0.0, 0.0], 1.0) == pytest.approx(2 * math.pi)
-    assert moment_2d(1, 0, [0.0, 0.0], 1.0) == 0.0
-    assert moment_2d(1, 1, [0.0, 0.0], 1.0) == pytest.approx(math.pi)
-    assert moment_2d(1, 2, [0.0, 0.0], 1.0) == 0.0
+@pytest.mark.parametrize("dims", [2, 3])
+def test_moment_trivial_values(dims):
+    area = {2: 2 * math.pi, 3: 4 * math.pi}[dims]
+    origin = np.zeros(dims)
+    assert moment(0, 0, origin, 1.0) == pytest.approx(area)
+    assert moment(1, 0, origin, 1.0) == 0.0
+    assert moment(1, 1, origin, 1.0) == pytest.approx(area / dims)
+    assert moment(1, dims, origin, 1.0) == 0.0
 
 
 def test_moment_2d_diagonal_angle_drops_cos_term():
@@ -64,44 +66,25 @@ def test_moment_2d_diagonal_angle_drops_cos_term():
     z = r * np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
     dirs = circle_directions(512)
     quad = _moment_by_quadrature(dirs, 1, 1, z, k)
-    assert abs(quad - moment_2d(1, 1, z, k)) < 1e-12
+    assert abs(quad - moment(1, 1, z, k)) < 1e-12
     from heliodsm.specfun import bessel_j
 
-    assert moment_2d(1, 1, z, k) == pytest.approx(math.pi * bessel_j(0, 3.0), abs=1e-12)
+    assert moment(1, 1, z, k) == pytest.approx(math.pi * bessel_j(0, 3.0), abs=1e-12)
 
 
-def test_moment_2d_against_quadrature_sweep():
-    dirs = circle_directions(512)
-    rng = np.random.default_rng(11)
+@pytest.mark.parametrize("dims", [2, 3])
+def test_moment_against_quadrature_sweep(dims):
+    dirs = circle_directions(512) if dims == 2 else sphere_directions(64, 128)
+    rng = np.random.default_rng(9 + dims)  # seeds 11 and 12
     for t in (0.0, 1.0, 5.0, 20.0, 50.0):
         for _ in range(5):
-            zhat = rng.normal(size=2)
+            zhat = rng.normal(size=dims)
             zhat /= np.linalg.norm(zhat)
             z = t * zhat
-            for p in range(3):
-                for q in range(p, 3):
+            for p in range(dims + 1):
+                for q in range(p, dims + 1):
                     quad = _moment_by_quadrature(dirs, p, q, z, 1.0)
-                    assert abs(quad - moment_2d(p, q, z, 1.0)) < 1e-10
-
-
-def test_moment_3d_trivial_values():
-    assert moment_3d(0, 0, [0.0, 0.0, 0.0], 1.0) == pytest.approx(4 * math.pi)
-    assert moment_3d(1, 1, [0.0, 0.0, 0.0], 1.0) == pytest.approx(4 * math.pi / 3)
-    assert moment_3d(1, 3, [0.0, 0.0, 0.0], 1.0) == 0.0
-
-
-def test_moment_3d_against_quadrature_sweep():
-    dirs = sphere_directions(64, 128)
-    rng = np.random.default_rng(12)
-    for t in (0.0, 1.0, 5.0, 20.0, 50.0):
-        for _ in range(5):
-            zhat = rng.normal(size=3)
-            zhat /= np.linalg.norm(zhat)
-            z = t * zhat
-            for p in range(4):
-                for q in range(p, 4):
-                    quad = _moment_by_quadrature(dirs, p, q, z, 1.0)
-                    assert abs(quad - moment_3d(p, q, z, 1.0)) < 1e-10
+                    assert abs(quad - moment(p, q, z, 1.0)) < 1e-10
 
 
 def test_moment_3d_mixed_pair_example():
@@ -110,7 +93,7 @@ def test_moment_3d_mixed_pair_example():
     z = 5.0 * np.array([math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(a)])
     dirs = sphere_directions(64, 128)
     quad = _moment_by_quadrature(dirs, 1, 3, z, 1.0)
-    assert abs(quad - moment_3d(1, 3, z, 1.0)) < 1e-10
+    assert abs(quad - moment(1, 3, z, 1.0)) < 1e-10
 
 
 def test_moment_3d_on_polar_axis():
@@ -119,14 +102,30 @@ def test_moment_3d_on_polar_axis():
     for p in range(4):
         for q in range(p, 4):
             quad = _moment_by_quadrature(dirs, p, q, z, 1.0)
-            assert abs(quad - moment_3d(p, q, z, 1.0)) < 1e-11
+            assert abs(quad - moment(p, q, z, 1.0)) < 1e-11
 
 
 def test_moment_index_validation():
     with pytest.raises(ValueError):
-        moment_2d(0, 3, [1.0, 0.0], 1.0)
+        moment(0, 3, [1.0, 0.0], 1.0)
     with pytest.raises(ValueError):
-        moment_3d(4, 0, [1.0, 0.0, 0.0], 1.0)
+        moment(4, 0, [1.0, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError):
+        moment(0, 0, [1.0, 0.0, 0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_moment_on_arrays_equals_scalar_calls(dims):
+    rng = np.random.default_rng(13)
+    z = rng.normal(size=(4, 5, dims)) * 7.0
+    z[0, 0] = 0.0
+    z[0, 1] = [0.0] * (dims - 1) + [2.5]  # on the last axis
+    for p in range(dims + 1):
+        for q in range(dims + 1):
+            got = moment(p, q, z, 1.3)
+            assert got.shape == (4, 5)
+            ref = np.array([[moment(p, q, point, 1.3) for point in row] for row in z])
+            assert np.array_equal(got, ref)
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +188,17 @@ def test_plane_wave_identity_extended_precision_oracle():
         total += (lam - 1j * k * eta_d) * phase
     got = plane_wave_identity(ens, k, d)
     assert abs(got - complex(total)) < 1e-12
+
+
+@pytest.mark.parametrize("preset", ["example3", "example4"])
+def test_plane_wave_identity_on_arrays_equals_scalar_calls(preset):
+    cfg = preset_config(preset)
+    ens, dirs = cfg.ensemble(), cfg.direction_set()
+    got = plane_wave_identity(ens, cfg.wavenumber, dirs.nodes)
+    assert got.shape == (len(dirs),)
+    scalar = [plane_wave_identity(ens, cfg.wavenumber, d) for d in dirs.nodes]
+    assert all(type(v) is complex for v in scalar)
+    assert np.array_equal(got, scalar)
 
 
 def test_identity_couples_forward_and_reduction(example1):
@@ -514,20 +524,8 @@ def test_decay_probe_3d_00_env():
         assert val == pytest.approx(4 * math.pi / base, rel=0.05)
 
 
-def test_moment_2d_takes_point_arrays():
-    rng = np.random.default_rng(13)
-    z = rng.normal(size=(4, 5, 2)) * 7.0
-    z[0, 0] = 0.0
-    for p in range(3):
-        for q in range(p, 3):
-            got = moment_2d(p, q, z, 1.3)
-            assert got.shape == (4, 5)
-            ref = np.array([[moment_2d(p, q, point, 1.3) for point in row] for row in z])
-            assert np.max(np.abs(got - ref)) <= 1e-14
-
-
-@pytest.mark.parametrize("dims, moment", [(2, moment_2d), (3, moment_3d)])
-def test_decay_probe_is_the_window_max_of_the_moments(dims, moment):
+@pytest.mark.parametrize("dims", [2, 3])
+def test_decay_probe_is_the_window_max_of_the_moments(dims):
     kl = [12.0, 30.0]
     env = decay_probe(dims, 1, dims, kl, orientations=5, window_samples=4)
     dirs = ind._orientation_sample(dims, 5)

@@ -319,7 +319,7 @@ def test_recover_intensities_matches_readoff(example1):
     recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options())
     red = reduced_data(noisy, k, cfg.direction_set())
     g = recon.groups[0]
-    lam, eta = recover_intensities(g, red, k, others=recon.groups[1:])
+    lam, eta = recover_intensities(recon.groups, red, k)[0]
     assert lam == g.lambda_estimate
     assert np.array_equal(eta, g.eta_estimate)
     assert g.kind == "monopole"
@@ -383,9 +383,8 @@ def test_joint_readoff_removes_cross_source_terms():
     lam1, lam2 = 3.0 + 1.0j, -2.0 + 0.5j
     ens = SourceEnsemble(sources=(monopole(z1, lam1), monopole(z2, lam2)))
     red = reduced_data(synthesize_cauchy(ens, k, circle_surface(6.0, 1024)), k, circle_directions(256))
-    g1, g2 = _point_group(z1), _point_group(z2)
-    for g, others, lam in ((g1, (g2,), lam1), (g2, (g1,), lam2)):
-        lam_hat, eta_hat = recover_intensities(g, red, k, others=others)
+    fits = recover_intensities((_point_group(z1), _point_group(z2)), red, k)
+    for (lam_hat, eta_hat), lam in zip(fits, (lam1, lam2)):
         assert abs(lam_hat - lam) <= 1e-8
         assert np.max(np.abs(eta_hat)) <= 1e-8
     # the indicator at z1 also carries the other source's lambda_2 J0(k|z1 - z2|)
@@ -406,7 +405,7 @@ def test_underresolved_boundary_reads_per_group(example1):
     assert recon.parameters["readoff_coupling"] == "per_group"
     red = reduced_data(cauchy, k, cfg.direction_set())
     for g in recon.groups:
-        lam, eta = recover_intensities(g, red, k)
+        [(lam, eta)] = recover_intensities((g,), red, k)
         assert lam == g.lambda_estimate
         assert np.array_equal(eta, g.eta_estimate)
 

@@ -197,8 +197,9 @@ def test_outputs_finite_on_valid_domain():
 # array arguments
 # ----------------------------------------------------------------------
 
-# Both sides of the t = 12 crossover, integral arguments spread over many
-# node counts and panel counts, and repeated values inside one batch.
+# Both sides of the t = 12 crossover (and of spherical_j's t = 0.5),
+# integral arguments spread over many node counts and panel counts, and
+# repeated values inside one batch.
 ARRAY_ARGS = np.concatenate([
     np.linspace(1e-3, 11.999, 37),
     np.linspace(11.9, 12.1, 21),
@@ -209,7 +210,8 @@ ARRAY_ARGS = np.concatenate([
 
 @pytest.mark.parametrize(
     "fn, order",
-    [(bessel_j, 0), (bessel_j, 1), (bessel_j, 2), (bessel_y, 0), (bessel_y, 1), (hankel1, 0), (hankel1, 1)],
+    [(bessel_j, 0), (bessel_j, 1), (bessel_j, 2), (bessel_y, 0), (bessel_y, 1), (hankel1, 0), (hankel1, 1),
+     (spherical_j, 0), (spherical_j, 1), (spherical_j, 2)],
 )
 def test_array_equals_scalar_bitwise(fn, order):
     ts = np.random.default_rng(order).permutation(ARRAY_ARGS)
@@ -224,7 +226,7 @@ def test_array_equals_scalar_bitwise(fn, order):
 
 def test_array_shape_is_kept():
     ts = ARRAY_ARGS[:24].reshape(2, 3, 4)
-    for fn in (bessel_j, bessel_y, hankel1):
+    for fn in (bessel_j, bessel_y, hankel1, spherical_j):
         values = fn(1, ts)
         assert values.shape == ts.shape
         assert values[1, 2, 3] == fn(1, float(ts[1, 2, 3]))
