@@ -27,7 +27,7 @@ from .geometry import DirectionSet, circle_directions, circle_surface, sphere_di
 from .indicators import decay_probe, indicator_at, moment, plane_wave_identity, reduced_data
 from .presets import preset_config
 from .specfun import bessel_j, bessel_y, spherical_j
-from .specfun import _j_integral, _j_series, _y0_series, _y1_series, _y_integral
+from .specfun import _hankel_expansion, _j_series, _y0_series, _y1_series
 
 __all__ = ["Check", "run", "quick_checks", "full_checks"]
 
@@ -56,33 +56,29 @@ def _check_recurrence() -> Check:
 
 
 def _check_series_bounds() -> Check:
-    ok = True
-    worst = ""
     eps = 1e-10  # order-0 upper-bound margins are O(t^6), sub-ulp near 0
     ts = np.linspace(1e-4, 1.0 - 1e-9, 600)
-    js = [bessel_j(n, ts) for n in range(3)]
-    for t, j0, j1, j2 in zip(ts, *js):
-        checks = [
-            0.0 < j0 < 1.0 - t * t / 4.0 + t**4 / 64.0 + eps,
-            0.0 < j1 < t / 2.0,
-            0.0 < j2 < t * t / 8.0,
-            0.0 < spherical_j(0, t) < 1.0 - t * t / 6.0 + t**4 / 120.0 + eps,
-            0.0 < spherical_j(1, t) < t / 3.0,
-            0.0 < spherical_j(2, t) < t * t / 15.0,
-        ]
-        if not all(checks):
-            ok = False
-            worst = f"violated at t = {t:.6f}"
-            break
-    return Check("small-argument envelope bounds", ok, worst or "all hold on (0, 1)")
+    j0, j1, j2 = (bessel_j(n, ts) for n in range(3))
+    s0, s1, s2 = (spherical_j(n, ts) for n in range(3))
+    holds = (
+        (0.0 < j0) & (j0 < 1.0 - ts * ts / 4.0 + ts**4 / 64.0 + eps)
+        & (0.0 < j1) & (j1 < ts / 2.0)
+        & (0.0 < j2) & (j2 < ts * ts / 8.0)
+        & (0.0 < s0) & (s0 < 1.0 - ts * ts / 6.0 + ts**4 / 120.0 + eps)
+        & (0.0 < s1) & (s1 < ts / 3.0)
+        & (0.0 < s2) & (s2 < ts * ts / 15.0)
+    )
+    detail = "all hold on (0, 1)" if holds.all() else f"violated at t = {ts[~holds][0]:.6f}"
+    return Check("small-argument envelope bounds", holds.all(), detail)
 
 
 def _check_branch_agreement() -> Check:
-    ts = np.linspace(10.0, 14.0, 81)
-    gaps = [_j_series(n, ts) - _j_integral(n, ts) for n in range(3)]
-    gaps += [_y0_series(ts) - _y_integral(0, ts), _y1_series(ts) - _y_integral(1, ts)]
+    ts = np.linspace(14.0, 18.0, 81)
+    h = [_hankel_expansion(n, ts) for n in range(3)]
+    gaps = [_j_series(n, ts) - h[n].real for n in range(3)]
+    gaps += [_y0_series(ts) - h[0].imag, _y1_series(ts) - h[1].imag]
     worst = float(np.max(np.abs(gaps)))
-    return Check("series/integral branch agreement", worst <= 1e-9, f"max gap = {worst:.2e}")
+    return Check("series/asymptotic branch agreement", worst <= 1e-9, f"max gap = {worst:.2e}")
 
 
 def _moment_check(dirs: DirectionSet) -> Check:

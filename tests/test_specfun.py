@@ -82,14 +82,14 @@ def test_y0_log_divergence_near_origin():
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_j_against_scipy_across_domain(order):
-    ts = np.concatenate([np.linspace(1e-6, 11.99, 211), np.linspace(12.0, 200.0, 211)])
+    ts = np.concatenate([np.linspace(1e-6, 15.99, 211), np.linspace(16.0, 200.0, 211)])
     worst = max(abs(bessel_j(order, t) - special.jv(order, t)) for t in ts)
     assert worst < 1e-12
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_y_against_scipy_across_domain(order):
-    ts = np.concatenate([np.linspace(1e-3, 11.99, 211), np.linspace(12.0, 200.0, 211)])
+    ts = np.concatenate([np.linspace(1e-3, 15.99, 211), np.linspace(16.0, 200.0, 211)])
     worst = max(abs(bessel_y(order, t) - special.yn(order, t)) for t in ts)
     assert worst < 1e-10
 
@@ -183,7 +183,7 @@ def test_domain_rejections():
 
 
 def test_outputs_finite_on_valid_domain():
-    for t in (1e-3, 0.3, 11.999, 12.0, 57.0, 200.0):
+    for t in (1e-3, 0.3, 11.999, 12.0, 15.999, 16.0, 57.0, 200.0):
         for order in (0, 1, 2):
             assert math.isfinite(bessel_j(order, t))
             assert math.isfinite(spherical_j(order, t))
@@ -197,12 +197,13 @@ def test_outputs_finite_on_valid_domain():
 # array arguments
 # ----------------------------------------------------------------------
 
-# Both sides of the t = 12 crossover (and of spherical_j's t = 0.5),
-# integral arguments spread over many node counts and panel counts, and
+# Both sides of the t = 16 crossover (and of spherical_j's t = 0.5), large
+# arguments whose expansions stop after different numbers of terms, and
 # repeated values inside one batch.
 ARRAY_ARGS = np.concatenate([
     np.linspace(1e-3, 11.999, 37),
     np.linspace(11.9, 12.1, 21),
+    np.linspace(15.9, 16.1, 21),
     np.linspace(12.0, 400.0, 53),
     [2500.5, 9999.0, 3.3, 3.3, 57.0, 57.0],
 ])
