@@ -32,13 +32,14 @@ On rectangular grids of any dimension the plane-wave factor separates per
 axis, and the grid kernel sees the directions as A rings of B directions
 that share their last coordinate d_N.  A ring-major product rule (see
 `_product_rule`) gives n_theta rings of B = n_phi; any other set, and all
-of 2D, gives n_dir rings of B = 1.  The kernel folds the component weights
-and the factors of the middle axes into (A, B, R) rows W_a, forms one
-per-ring product H_a = X_a @ W_a with the first axis' factor X_a, and
-contracts the rings with the last axis' factor e^{-ik z d_N}, which is
-constant on every ring.  On the 42 x 43 rule and a 60^3 grid that is
-about 16 M complex multiply-adds per component instead of 390 M for one
-product over all directions.
+of 2D, gives n_dir rings of B = 1.  The kernel folds its weight columns
+(the component weights, or one column per dsm2 fine grid) and the factors
+of the middle axes into (A, B, R) rows W_a, forms one per-ring product
+H_a = X_a @ W_a with the first axis' factor X_a, and contracts the rings
+with the last axis' factor e^{-ik z d_N}, which is constant on every
+ring.  On the 42 x 43 rule and a 60^3 grid that is about 16 M complex
+multiply-adds per component instead of 390 M for one product over all
+directions.
 
 In 3D, when both the measurement sphere and the direction set are
 Gauss-Legendre x uniform-azimuth product rules with the same azimuth
@@ -247,24 +248,16 @@ def plane_wave_identity(ensemble: SourceEnsemble, k: float, d):
     return complex(total) if total.ndim == 0 else total
 
 
-def _coefficients(dims: int, k: float, components: tuple[int, ...]) -> np.ndarray:
-    base = 1.0 / (2 ** (dims - 1) * np.pi)
-    out = np.empty(len(components), dtype=complex)
-    for i, ell in enumerate(components):
-        a = 1.0 if ell == 0 else dims * 1j / k
-        out[i] = a * base * coefficient_scale
-    return out
-
-
-def _component_weights(reduced: ReducedData, k: float, components: tuple[int, ...]) -> np.ndarray:
+def _component_weights(reduced: ReducedData, k: float, components) -> np.ndarray:
     """(n_dir, L) matrix: quadrature weight * R(d) * d_ell * a_ell / (2^(N-1) pi)."""
     dirs = reduced.directions
-    coeff = _coefficients(dirs.dims, k, components)
-    base = dirs.weights * reduced.values
+    base = 1.0 / (2 ** (dirs.dims - 1) * np.pi)
+    weighted = dirs.weights * reduced.values
     cols = []
-    for i, ell in enumerate(components):
+    for ell in components:
+        a = 1.0 if ell == 0 else dirs.dims * 1j / k
         monomial = np.ones(len(dirs)) if ell == 0 else dirs.nodes[:, ell - 1]
-        cols.append(coeff[i] * base * monomial)
+        cols.append(complex(a * base * coefficient_scale) * weighted * monomial)
     return np.stack(cols, axis=1)
 
 
@@ -306,29 +299,25 @@ def _rings(directions: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, n_phi, 3), cos_t
 
 
-def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:
-    """All requested indicator components on a grid; returns (len(grid), L).
+def _grid_kernel(weights: np.ndarray, directions: DirectionSet, k: float, axes) -> np.ndarray:
+    """sum_d weights[d, p] e^{-ik d.z} on the lattice of `axes`, as (n_points, P).
 
-    Exploits the tensor-product structure of the grid and the ring
+    Exploits the tensor-product structure of the lattice and the ring
     structure of the directions (see `_rings`): with x, y, z the first,
     middle and last axes,
 
         I(x, y, z) = sum_a e^{-ik z c_a} sum_b e^{-ik x d_x} [v e^{-ik y d_y}](a, b),
 
-    where c_a is ring a's d_N and v the component weights.  The bracket is
-    folded into (A, B, n_y * L) rows W; for each block of first-axis
+    where c_a is ring a's d_N and v the weight columns.  The bracket is
+    folded into (A, B, n_y * P) rows W; for each block of first-axis
     points, one batched product forms the ring sums H_a = X_a @ W_a and one
     product contracts them with the last axis' (A x n_z) factor.  Blocks
     hold at most _RING_BLOCK entries of H (or one first-axis point), which
     also bounds the memory when every ring has one direction.
     """
-    comps = _check_components(reduced.dims, components)
-    if grid.dims != reduced.dims:
-        raise ValueError("grid and reduced data have different dimensions")
-    rings, level = _rings(reduced.directions)
+    rings, level = _rings(directions)
     n_ring, per_ring, dims = rings.shape
-    axes = grid.axes()
-    w = _component_weights(reduced, k, comps).reshape(n_ring, per_ring, -1)
+    w = weights.reshape(n_ring, per_ring, -1)
     for i in range(1, dims - 1):  # middle axes; a later axis varies slower
         f = np.exp(-1j * k * rings[:, :, i, None] * axes[i])
         w = (f[:, :, :, None] * w[:, :, None, :]).reshape(n_ring, per_ring, -1)
@@ -341,8 +330,17 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
         return (ring_sums.T @ last).reshape(s.stop - s.start, -1)
 
     out = _chunked(len(axes[0]), width * len(axes[-1]), block, max(1, _RING_BLOCK // (n_ring * width)))
-    # out[x, (y, l, z)] -> flat grid order: x + n_x * (y + n_y * z)
-    return out.reshape(len(axes[0]), -1, len(comps), len(axes[-1])).transpose(3, 1, 0, 2).reshape(-1, len(comps))
+    # out[x, (y, p, z)] -> flat grid order: x + n_x * (y + n_y * z)
+    n_cols = weights.shape[1]
+    return out.reshape(len(axes[0]), -1, n_cols, len(axes[-1])).transpose(3, 1, 0, 2).reshape(-1, n_cols)
+
+
+def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:
+    """All requested indicator components on a grid; returns (len(grid), L)."""
+    comps = _check_components(reduced.dims, components)
+    if grid.dims != reduced.dims:
+        raise ValueError("grid and reduced data have different dimensions")
+    return _grid_kernel(_component_weights(reduced, k, comps), reduced.directions, k, grid.axes())
 
 
 def indicator_field(reduced: ReducedData, k: float, grid: SamplingGrid, component: int) -> IndicatorField:

@@ -35,7 +35,10 @@ each group alone at the same points.
 the relevant component on a small fine grid (side one wavelength, 2*pi/k)
 around each coarse maximizer and keeps the fine argmax before clustering.
 Fine grids are shifted, never shrunk, to stay inside the probe box so
-every reported location remains inside it.
+every reported location remains inside it.  Every fine grid is the same
+local lattice x shifted to its corner c_p, and e^{-ik d.(c_p + x)} =
+e^{-ik d.c_p} e^{-ik d.x}, so all of them are one grid-kernel call on x
+with one weight column per peak.
 
 Spurious-structure handling is layered, reflecting how the indicator
 fields actually look for multipolar ensembles:
@@ -68,10 +71,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .forward import CauchyData
-from .geometry import DirectionSet, SamplingGrid, make_grid
+from .geometry import DirectionSet, SamplingGrid
 from .indicators import (
     IndicatorField,
     ReducedData,
+    _component_weights,
+    _grid_kernel,
     default_directions,
     indicator_grid_values,
     reduced_data,
@@ -216,10 +221,9 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     for off in np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims):
         if np.any(off):
             is_max &= level > padded[tuple(at + off[:, None])]
-    idx = idx[is_max]
+    idx, mags = idx[is_max], level[is_max]
     if idx.size == 0:
         return []
-    mags = np.abs(field.values[idx])
     order = np.lexsort((idx, -mags))
     idx = idx[order]
     mags = mags[order]
@@ -452,16 +456,16 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
     options, merge, cluster, comps, dirs = _resolved(options, k, cauchy.dims)
     reduced = reduced_data(cauchy, k, dirs)
     watch.lap("reduce")
-    values = indicator_grid_values(reduced, k, grid, comps)
-    fields = tuple(
-        IndicatorField(grid=grid, component=ell, values=values[:, i]) for i, ell in enumerate(comps)
+    fields = tuple(  # each field copies its column, so the (n, L) block is freed here
+        IndicatorField(grid=grid, component=ell, values=v)
+        for ell, v in zip(comps, indicator_grid_values(reduced, k, grid, comps).T)
     )
     watch.lap("grid")
     peaks, comp_max, comp_counts = _collect_peaks(fields, options, merge)
     watch.lap("peaks")
     grid_points, fine_grids = [len(grid)], 0
     if fine_counts is not None:
-        peaks = [_refine(p, reduced, k, grid, fine_counts) for p in peaks]
+        peaks = _refine(peaks, reduced, k, grid, fine_counts)
         fine_grids = len(peaks)
         grid_points.append(fine_grids * math.prod(fine_counts))
         # fine grids resolve peaks better than the coarse lattice; normalize
@@ -500,34 +504,29 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | 
     return _sample(cauchy, k, grid, options, None)
 
 
-def _fine_grid(center: np.ndarray, side: float, grid: SamplingGrid, counts) -> SamplingGrid:
-    lower, upper = [], []
-    for i in range(grid.dims):
-        span = grid.upper[i] - grid.lower[i]
-        if side >= span:
-            lo, hi = grid.lower[i], grid.upper[i]
-        else:
-            lo = max(grid.lower[i], center[i] - side / 2.0)
-            hi = lo + side
-            if hi > grid.upper[i]:
-                hi = grid.upper[i]
-                lo = hi - side
-        lower.append(lo)
-        upper.append(hi)
-    return make_grid(lower, upper, counts)
-
-
-def _refine(peak: Peak, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> Peak:
-    """Argmax of |I_ell| over a one-wavelength fine grid around `peak`."""
-    fine = _fine_grid(peak.location, 2.0 * math.pi / k, grid, fine_counts)
-    vals = indicator_grid_values(reduced, k, fine, (peak.component,))[:, 0]
-    best = int(np.argmax(np.abs(vals)))
-    return Peak(
-        location=fine.points[best],
-        component=peak.component,
-        magnitude=float(abs(vals[best])),
-        grid_index=best,
-    )
+def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> list[Peak]:
+    """Argmax of |I_ell| over a one-wavelength fine grid around each peak (the
+    box span on a narrower axis); one grid-kernel call on the local lattice x
+    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}."""
+    if not peaks:
+        return []
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
+    side = np.minimum(2.0 * math.pi / k, upper - lower)
+    lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
+    over = lo + side > upper  # shift down; max() as upper - span may round below lower
+    lo, hi = np.where(over, np.maximum(lower, upper - side), lo), np.where(over, upper, lo + side)
+    dirs = reduced.directions
+    weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ lo.T))
+    local = [np.linspace(0.0, s, n) for s, n in zip(side, fine_counts)]
+    magnitudes = np.abs(_grid_kernel(weights, dirs, k, local))
+    best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
+    index = np.unravel_index(best, fine_counts, order="F")
+    # report the fine grids' own points, np.linspace(lo, hi, n) on each axis
+    at = np.stack([np.linspace(lo[:, i], hi[:, i], n)[index[i], cols] for i, n in enumerate(fine_counts)], axis=1)
+    return [
+        Peak(location=loc, component=p.component, magnitude=float(m), grid_index=int(i))
+        for p, loc, m, i in zip(peaks, at, magnitudes[best, cols], best)
+    ]
 
 
 def dsm2(
@@ -541,7 +540,8 @@ def dsm2(
 
     Each coarse maximizer of component ell gets a fine grid of side 2*pi/k
     centered on it (clamped into the probe box); the refined maximizer is
-    the argmax of |I_ell| over that fine grid.
+    the argmax of |I_ell| over that fine grid.  One grid-kernel call
+    evaluates all fine grids (see the module docstring).
     """
     if max(coarse_grid.spacing) > math.pi / k:
         warnings.warn(

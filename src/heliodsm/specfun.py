@@ -75,10 +75,10 @@ def _check_order(order: int, allowed: tuple[int, ...], name: str) -> int:
     return int(order)
 
 
-def _branches(t: np.ndarray, series, large, cutoff: float = _SERIES_CUTOFF) -> np.ndarray:
+def _branches(t: np.ndarray, series, large, cutoff: float = _SERIES_CUTOFF, dtype=float) -> np.ndarray:
     """series(t) below the cutoff, large(t) from it on, element by element."""
     flat = t.ravel()
-    out = np.empty(flat.shape)
+    out = np.empty(flat.shape, dtype=dtype)
     low = flat < cutoff
     if low.any():
         out[low] = series(flat[low])
@@ -223,11 +223,13 @@ def hankel1(order: int, t):
     """Hankel function of the first kind, H_order^(1)(t) = J + i*Y, order in {0, 1}.
 
     Real and imaginary parts are bessel_j and bessel_y bit for bit, with
-    their error bounds.
+    their error bounds; from t = 16 on both come from one expansion.
     """
     order = _check_order(order, (0, 1), "hankel1")
     t = _check_t(t, "hankel1", positive=True)
-    return _out(_j(order, t) + 1j * _y(order, t))
+    y_series = _y0_series if order == 0 else _y1_series
+    return _out(_branches(t, lambda s: _j_series(order, s) + 1j * y_series(s),
+                          lambda s: _hankel_expansion(order, s), dtype=complex))
 
 
 def _spherical_series(n: int, t: np.ndarray) -> np.ndarray:

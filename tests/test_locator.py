@@ -1,6 +1,7 @@
 """Peak extraction, clustering, and the sampling drivers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from heliodsm.locator import (
     DsmOptions,
     Peak,
     PeakGroup,
+    _refine,
     cluster_peaks,
     dsm,
     dsm2,
@@ -270,6 +272,63 @@ def test_centroids_stay_inside_probe_box(example1):
     for g in recon.groups:
         assert np.all(g.centroid >= np.array(coarse.lower) - 1e-12)
         assert np.all(g.centroid <= np.array(coarse.upper) + 1e-12)
+
+
+def _per_peak_refine(peak, reduced, k, grid, fine_counts):
+    """Reference refinement: one clamped fine grid and one grid evaluation
+    per peak; returns the fine argmax index, its point and its |I|."""
+    side = 2.0 * math.pi / k
+    lower, upper = [], []
+    for box_lo, box_hi, c in zip(grid.lower, grid.upper, peak.location):
+        lo, hi = box_lo, box_hi  # an axis narrower than one wavelength: the whole span
+        if side < box_hi - box_lo:
+            lo = max(box_lo, c - side / 2.0)
+            hi = lo + side
+            if hi > box_hi:
+                lo, hi = box_hi - side, box_hi
+        lower.append(lo)
+        upper.append(hi)
+    fine = make_grid(lower, upper, fine_counts)
+    magnitude = np.abs(indicator_grid_values(reduced, k, fine, (peak.component,))[:, 0])
+    best = int(np.argmax(magnitude))
+    return best, fine.points[best], magnitude[best]
+
+
+# preset, and the probe box (lower, upper, coarse counts) if not the preset's
+REFINE_CASES = {
+    "example1": ("example1", None),
+    "example5": ("example5", None),
+    "clipped": ("example1", ([-4.0, -4.0], [3.0, 3.0], [88, 88])),
+    "narrow": ("example1", ([-4.0, 2.85], [4.0, 3.15], [88, 8])),  # y span 0.3 < 2 pi / 15
+}
+
+
+@pytest.mark.parametrize("case", list(REFINE_CASES))
+def test_batched_refine_matches_per_peak_fine_grids(case):
+    preset, box = REFINE_CASES[case]
+    cfg = preset_config(preset)
+    k = cfg.wavenumber
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        noisy = add_noise(synthesize_cauchy(cfg.ensemble(), k, cfg.surface()), cfg.noise_spec())
+    grid = cfg.grid() if box is None else make_grid(*box)
+    reduced = reduced_data(noisy, k, cfg.direction_set())
+    values = indicator_grid_values(reduced, k, grid)
+    peaks = [
+        p
+        for ell in range(grid.dims + 1)
+        for p in find_peaks(IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)
+    ]
+    assert len({p.component for p in peaks}) == grid.dims + 1
+    refined = _refine(peaks, reduced, k, grid, cfg.fine_counts)
+    assert len(refined) == len(peaks)
+    for peak, got in zip(peaks, refined):
+        index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, cfg.fine_counts)
+        assert got.component == peak.component
+        assert got.grid_index == index
+        assert np.max(np.abs(got.location - location)) <= 1e-12
+        assert abs(got.magnitude - magnitude) <= 1e-12 * magnitude
+        assert np.all(got.location >= grid.lower) and np.all(got.location <= grid.upper)
 
 
 def test_example2_spurious_spike_suppression():

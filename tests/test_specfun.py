@@ -225,6 +225,14 @@ def test_array_equals_scalar_bitwise(fn, order):
     assert type(fn(order, 12.5)) is expected and type(fn(order, np.float64(3.0))) is expected
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_hankel_parts_are_j_and_y_bitwise_on_arrays(order):
+    # across the t = 16 crossover, where both parts come from one expansion
+    h = hankel1(order, ARRAY_ARGS)
+    assert h.real.tobytes() == bessel_j(order, ARRAY_ARGS).tobytes()
+    assert h.imag.tobytes() == bessel_y(order, ARRAY_ARGS).tobytes()
+
+
 def test_array_shape_is_kept():
     ts = ARRAY_ARGS[:24].reshape(2, 3, 4)
     for fn in (bessel_j, bessel_y, hankel1, spherical_j):
