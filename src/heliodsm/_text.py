@@ -17,12 +17,16 @@ Python call per value:
 * **Layout.** ``repr`` writes 1e16 and up, and below 1e-4, as
   ``d.ddde+XX``, and the rest positionally with a ``.0`` suffix on
   integers. Every value's text sits in a 32-byte slot: the digits behind
-  seven ``0`` bytes, then the exponent suffix. A per-layout table (decimal
-  point position x significant digits) gives the byte window that is
-  kept and where the point goes; uint64 shifts insert it. The bytes left
-  out are NUL, so one ``M[M != 0]`` compacts a whole block of rows.
+  seven ``0`` bytes, then the exponent suffix, then the value's separator
+  in bytes 30-31 (``,``, or ``\r\n`` after a row's last value), which the
+  last word of the slot takes in the same store. A per-layout table
+  (decimal point position x significant digits) gives the byte window
+  that is kept and where the point goes; uint64 shifts insert it. The
+  bytes left out are NUL, so one ``M[M != 0]`` compacts a whole block of
+  rows; `strings` compacts all its slots with one mask and splits the
+  text at the separators once.
 * **Fallback.** Subnormals, infinities and nan take ``repr`` itself, one
-  value at a time.
+  value at a time; the slot is rewritten whole and gets its separator back.
 
 Integer work runs in int64 where the values fit and otherwise in uint64
 with explicit ``np.uint64`` constants only: numpy 1.x promotes uint64 mixed
@@ -38,7 +42,7 @@ import numpy as np
 
 __all__ = ["write_rows", "strings"]
 
-SLOT = 32  # bytes per value: text (at most 24 bytes, in bytes 0-29), NUL, separator
+SLOT = 32  # bytes per value: text (at most 24 bytes, in bytes 0-29), separator (bytes 30-31)
 # Values rendered per pass. A pass holds about 1 MB of uint64 temporaries
 # of 32 kB each; 8192 values wrote about 7% faster but raised the peak RSS
 # of a 2D reconstruct by 0.7 MB, and temporaries ten times longer ran many
@@ -51,6 +55,8 @@ _M52 = np.int64((1 << 52) - 1)
 _HIDDEN = _U(1 << 52)
 _ZEROS = _U(0x3030303030303030)  # eight ASCII '0'
 _ONE = np.float64(1.0).view(np.int64)
+_COMMA = _U(ord(",") << 56)  # the last word of a slot with "," in byte 31
+_CRLF = _U(ord("\r") << 48 | ord("\n") << 56)  # "\r\n" in bytes 30-31
 _KMIN = -324  # the least k = floor(log10(2^q)) of a normal double
 
 
@@ -177,14 +183,15 @@ def _shortest(mag, tables):
     wpin = (sp << _U(2)) + _U(40) <= vbr
     uin = vbl <= s4
     up = ~uin | ((s4 + _U(4) <= vbr) & (vb + (s & _U(1)) > s4 + _U(2)))
-    d = np.where(upin != wpin, np.where(wpin, sp + _U(10), sp), np.where(up, s + _U(1), s))
+    d = np.where(upin != wpin, sp + wpin * _U(10), s + up)
     return d, k
 
 
-def _render(x, out) -> None:
+def _render(x, out, sep) -> None:
     """Write the repr text of each float64 in `x` into the uint64 words `out` (x.shape + (4,)).
 
-    A slot holds the text NUL-padded in bytes 0-29; bytes 30 and 31 are NUL.
+    A slot holds the text NUL-padded in bytes 0-29 and the separator in
+    bytes 30-31: `sep` (broadcast against `x`) is or-ed into its last word.
     """
     scale, powers, layouts, suffixes, ascii4 = _tables()
     bits = x.view(np.int64)
@@ -224,18 +231,20 @@ def _render(x, out) -> None:
     out[..., 0] = (z0 ^ a0) | (a0 << _U(8)) | p0 | ((bits.view(_U) >> _U(63)) * _U(ord("-")))
     out[..., 1] = (z1 ^ a1) | (a1 << _U(8)) | (a0 >> _U(56)) | p1
     out[..., 2] = (z2 ^ a2) | (a2 << _U(8)) | (a1 >> _U(56)) | p2
-    out[..., 3] = (a2 >> _U(56)) | suffixes[np.where(positional, 0, decpt + 308)]
+    out[..., 3] = (a2 >> _U(56)) | suffixes[np.where(positional, 0, decpt + 308)] | sep
     for i in zip(*np.nonzero(special & ~zero)):
         out[i] = np.frombuffer(repr(float(x[i])).encode().ljust(SLOT, b"\0"), "<u8")
+        out[i + (3,)] |= np.broadcast_to(sep, x.shape)[i]
 
 
 def strings(values) -> list[str]:
     """``[repr(float(v)) for v in values]``, rendered by the same code as `write_rows`."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    slots = np.empty((len(x), SLOT), np.uint8)
+    slots = np.empty((len(x), 4), "<u8")
     for i in range(0, len(x), BLOCK):
-        _render(x[i : i + BLOCK], slots[i : i + BLOCK].view("<u8"))
-    return [slot[slot != 0].tobytes().decode() for slot in slots]
+        _render(x[i : i + BLOCK], slots[i : i + BLOCK], _COMMA)
+    text = slots.view(np.uint8)
+    return text[text != 0].tobytes().decode().split(",")[:-1]
 
 
 def write_rows(fh, columns, lead=()) -> None:
@@ -252,15 +261,14 @@ def write_rows(fh, columns, lead=()) -> None:
     widths = np.cumsum([0] + [table.shape[1] for table, _ in lead])
     start = -(-widths[-1] // 8) * 8  # the slots start on a word
     text = np.zeros((step, start + m * SLOT), np.uint8)
-    slots = text[:, start:].reshape(step, m, SLOT)
-    words = slots.view("<u8")
+    words = text[:, start:].view("<u8").reshape(step, m, 4)
+    sep = np.full(m, _COMMA)
+    sep[-1] = _CRLF
     for i in range(0, n, step):
         rows = min(step, n - i)
         block = np.arange(i, i + rows)
         for (table, divisor), lo, hi in zip(lead, widths, widths[1:]):
             np.take(table, block // divisor, axis=0, mode="wrap", out=text[:rows, lo:hi])
-        _render(np.stack([c[i : i + rows] for c in columns], axis=1), words[:rows])
-        slots[:rows, :, -1] = ord(",")
-        slots[:rows, -1, -2:] = (ord("\r"), ord("\n"))
+        _render(np.stack([c[i : i + rows] for c in columns], axis=1), words[:rows], sep)
         part = text[:rows]
         fh.write(part[part != 0])

@@ -137,8 +137,7 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
         recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
     t0 = time.perf_counter()
     written = [out / f"indicator_{fld.component}{tag}.csv" for fld in recon.fields]
-    for path, fld in zip(written, recon.fields):
-        io.write_indicator_csv(path, fld)
+    io.write_indicator_csvs(written, recon.fields)
     written.append(out / f"reconstruction{tag}.csv")
     io.write_reconstruction_csv(written[-1], recon)
     write_seconds = time.perf_counter() - t0

@@ -17,6 +17,7 @@ fastest, then the second, then the third.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,8 +153,14 @@ def circle_directions(count: int) -> DirectionSet:
     return DirectionSet(dims=2, nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=8)
 def sphere_directions(n_theta: int, n_phi: int) -> DirectionSet:
-    """Gauss-Legendre (in cos theta) x uniform azimuth product rule on S^2."""
+    """Gauss-Legendre (in cos theta) x uniform azimuth product rule on S^2.
+
+    Memoized: a 3D run asks for the same rule to validate its config, to
+    build its measurement sphere and to integrate, and the Gauss-Legendre
+    nodes cost about a millisecond. The returned arrays are read-only.
+    """
     if n_theta < 2:
         raise ValueError(f"need n_theta >= 2, got {n_theta}")
     if n_phi < 4:

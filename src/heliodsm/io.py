@@ -24,6 +24,9 @@ run.json
 Floats are written with shortest round-trip precision, byte for byte the
 text of Python's repr (rendered for whole arrays by `_text`), so a file read
 back reproduces the in-memory values exactly; rows end in "\r\n".
+`write_indicator_csvs` writes all of a run's indicator fields and renders
+the coordinates of their grid once; `write_indicator_csv` is its one-field
+case.
 The indicator abs column is hypot(re, im), i.e. Python's abs(complex), which
 can differ by 1 ulp from IndicatorField.magnitude() (np.abs, used for peaks).
 """
@@ -46,6 +49,7 @@ __all__ = [
     "write_cauchy_csv",
     "read_cauchy_csv",
     "write_indicator_csv",
+    "write_indicator_csvs",
     "read_indicator_csv",
     "write_reconstruction_csv",
     "read_reconstruction_csv",
@@ -116,19 +120,42 @@ def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
     return clean, noisy
 
 
+def write_indicator_csvs(paths, fields) -> None:
+    """Write each field to its path as an indicator CSV.
+
+    Each grid's coordinate texts are rendered once, for all the fields on it.
+    """
+    leads = {}
+    for path, field in zip(paths, fields, strict=True):
+        grid = field.grid
+        key = (grid.lower, grid.upper, grid.counts)
+        if key not in leads:
+            leads[key] = _grid_lead(grid)
+        v = field.values
+        with open(path, "wb") as fh:
+            fh.write(_header([f"z{i+1}" for i in range(grid.dims)] + ["abs", "re", "im"]))
+            _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=leads[key])
+
+
 def write_indicator_csv(path, field: IndicatorField) -> None:
-    # Grid order is first axis fastest, so row r is prefix[r % P] then
-    # last[r // P], P points per last-axis slice; both formatted once here.
-    *lead_axes, last = ([x + "," for x in _text.strings(axis)] for axis in field.grid.axes())
+    write_indicator_csvs([path], [field])
+
+
+def _grid_lead(grid: SamplingGrid) -> list:
+    """The `_text.write_rows` lead that starts row r with grid point r's coordinates.
+
+    Grid order is first axis fastest, so row r is prefix[r % P] then
+    last[r // P], P points per last-axis slice. All axes take one
+    `_text.strings` call.
+    """
+    texts = [x + "," for x in _text.strings(np.concatenate(grid.axes()))]
+    ends = np.cumsum(grid.counts)
+    *lead_axes, last = (texts[lo:hi] for lo, hi in zip((0, *ends), ends))
     prefixes = [""]
     for axis in lead_axes:
         prefixes = [p + x for x in axis for p in prefixes]
-    prefix, last = _nul_padded(prefixes), _nul_padded(last)
-    v = field.values
-    with open(path, "wb") as fh:
-        fh.write(_header([f"z{i+1}" for i in range(field.grid.dims)] + ["abs", "re", "im"]))
-        columns = [np.hypot(v.real, v.imag), v.real, v.imag]
-        _text.write_rows(fh, columns, lead=[(prefix, 1), (last, len(prefix))])
+    prefix = _nul_padded(prefixes)
+    return [(prefix, 1), (_nul_padded(last), len(prefix))]
 
 
 def _nul_padded(texts: list[str]) -> np.ndarray:
@@ -154,17 +181,22 @@ def write_reconstruction_csv(path, recon: Reconstruction) -> None:
         + [f"eta{i+1}_{p}" for i in range(dims) for p in ("re", "im")]
         + ["magnitude", "kind"]
     )
+    values = []
+    for g in recon.groups:
+        lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
+        eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(dims, complex)
+        values += [*g.centroid, lam.real, lam.imag]
+        values += [part for v in eta for part in (v.real, v.imag)]
+        values.append(max(p.magnitude for p in g.members))
+    texts = _text.strings(values)
+    width = len(header) - 3  # the float columns of a row
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for gi, g in enumerate(recon.groups):
-            lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
-            eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(dims, complex)
-            values = [*g.centroid, lam.real, lam.imag]
-            values += [part for v in eta for part in (v.real, v.imag)]
-            values.append(max(p.magnitude for p in g.members))
             components = "|".join(str(c) for c in g.components)
-            writer.writerow([str(gi), components, *_text.strings(values), g.kind or ""])
+            row = texts[gi * width : (gi + 1) * width]
+            writer.writerow([str(gi), components, *row, g.kind or ""])
 
 
 def read_reconstruction_csv(path) -> list[dict]:

@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import heliodsm._text
 import heliodsm.cli
+import heliodsm.geometry
 import heliodsm.indicators
 import heliodsm.locator
 from heliodsm import verify
@@ -21,6 +23,7 @@ from heliodsm.io import (
     read_reconstruction_csv,
     write_cauchy_csv,
     write_indicator_csv,
+    write_indicator_csvs,
     write_reconstruction_csv,
 )
 from heliodsm.locator import Peak, PeakGroup, Reconstruction
@@ -137,27 +140,83 @@ def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path):
+def _counted_strings(monkeypatch):
+    """Record the values of every `_text.strings` call."""
+    calls = []
+
+    def counted(values):
+        calls.append(np.asarray(values, dtype=float).ravel())
+        return strings(values)
+
+    strings = heliodsm._text.strings
+    monkeypatch.setattr(heliodsm._text, "strings", counted)
+    return calls
+
+
+def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
+    grid = make_grid([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])
+    other = make_grid([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [5, 4, 3])
+    fields = [IndicatorField(grid=g, component=ell, values=_edge_values(len(g), ell))
+              for ell, g in enumerate([grid, grid, other, grid])]
+    calls = _counted_strings(monkeypatch)
+    paths = [tmp_path / f"got_{i}.csv" for i in range(len(fields))]
+    with np.errstate(over="ignore"):
+        write_indicator_csvs(paths, fields)
+    # one call per grid, holding each of its axes once
+    assert [c.tolist() for c in calls] == [np.concatenate(g.axes()).tolist() for g in (grid, other)]
+    for path, fld in zip(paths, fields):
+        g = fld.grid
+        header = [f"z{i+1}" for i in range(g.dims)] + ["abs", "re", "im"]
+        rows = ([_fmt(x) for x in g.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
+                for i, v in enumerate(fld.values))
+        _reference_csv(tmp_path / "want.csv", header, rows)
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
     peak = Peak(location=[0.0, 0.0], component=0, magnitude=3.0000000000000004, grid_index=0)
+    dipole = Peak(location=[0.0, 0.0], component=2, magnitude=5e-324, grid_index=3)
     groups = (
         PeakGroup(members=(peak,), centroid=[-0.0, 1e-5], lambda_estimate=complex(1e16, -2.5e-308),
                   eta_estimate=np.array([complex(0.1, -np.inf), complex(np.nan, 5e-324)]), kind="dipole"),
         PeakGroup(members=(peak,), centroid=[123456789.0, -9007199254740993.0]),
+        PeakGroup(members=(dipole, peak), centroid=[np.inf, -1e-300], lambda_estimate=complex(-0.0, 7.0),
+                  eta_estimate=np.array([complex(1e22, 2.5), complex(-1e-7, 0.0)]), kind="monopole"),
     )
-    recon = Reconstruction(estimated_count=2, groups=groups, algorithm="dsm2", elapsed_seconds=0.0,
-                           parameters={})
-    rows = []
-    for gi, g in enumerate(groups):
-        lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
-        eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(2, complex)
-        rows.append([str(gi), "0"] + [_fmt(v) for v in g.centroid] + [_fmt(lam.real), _fmt(lam.imag)]
-                    + [_fmt(p) for v in eta for p in (v.real, v.imag)]
-                    + [_fmt(3.0000000000000004), g.kind or ""])
-    header = ["group", "components", "z1", "z2", "lambda_re", "lambda_im",
-              "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"]
-    _reference_csv(tmp_path / "want.csv", header, rows)
-    write_reconstruction_csv(tmp_path / "got.csv", recon)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    headers = (["group", "components", "z1", "z2", "lambda_re", "lambda_im",
+                "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"],
+               ["group", "components", "lambda_re", "lambda_im", "magnitude", "kind"])
+    calls = _counted_strings(monkeypatch)
+    for groups, header in zip((groups, ()), headers):
+        rows = []
+        for gi, g in enumerate(groups):
+            lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
+            eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(2, complex)
+            rows.append([str(gi), "|".join(map(str, g.components))] + [_fmt(v) for v in g.centroid]
+                        + [_fmt(lam.real), _fmt(lam.imag)] + [_fmt(p) for v in eta for p in (v.real, v.imag)]
+                        + [_fmt(max(p.magnitude for p in g.members)), g.kind or ""])
+        _reference_csv(tmp_path / "want.csv", header, rows)
+        recon = Reconstruction(estimated_count=len(groups), groups=groups, algorithm="dsm2",
+                               elapsed_seconds=0.0, parameters={})
+        write_reconstruction_csv(tmp_path / "got.csv", recon)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert [len(c) for c in calls] == [3 * 9, 0]  # one call per table
+
+
+def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypatch):
+    # the grid coordinates of all fields take one strings call, the
+    # reconstruction table one more; config check, sphere and directions
+    # share one Gauss-Legendre rule
+    calls = _counted_strings(monkeypatch)
+    rules = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: rules.append(n) or leggauss(n))
+    heliodsm.geometry.sphere_directions.cache_clear()
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--preset", "example5", "--out", str(out), "--quiet"]) == 0
+    assert len(list(out.glob("indicator_*.csv"))) == 4
+    assert len(calls) == 2
+    assert rules == [42]
 
 
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows

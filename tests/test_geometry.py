@@ -50,6 +50,15 @@ def test_sphere_directions_counts_and_sum():
     assert np.max(np.abs(np.linalg.norm(d.nodes, axis=1) - 1.0)) < 1e-14
 
 
+def test_sphere_directions_built_once_and_bitwise_equal_to_a_fresh_build():
+    d = sphere_directions(42, 43)
+    fresh = sphere_directions.__wrapped__(42, 43)
+    assert sphere_directions(42, 43) is d
+    assert d.nodes.tobytes() == fresh.nodes.tobytes()
+    assert d.weights.tobytes() == fresh.weights.tobytes()
+    assert not d.nodes.flags.writeable and not d.weights.flags.writeable
+
+
 def test_sphere_monomial_quadrature_matches_closed_forms():
     d = sphere_directions(6, 8)
     z0 = [0.0, 0.0, 0.0]

@@ -73,6 +73,17 @@ def test_short_arrays(n):
     assert _text.strings(values) == ["-1.25"] * n
 
 
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_strings_split_at_separators(block):
+    # the fallback slots (inf, nan, subnormals) rewrite the whole slot and
+    # must keep its separator, or two texts would run together
+    specials = [np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+                -1e-310, 0.0, -0.0, 1e16, 1e-5]
+    values = np.resize(np.array(specials + [0.1]), block * _text.BLOCK + len(specials))
+    assert _text.strings(values) == [repr(v) for v in values.tolist()]
+    assert _text.strings(values[:0]) == []
+
+
 def test_scale_table_keeps_products_in_range():
     # (4c + 2) << h < 2^60 for every significand c < 2^53, which keeps the
     # 32-bit-limb partial sums of `_round_to_odd` below 2^64
