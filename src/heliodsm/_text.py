@@ -25,6 +25,10 @@ Python call per value:
   bytes left out are NUL, so one ``M[M != 0]`` compacts a whole block of
   rows; `strings` compacts all its slots with one mask and splits the
   text at the separators once.
+* **Row lead.** `write_rows` can start each row with NUL-padded text
+  before its slots, such as a grid point's coordinates: a `prefix` table
+  that repeats every P rows and a `last` table that advances every P
+  rows, so a block takes them by two slice copies per P-row run.
 * **Fallback.** Subnormals, infinities and nan take ``repr`` itself, one
   value at a time; the slot is rewritten whole and gets its separator back.
 
@@ -247,28 +251,34 @@ def strings(values) -> list[str]:
     return text[text != 0].tobytes().decode().split(",")[:-1]
 
 
-def write_rows(fh, columns, lead=()) -> None:
+def write_rows(fh, columns, lead=None) -> None:
     """Write one CSV row per entry of the float `columns` to the binary file `fh`.
 
-    Row i is the `lead` bytes of row i (NUL bytes dropped), then
-    ``repr(float(c[i]))`` of each column, joined by ',' and ended by
-    "\r\n". `lead` is a sequence of (table, divisor) pairs: row i takes
-    row (i // divisor) % len(table) of each uint8 matrix `table`, in order.
+    Row r is its lead bytes (NUL bytes dropped), then ``repr(float(c[r]))``
+    of each column, joined by ',' and ended by "\r\n". `lead` is None or a
+    pair (prefix, last) of uint8 matrices: row r's lead is row r % P of
+    `prefix`, P = len(prefix), then row r // P of `last`. A pass copies the
+    lead in by slices, two copies per P-row slice it meets.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n, m = len(columns[0]), len(columns)
+    if lead is None:  # one empty prefix per row: a pass meets a single slice
+        lead = np.empty((n, 0), np.uint8), np.empty((1, 0), np.uint8)
+    prefix, last = lead
+    p, mid = prefix.shape
+    end = mid + last.shape[1]
     step = max(1, min(n, BLOCK // m))
-    widths = np.cumsum([0] + [table.shape[1] for table, _ in lead])
-    start = -(-widths[-1] // 8) * 8  # the slots start on a word
+    start = -(-end // 8) * 8  # the slots start on a word
     text = np.zeros((step, start + m * SLOT), np.uint8)
     words = text[:, start:].view("<u8").reshape(step, m, 4)
     sep = np.full(m, _COMMA)
     sep[-1] = _CRLF
     for i in range(0, n, step):
         rows = min(step, n - i)
-        block = np.arange(i, i + rows)
-        for (table, divisor), lo, hi in zip(lead, widths, widths[1:]):
-            np.take(table, block // divisor, axis=0, mode="wrap", out=text[:rows, lo:hi])
+        for s in range(i // p, (i + rows - 1) // p + 1):
+            lo, hi = max(i, s * p), min(i + rows, (s + 1) * p)
+            text[lo - i : hi - i, :mid] = prefix[lo - s * p : hi - s * p]
+            text[lo - i : hi - i, mid:end] = last[s]
         _render(np.stack([c[i : i + rows] for c in columns], axis=1), words[:rows], sep)
         part = text[:rows]
         fh.write(part[part != 0])

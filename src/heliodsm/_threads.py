@@ -6,10 +6,13 @@ which chunk runs where.  `map_chunks` is the one place that runs work in
 parallel.  While it runs, numpy's bundled OpenBLAS is held to one thread
 (through its `scipy_openblas_set_num_threads64_` export), so the BLAS
 products inside a chunk neither oversubscribe the workers nor change their
-bits with the BLAS thread count.  Under any other BLAS that hold is not
-available: results are then bitwise reproducible only with the BLAS itself
-limited to one thread (`OPENBLAS_NUM_THREADS=1` or that library's
-equivalent).
+bits with the BLAS thread count.  `heliodsm.cli.main` holds it for a
+whole command as well: synthesis and the sampling driver make small
+products (a 1806 x 3 real matrix times a complex 3-vector) that two BLAS
+threads run several times slower than one.  Under any other BLAS that
+hold is not available: results are then bitwise reproducible only with
+the BLAS itself limited to one thread (`OPENBLAS_NUM_THREADS=1` or that
+library's equivalent).
 """
 
 from __future__ import annotations

@@ -303,7 +303,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        return args.fn(args)
+        # one hold covers synthesis, the driver and the writes: numpy's
+        # OpenBLAS would run their small products on every core
+        with _threads._one_blas_thread():
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

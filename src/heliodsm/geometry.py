@@ -16,7 +16,7 @@ fastest, then the second, then the third.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -100,14 +100,16 @@ class SamplingGrid:
     """Axis-aligned rectangular lattice of probe points, endpoints included.
 
     Ordering: first axis fastest.  Point i has per-axis indices
-    (i % n1, (i // n1) % n2, ...).
+    (i % n1, (i // n1) % n2, ...), so its coordinates are those entries of
+    `axes()`.  The grid holds only its box and counts: grids compare and
+    hash by them, and `points` builds the (n, dims) coordinate array anew
+    on each access.
     """
 
     dims: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     counts: tuple[int, ...]
-    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dims not in (2, 3):
@@ -118,10 +120,12 @@ class SamplingGrid:
             raise ValueError("need at least 2 points per axis")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower corner must be strictly below upper corner")
-        axes = self.axes()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.ravel(order="F") for m in mesh], axis=1)
-        object.__setattr__(self, "points", _readonly(points))
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (n, dims) read-only array of every probe point, in grid order."""
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        return _readonly(np.stack([m.ravel(order="F") for m in mesh], axis=1))
 
     def axes(self) -> list[np.ndarray]:
         return [

@@ -128,25 +128,25 @@ def write_indicator_csvs(paths, fields) -> None:
     leads = {}
     for path, field in zip(paths, fields, strict=True):
         grid = field.grid
-        key = (grid.lower, grid.upper, grid.counts)
-        if key not in leads:
-            leads[key] = _grid_lead(grid)
+        if grid not in leads:
+            leads[grid] = _grid_lead(grid)
         v = field.values
         with open(path, "wb") as fh:
             fh.write(_header([f"z{i+1}" for i in range(grid.dims)] + ["abs", "re", "im"]))
-            _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=leads[key])
+            _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=leads[grid])
 
 
 def write_indicator_csv(path, field: IndicatorField) -> None:
     write_indicator_csvs([path], [field])
 
 
-def _grid_lead(grid: SamplingGrid) -> list:
-    """The `_text.write_rows` lead that starts row r with grid point r's coordinates.
+def _grid_lead(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The `_text.write_rows` lead (prefix, last) that starts row r with grid point r's coordinates.
 
     Grid order is first axis fastest, so row r is prefix[r % P] then
-    last[r // P], P points per last-axis slice. All axes take one
-    `_text.strings` call.
+    last[r // P], P points per last-axis slice: `prefix` holds the joined
+    texts of the other axes, `last` those of the last axis, each
+    NUL-padded and ended by ','. All axes take one `_text.strings` call.
     """
     texts = [x + "," for x in _text.strings(np.concatenate(grid.axes()))]
     ends = np.cumsum(grid.counts)
@@ -154,8 +154,7 @@ def _grid_lead(grid: SamplingGrid) -> list:
     prefixes = [""]
     for axis in lead_axes:
         prefixes = [p + x for x in axis for p in prefixes]
-    prefix = _nul_padded(prefixes)
-    return [(prefix, 1), (_nul_padded(last), len(prefix))]
+    return _nul_padded(prefixes), _nul_padded(last)
 
 
 def _nul_padded(texts: list[str]) -> np.ndarray:

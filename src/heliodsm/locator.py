@@ -221,13 +221,13 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     for off in np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims):
         if np.any(off):
             is_max &= level > padded[tuple(at + off[:, None])]
-    idx, mags = idx[is_max], level[is_max]
+    idx, mags, at = idx[is_max], level[is_max], at[:, is_max]
     if idx.size == 0:
         return []
     order = np.lexsort((idx, -mags))
     idx = idx[order]
     mags = mags[order]
-    locations = grid.points[idx]
+    locations = np.stack([axis[i - 1] for axis, i in zip(grid.axes(), at[:, order])], axis=1)
 
     kept: list[Peak] = []
     alive = np.ones(idx.size, dtype=bool)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import heliodsm._text
+import heliodsm._threads
 import heliodsm.cli
+import heliodsm.forward
 import heliodsm.geometry
 import heliodsm.indicators
 import heliodsm.locator
@@ -117,7 +119,8 @@ def _edge_values(n, seed):
 @pytest.mark.parametrize(
     "lower, upper, counts",
     [([-4.0, -4.0], [4.0, 4.0], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5]),
-     ([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [23, 19, 13])],  # 5681 rows span several blocks
+     ([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [23, 19, 13]),  # 5681 rows span several blocks
+     ([-2.5, 1e-7, -1e3], [3.0, 0.5, 1e3], [41, 37, 3])],  # a 1517-row slice outlasts a pass
 )
 def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts):
     grid = make_grid(lower, upper, counts)
@@ -129,9 +132,10 @@ def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts
     special[6:10] = [complex(np.inf, -np.inf), complex(np.nan, 1.0), complex(-2.5, np.nan),
                      complex(-np.nan, -np.inf)]
     header = [f"z{i+1}" for i in range(grid.dims)] + ["abs", "re", "im"]
+    points = grid.points
     for field in (fld, SimpleNamespace(grid=grid, values=special)):
         rows = (
-            [_fmt(x) for x in grid.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
+            [_fmt(x) for x in points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
             for i, v in enumerate(field.values)
         )
         _reference_csv(tmp_path / "want.csv", header, rows)
@@ -167,7 +171,8 @@ def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
     for path, fld in zip(paths, fields):
         g = fld.grid
         header = [f"z{i+1}" for i in range(g.dims)] + ["abs", "re", "im"]
-        rows = ([_fmt(x) for x in g.points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
+        points = g.points
+        rows = ([_fmt(x) for x in points[i]] + [_fmt(abs(v)), _fmt(v.real), _fmt(v.imag)]
                 for i, v in enumerate(fld.values))
         _reference_csv(tmp_path / "want.csv", header, rows)
         assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -217,6 +222,47 @@ def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypa
     assert len(list(out.glob("indicator_*.csv"))) == 4
     assert len(calls) == 2
     assert rules == [42]
+
+
+@pytest.mark.parametrize("algorithm", ["dsm", "dsm2"])
+@pytest.mark.parametrize("preset", ["example1", "example4"])
+def test_reconstruct_never_builds_grid_points(tmp_path, monkeypatch, preset, algorithm):
+    # peaks and CSV rows take their coordinates from the grid axes
+    def unread(grid):
+        raise AssertionError("a request built SamplingGrid.points")
+
+    monkeypatch.setattr(heliodsm.geometry.SamplingGrid, "points", property(unread))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["reconstruct", "--preset", preset, "--algorithm", algorithm,
+                     "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    assert list(tmp_path.glob("indicator_*.csv"))
+
+
+def test_cli_holds_openblas_to_one_thread(tmp_path, monkeypatch):
+    # synthesis runs under the hold, and the caller's count comes back
+    lib = heliodsm._threads.openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
+    seen = []
+    traces = heliodsm.forward._traces
+
+    def counted(*args):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return traces(*args)
+
+    monkeypatch.setattr(heliodsm.forward, "_traces", counted)
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        before = lib.scipy_openblas_get_num_threads64_()
+        assert main(["synthesize", "--preset", "example4", "--out", str(tmp_path), "--quiet"]) == 0
+        after = lib.scipy_openblas_get_num_threads64_()
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+    assert seen == [1]
+    assert after == before
 
 
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows

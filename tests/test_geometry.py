@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,32 @@ def test_grid_determinism():
     a = make_grid([-3, -3, -3], [3, 3, 3], [7, 5, 6])
     b = make_grid([-3, -3, -3], [3, 3, 3], [7, 5, 6])
     assert np.array_equal(a.points, b.points)
+
+
+def test_grids_compare_and_hash_by_box_and_counts():
+    a = make_grid([-3, -3, -3], [3, 3, 3], [7, 5, 6])
+    b = make_grid([-3.0, -3.0, -3.0], [3.0, 3.0, 3.0], [7, 5, 6])
+    assert a == b
+    assert hash(a) == hash(b)
+    for other in (make_grid([-3, -3, -3], [3, 3, 3], [7, 5, 7]),
+                  make_grid([-3, -3, -3], [3, 3, 4], [7, 5, 6]),
+                  make_grid([-3, -3, -2], [3, 3, 3], [7, 5, 6]),
+                  make_grid([-3, -3], [3, 3], [7, 5])):
+        assert a != other
+        assert hash(a) != hash(other)
+    assert len({a: 1, b: 2}) == 1
+
+
+def test_make_grid_builds_no_point_array():
+    # a 60^3 point array alone would be 5.2 MB
+    tracemalloc.start()
+    try:
+        g = make_grid([-3, -3, -3], [3, 3, 3], [60, 60, 60])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 216000
+    assert peak < 1e6
 
 
 def test_paper_scale_grids():

@@ -8,7 +8,7 @@ import pytest
 
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
-from heliodsm.indicators import IndicatorField, indicator_at, indicator_grid_values, reduced_data
+from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
 from heliodsm.locator import (
     DsmOptions,
     Peak,
@@ -110,6 +110,22 @@ def _peaks_by_shifts(fld, significance, merge_radius):
             kept.append((tuple(grid.points[idx[i]]), float(mags[i]), int(idx[i])))
             alive &= np.linalg.norm(grid.points[idx] - grid.points[idx[i]], axis=1) > merge_radius
     return kept
+
+
+@pytest.mark.parametrize("preset", ["example1", "example4"])
+def test_find_peaks_locations_are_grid_points(request, preset):
+    # find_peaks reads the axes; the locations are the point rows bit for bit
+    cfg, _, _, noisy = request.getfixturevalue(preset)
+    red = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
+    grid = cfg.grid()
+    points = grid.points
+    found = 0
+    for ell in range(grid.dims + 1):
+        fld = indicator_field(red, cfg.wavenumber, grid, ell)
+        for peak in find_peaks(fld, 0.05, min(grid.spacing)):
+            assert peak.location.tobytes() == points[peak.grid_index].tobytes()
+            found += 1
+    assert found > 2 * (grid.dims + 1)
 
 
 @pytest.mark.parametrize("counts", [(9, 7), (6, 5, 4), (11, 3, 8)])
