@@ -82,10 +82,6 @@ __all__ = [
     "decay_probe",
 ]
 
-# Testing hook: scales every a_ell coefficient.  The verification suite
-# flips this away from 1 to prove the oracle checks actually bite.
-coefficient_scale = 1.0
-
 _CHUNK = 2048
 
 # Entries of the per-ring sums H that one grid-kernel block holds at most.
@@ -257,7 +253,7 @@ def _component_weights(reduced: ReducedData, k: float, components) -> np.ndarray
     for ell in components:
         a = 1.0 if ell == 0 else dirs.dims * 1j / k
         monomial = np.ones(len(dirs)) if ell == 0 else dirs.nodes[:, ell - 1]
-        cols.append(complex(a * base * coefficient_scale) * weighted * monomial)
+        cols.append(complex(a * base) * weighted * monomial)
     return np.stack(cols, axis=1)
 
 

@@ -1,12 +1,14 @@
 """Peak extraction, clustering, and the direct sampling driver.
 
-One driver runs the whole pipeline once: it forms the reduced data R(d),
-evaluates every indicator component on the probe grid, collects the
-significant strict local maxima of each |I_ell|, suppresses nearby
-spurious spikes by greedy merging (strongest first), clusters the
-surviving maximizers across components by single linkage, and averages
-each cluster into one recovered location.  The indicator fields it
-sampled are returned with the result, so callers never evaluate them
+One driver runs the whole pipeline once, one timed stage after another
+(reduce, grid, peaks, refine, cluster, readoff): it forms the reduced
+data R(d), evaluates every indicator component on the probe grid,
+collects the significant strict local maxima of each |I_ell|, suppresses
+nearby spurious spikes by greedy merging (strongest first), clusters the
+surviving maximizers across components by single linkage (each chain
+of peaks within the cluster radius labeled by its lowest index), and
+averages each cluster into one recovered location.  The indicator fields
+it sampled are returned with the result, so callers never evaluate them
 again.  `dsm` (single level) and `dsm2` (two level) are its two entry
 points.
 
@@ -177,6 +179,10 @@ class DsmOptions:
     the others.  directions overrides the indicator-integral direction
     set.  Clustered groups are always filtered at
     DEFAULT_GROUP_SIGNIFICANCE (see the module docstring).
+
+    significance must lie in (0, 1]; a set merge_radius or cluster_radius
+    must be finite and positive; set components must be non-empty and
+    distinct.  Anything else raises ValueError here, before any work.
     """
 
     significance: float = DEFAULT_SIGNIFICANCE
@@ -188,8 +194,15 @@ class DsmOptions:
     def __post_init__(self):
         if not (0.0 < self.significance <= 1.0):
             raise ValueError("significance must lie in (0, 1]")
+        for name in ("merge_radius", "cluster_radius"):
+            radius = getattr(self, name)
+            if radius is not None and not (math.isfinite(radius) and radius > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.components is not None:
-            object.__setattr__(self, "components", tuple(int(c) for c in self.components))
+            comps = tuple(int(c) for c in self.components)
+            if not comps or len(set(comps)) != len(comps):
+                raise ValueError("components must be non-empty and distinct")
+            object.__setattr__(self, "components", comps)
 
 
 def find_peaks(field: IndicatorField, significance: float, merge_radius: float) -> list[Peak]:
@@ -247,27 +260,14 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     return kept
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def cluster_peaks(peaks, radius: float) -> list[PeakGroup]:
     """Single-linkage grouping with the given linkage threshold.
 
-    Chains are grouped transitively, so a group's diameter may exceed the
-    radius; the centroid is the plain mean of the member locations.
+    Peaks within radius of each other are linked.  Each peak's label starts
+    as its index and takes the lowest label among its links until no label
+    moves, so every chain is labeled by its lowest index.  Chains are
+    grouped transitively, so a group's diameter may exceed the radius; the
+    centroid is the plain mean of the member locations.
     """
     if radius <= 0:
         raise ValueError("cluster radius must be positive")
@@ -275,19 +275,16 @@ def cluster_peaks(peaks, radius: float) -> list[PeakGroup]:
     if not peaks:
         return []
     locs = np.array([p.location for p in peaks])
-    uf = _UnionFind(len(peaks))
-    for i in range(len(peaks)):
-        d = np.linalg.norm(locs[i + 1 :] - locs[i], axis=1)
-        for j in np.nonzero(d <= radius)[0]:
-            uf.union(i, i + 1 + j)
-    buckets: dict[int, list[int]] = {}
-    for i in range(len(peaks)):
-        buckets.setdefault(uf.find(i), []).append(i)
-
+    linked = np.linalg.norm(locs[:, None] - locs[None], axis=-1) <= radius
+    index = np.arange(len(peaks))
+    label, lowest = None, index
+    while not np.array_equal(lowest, label):
+        label = lowest
+        lowest = np.where(linked, label, label[:, None]).min(axis=1)
     groups = []
-    for members_idx in buckets.values():
+    for root in index[label == index]:  # a chain's root is its lowest index
         members = sorted(
-            (peaks[i] for i in members_idx),
+            (peaks[i] for i in np.flatnonzero(label == root)),
             key=lambda p: (p.component, -p.magnitude, p.grid_index),
         )
         centroid = np.mean([p.location for p in members], axis=0)
@@ -350,93 +347,6 @@ def resolution_ratio(cauchy: CauchyData, k: float, grid: SamplingGrid) -> float:
     return h * k * (surf.radius + rho) / (2.0 * math.pi * surf.radius)
 
 
-def _finalize_groups(groups, reduced: ReducedData, k: float, q: float, params: dict):
-    """Attach read-offs and kinds; records q and the coupling in params.
-
-    Groups are fitted jointly when q < 1; otherwise each group is fitted
-    alone at the same points, with a warning.
-    """
-    joint = q < 1.0
-    params["readoff_q"] = q
-    params["readoff_coupling"] = "joint" if joint else "per_group"
-    if joint:
-        fits = recover_intensities(groups, reduced, k)
-    else:
-        if groups:
-            warnings.warn(
-                f"boundary rule under-resolves R(d) (q = {q:.3f} >= 1); "
-                "intensities are read per group without cross-source coupling",
-                stacklevel=4,
-            )
-        fits = [recover_intensities((g,), reduced, k)[0] for g in groups]
-    return tuple(
-        replace(g, lambda_estimate=lam, eta_estimate=eta, kind=_classify(lam, eta, k))
-        for g, (lam, eta) in zip(groups, fits)
-    )
-
-
-def _resolved(options: DsmOptions | None, k: float, dims: int):
-    options = options or DsmOptions()
-    wavelength = 2.0 * math.pi / k
-    merge = (
-        options.merge_radius
-        if options.merge_radius is not None
-        else MERGE_RADIUS_WAVELENGTHS * wavelength
-    )
-    cluster = options.cluster_radius if options.cluster_radius is not None else wavelength
-    comps = options.components if options.components is not None else tuple(range(dims + 1))
-    dirs = options.directions if options.directions is not None else default_directions(dims)
-    return options, merge, cluster, comps, dirs
-
-
-def _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_counts=None):
-    params = {
-        "algorithm": algorithm,
-        "wavenumber": k,
-        "significance": options.significance,
-        "merge_radius": merge,
-        "cluster_radius": cluster,
-        "group_significance": DEFAULT_GROUP_SIGNIFICANCE,
-        "components": list(comps),
-        "direction_count": len(dirs),
-        "grid_counts": list(grid.counts),
-        "grid_lower": list(grid.lower),
-        "grid_upper": list(grid.upper),
-    }
-    if fine_counts is not None:
-        params["fine_counts"] = list(fine_counts)
-    return params
-
-
-def _collect_peaks(fields, options, merge):
-    """Significant maximizers of the indicator fields, and each component's
-    field max and peak count."""
-    peaks: list[Peak] = []
-    comp_max: dict[int, float] = {}
-    comp_counts: dict[int, int] = {}
-    for fld in fields:
-        comp_max[fld.component] = float(np.max(np.abs(fld.values)))
-        found = find_peaks(fld, options.significance, merge)
-        comp_counts[fld.component] = len(found)
-        peaks.extend(found)
-    if not peaks:
-        warnings.warn("no significant indicator maximizers survived", stacklevel=4)
-    return peaks, comp_max, comp_counts
-
-
-def _accept_groups(groups, comp_max):
-    """Drop groups whose best component-normalized magnitude is weak."""
-
-    def strength(g: PeakGroup) -> float:
-        return max(
-            (p.magnitude / comp_max[p.component] if comp_max[p.component] > 0 else 0.0)
-            for p in g.members
-        )
-
-    accepted = [g for g in groups if strength(g) >= DEFAULT_GROUP_SIGNIFICANCE]
-    return accepted, len(groups) - len(accepted)
-
-
 class _Stopwatch:
     """Consecutive stage laps; their sum is the time since construction."""
 
@@ -453,7 +363,26 @@ class _Stopwatch:
 def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_counts) -> Reconstruction:
     """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
     watch = _Stopwatch()
-    options, merge, cluster, comps, dirs = _resolved(options, k, cauchy.dims)
+    options = options or DsmOptions()
+    wavelength = 2.0 * math.pi / k
+    merge = options.merge_radius if options.merge_radius is not None else MERGE_RADIUS_WAVELENGTHS * wavelength
+    cluster = options.cluster_radius if options.cluster_radius is not None else wavelength
+    comps = options.components if options.components is not None else tuple(range(cauchy.dims + 1))
+    dirs = options.directions if options.directions is not None else default_directions(cauchy.dims)
+    algorithm = "dsm" if fine_counts is None else "dsm2"
+    params = {
+        "algorithm": algorithm,
+        "wavenumber": k,
+        "significance": options.significance,
+        "merge_radius": merge,
+        "cluster_radius": cluster,
+        "group_significance": DEFAULT_GROUP_SIGNIFICANCE,
+        "components": list(comps),
+        "direction_count": len(dirs),
+        "grid_counts": list(grid.counts),
+        "grid_lower": list(grid.lower),
+        "grid_upper": list(grid.upper),
+    }
     reduced = reduced_data(cauchy, k, dirs)
     watch.lap("reduce")
     fields = tuple(  # each field copies its column, so the (n, L) block is freed here
@@ -461,10 +390,20 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
         for ell, v in zip(comps, indicator_grid_values(reduced, k, grid, comps).T)
     )
     watch.lap("grid")
-    peaks, comp_max, comp_counts = _collect_peaks(fields, options, merge)
+    peaks: list[Peak] = []
+    comp_max: dict[int, float] = {}
+    comp_counts: dict[int, int] = {}
+    for fld in fields:
+        comp_max[fld.component] = float(np.max(np.abs(fld.values)))
+        found = find_peaks(fld, options.significance, merge)
+        comp_counts[fld.component] = len(found)
+        peaks.extend(found)
+    if not peaks:
+        warnings.warn("no significant indicator maximizers survived", stacklevel=3)
     watch.lap("peaks")
     grid_points, fine_grids = [len(grid)], 0
     if fine_counts is not None:
+        params["fine_counts"] = list(fine_counts)
         peaks = _refine(peaks, reduced, k, grid, fine_counts)
         fine_grids = len(peaks)
         grid_points.append(fine_grids * math.prod(fine_counts))
@@ -473,13 +412,33 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
         for p in peaks:
             comp_max[p.component] = max(comp_max[p.component], p.magnitude)
     watch.lap("refine")
-    accepted, rejected = _accept_groups(cluster_peaks(peaks, cluster), comp_max)
+    clustered = cluster_peaks(peaks, cluster)
+    # a group stands when its best member reaches DEFAULT_GROUP_SIGNIFICANCE
+    # of its component's maximum, which is at least every member's magnitude > 0
+    accepted = [
+        g for g in clustered
+        if max(p.magnitude / comp_max[p.component] for p in g.members) >= DEFAULT_GROUP_SIGNIFICANCE
+    ]
     watch.lap("cluster")
-    algorithm = "dsm" if fine_counts is None else "dsm2"
-    params = _parameters(algorithm, k, options, merge, cluster, comps, dirs, grid, fine_counts)
-    groups = _finalize_groups(accepted, reduced, k, resolution_ratio(cauchy, k, grid), params)
+    q = resolution_ratio(cauchy, k, grid)
+    params["readoff_q"] = q
+    params["readoff_coupling"] = "joint" if q < 1.0 else "per_group"
+    if q < 1.0:
+        fits = recover_intensities(accepted, reduced, k)
+    else:
+        if accepted:
+            warnings.warn(
+                f"boundary rule under-resolves R(d) (q = {q:.3f} >= 1); "
+                "intensities are read per group without cross-source coupling",
+                stacklevel=3,
+            )
+        fits = [recover_intensities((g,), reduced, k)[0] for g in accepted]
+    groups = tuple(
+        replace(g, lambda_estimate=lam, eta_estimate=eta, kind=_classify(lam, eta, k))
+        for g, (lam, eta) in zip(accepted, fits)
+    )
     params["component_peak_counts"] = {str(c): n for c, n in sorted(comp_counts.items())}
-    params["rejected_groups"] = rejected
+    params["rejected_groups"] = len(clustered) - len(accepted)
     watch.lap("readoff")
     return Reconstruction(
         estimated_count=len(groups),

@@ -24,6 +24,10 @@ Schema (dims = 2 or 3 everywhere consistent)::
                   "cluster_radius": null, "components": null},
       "algorithm": "dsm2"
     }
+
+Every number must be finite.  The locator values must satisfy
+`DsmOptions`: significance in (0, 1], radii null or positive, components
+null or a non-empty list of distinct indices in 0..dims.
 """
 
 from __future__ import annotations
@@ -54,13 +58,17 @@ class ConfigError(ValueError):
     """Raised when an experiment config fails validation."""
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _want(mapping: dict, key: str, kind, where: str):
     if key not in mapping:
         raise ConfigError(f"missing '{key}' in {where}")
     value = mapping[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"'{key}' in {where} must be a number")
+        if not _is_finite_number(value):
+            raise ConfigError(f"'{key}' in {where} must be a finite number")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -90,15 +98,11 @@ def _counts(values, dims: int, where: str) -> tuple[int, ...]:
 
 
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_finite_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_finite_number, value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{where} must be a number or an [re, im] pair")
+    raise ConfigError(f"{where} must be a finite number or an [re, im] pair")
 
 
 def _complex_out(z: complex) -> list[float]:
@@ -192,8 +196,10 @@ class ExperimentConfig:
             )
 
         grid = _want(raw, "grid", dict, "config")
-        lower = tuple(float(v) for v in _want(grid, "lower", list, "grid"))
-        upper = tuple(float(v) for v in _want(grid, "upper", list, "grid"))
+        bounds = [_want(grid, key, list, "grid") for key in ("lower", "upper")]
+        if not all(_is_finite_number(v) for bound in bounds for v in bound):
+            raise ConfigError("grid lower/upper must be finite numbers")
+        lower, upper = (tuple(float(v) for v in bound) for bound in bounds)
         counts = _counts(_want(grid, "counts", list, "grid"), dims, "grid counts")
         if not (len(lower) == len(upper) == dims):
             raise ConfigError("grid lower/upper must have length dims")
@@ -209,9 +215,11 @@ class ExperimentConfig:
         loc_opts = raw.get("locator", {})
         if not isinstance(loc_opts, dict):
             raise ConfigError("'locator' must be an object")
-        significance = float(loc_opts.get("significance", 0.5))
-        merge_radius = loc_opts.get("merge_radius")
-        cluster_radius = loc_opts.get("cluster_radius")
+        significance = _want(loc_opts, "significance", float, "locator") if "significance" in loc_opts else 0.5
+        merge_radius, cluster_radius = (
+            None if loc_opts.get(key) is None else _want(loc_opts, key, float, "locator")
+            for key in ("merge_radius", "cluster_radius")
+        )
         components = loc_opts.get("components")
         if components is not None:
             components = _ints(components, "locator components")
@@ -242,8 +250,8 @@ class ExperimentConfig:
                 fine_counts=fine,
                 dsm_counts=dsm_counts,
                 significance=significance,
-                merge_radius=None if merge_radius is None else float(merge_radius),
-                cluster_radius=None if cluster_radius is None else float(cluster_radius),
+                merge_radius=merge_radius,
+                cluster_radius=cluster_radius,
                 components=components,
                 algorithm=algorithm,
                 output_dir=output_dir,

@@ -483,8 +483,21 @@ def test_cli_validation_exit_codes(tmp_path):
         lambda r: r["locator"].__setitem__("significance", 1.5),
         lambda r: r.__setitem__("fine_counts", [1, 40]),
         lambda r: r["grid"].__setitem__("counts", [100.7, 100]),
+        lambda r: r["locator"].__setitem__("merge_radius", -1.0),
+        lambda r: r["locator"].__setitem__("cluster_radius", 0.0),
+        lambda r: r["locator"].__setitem__("components", []),
+        lambda r: r["locator"].__setitem__("merge_radius", float("nan")),
+        lambda r: r["locator"].__setitem__("cluster_radius", float("nan")),
+        lambda r: r["locator"].__setitem__("significance", True),
+        lambda r: r["locator"].__setitem__("merge_radius", True),
+        lambda r: r["locator"].__setitem__("significance", "abc"),
+        lambda r: r["locator"].__setitem__("components", [0, 0]),
+        lambda r: r["grid"].__setitem__("lower", [float("nan"), -4.0]),
     ],
-    ids=["significance", "fine_counts", "fractional_grid_counts"],
+    ids=["significance", "fine_counts", "fractional_grid_counts", "negative_merge_radius",
+         "zero_cluster_radius", "no_components", "nan_merge_radius", "nan_cluster_radius",
+         "bool_significance", "bool_merge_radius", "text_significance", "repeated_components",
+         "nan_grid_lower"],
 )
 def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate):
     raw = preset_config("example1").to_dict()
@@ -548,21 +561,21 @@ def test_verify_quick_passes(capsys):
     assert verify.run("quick", emit=lambda *a: None) is True
 
 
-def test_verify_detects_coefficient_mutation():
+def _scale_coefficients(monkeypatch, factor):
+    """Scale every indicator coefficient a_ell by factor."""
+    weights = heliodsm.indicators._component_weights
+    monkeypatch.setattr(heliodsm.indicators, "_component_weights", lambda *a: weights(*a) * factor)
+
+
+def test_verify_detects_coefficient_mutation(monkeypatch):
     # 1% perturbation of the indicator coefficients must trip the suite
-    try:
-        heliodsm.indicators.coefficient_scale = 1.01
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert verify.run("quick", emit=lambda *a: None) is False
-    finally:
-        heliodsm.indicators.coefficient_scale = 1.0
+    _scale_coefficients(monkeypatch, 1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert verify.run("quick", emit=lambda *a: None) is False
 
 
-def test_cli_verify_exit_code():
+def test_cli_verify_exit_code(monkeypatch):
     assert main(["verify", "quick", "--quiet"]) == 0
-    try:
-        heliodsm.indicators.coefficient_scale = 1.01
-        assert main(["verify", "quick", "--quiet"]) == 3
-    finally:
-        heliodsm.indicators.coefficient_scale = 1.0
+    _scale_coefficients(monkeypatch, 1.01)
+    assert main(["verify", "quick", "--quiet"]) == 3

@@ -534,21 +534,6 @@ def test_decay_probe_is_the_window_max_of_the_moments(dims):
     assert env == pytest.approx(ref, rel=1e-14, abs=0)
 
 
-def test_coefficient_debug_hook_scales_readoff():
-    k = 12.0
-    z = np.array([0.5, 0.5])
-    ens = SourceEnsemble(sources=(monopole(z, 2.0),))
-    cauchy = synthesize_cauchy(ens, k, circle_surface(5.0, 512))
-    red = reduced_data(cauchy, k, circle_directions(128))
-    clean = indicator_at(red, k, z[None, :])[0, 0]
-    try:
-        ind.coefficient_scale = 1.01
-        scaled = indicator_at(red, k, z[None, :])[0, 0]
-    finally:
-        ind.coefficient_scale = 1.0
-    assert abs(scaled / clean - 1.01) < 1e-12
-
-
 def test_reduced_data_validation(example1):
     _, _, clean, _ = example1
     dirs = circle_directions(16)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
@@ -190,6 +191,77 @@ def test_cluster_far_apart():
     peaks = [_peak(0.0, 0.0, 1.0), _peak(10.0, 0.0, 1.0)]
     assert len(cluster_peaks(peaks, radius=1.0)) == 2
     assert cluster_peaks([], radius=1.0) == []
+
+
+@st.composite
+def _peak_sets(draw):
+    """Peaks in 2D or 3D with a linkage radius: chains of links just under
+    the radius plus scattered points.  Each chain's lowest index sits at its
+    middle, so labels need several rounds to reach both ends; a few distinct
+    components, magnitudes and grid indices give ties in the member order."""
+    dims = draw(st.sampled_from((2, 3)))
+    radius = draw(st.floats(0.2, 2.0))
+    coords = st.lists(st.floats(-6.0, 6.0), min_size=dims, max_size=dims).map(np.array)
+    runs = []
+    for _ in range(draw(st.integers(0, 3))):
+        heading = draw(st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims).map(np.array))
+        assume(np.linalg.norm(heading) > 0.1)
+        step = draw(st.floats(0.55, 0.95)) * radius * heading / np.linalg.norm(heading)
+        start = draw(coords)
+        chain = [start + i * step for i in range(draw(st.integers(3, 12)))]
+        mid = len(chain) // 2
+        runs.append([chain[mid]] + draw(st.permutations(chain[:mid] + chain[mid + 1:])))
+    runs.extend([loc] for loc in draw(st.lists(coords, max_size=12)))
+    slots = iter(draw(st.permutations(range(sum(map(len, runs))))))
+    locations = {}
+    for run in runs:  # the run's first point, a chain's middle, takes its lowest slot
+        locations.update(zip(sorted(next(slots) for _ in run), run))
+    peaks = [
+        Peak(
+            location=locations[i],
+            component=draw(st.integers(0, dims)),
+            magnitude=draw(st.sampled_from((0.5, 1.0, 2.0))),
+            grid_index=draw(st.integers(0, 3)),
+        )
+        for i in range(len(locations))
+    ]
+    return peaks, radius
+
+
+def _groups_by_bfs(peaks, radius):
+    """cluster_peaks' groups from a breadth-first search over the same links."""
+    if not peaks:
+        return []
+    locs = np.array([p.location for p in peaks])
+    linked = np.linalg.norm(locs[:, None] - locs[None], axis=-1) <= radius
+    seen, groups = set(), []
+    for start in range(len(peaks)):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, component = [start], []
+        while queue:
+            i = queue.pop(0)
+            component.append(i)
+            for j in map(int, np.flatnonzero(linked[i])):
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        members = sorted(
+            (peaks[i] for i in sorted(component)), key=lambda p: (p.component, -p.magnitude, p.grid_index)
+        )
+        groups.append((members, np.mean([p.location for p in members], axis=0)))
+    groups.sort(key=lambda g: (-max(p.magnitude for p in g[0]), tuple(g[1])))
+    return groups
+
+
+@given(_peak_sets())
+def test_cluster_peaks_matches_bfs_components(case):
+    peaks, radius = case
+    got = cluster_peaks(peaks, radius)
+    want = _groups_by_bfs(peaks, radius)
+    assert [[id(p) for p in g.members] for g in got] == [[id(p) for p in members] for members, _ in want]
+    assert all(g.centroid.tobytes() == centroid.tobytes() for g, (_, centroid) in zip(got, want))
 
 
 # ----------------------------------------------------------------------
