@@ -80,6 +80,8 @@ class PointSource:
         loc = np.asarray(self.location, dtype=float)
         if loc.ndim != 1 or loc.shape[0] not in (2, 3):
             raise ValueError("location must be a 2- or 3-vector")
+        if not np.all(np.isfinite(loc)):
+            raise ValueError(f"location must be finite, got {loc.tolist()}")
         loc = loc.copy()
         loc.flags.writeable = False
         object.__setattr__(self, "location", loc)
@@ -194,12 +196,14 @@ class CauchyData:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Multiplicative noise level and RNG seed."""
+    """Multiplicative noise level and RNG seed (a Philox key, 0 <= seed < 2**128)."""
 
     level: float
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"noise seed must lie in [0, 2**128), got {self.seed}")
         if self.level < 0:
             raise ValueError(f"noise level must be >= 0, got {self.level}")
         if self.level > NOISE_MAX_LEVEL:

@@ -116,8 +116,8 @@ class SamplingGrid:
             raise ValueError(f"dims must be 2 or 3, got {self.dims}")
         if not (len(self.lower) == len(self.upper) == len(self.counts) == self.dims):
             raise ValueError("lower/upper/counts must all have length dims")
-        if any(c < 2 for c in self.counts):
-            raise ValueError("need at least 2 points per axis")
+        if any(not isinstance(c, (int, np.integer)) or c < 2 for c in self.counts):
+            raise ValueError(f"counts must be integers >= 2, got {self.counts}")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower corner must be strictly below upper corner")
 
@@ -188,8 +188,6 @@ def sphere_directions(n_theta: int, n_phi: int) -> DirectionSet:
 
 def circle_surface(radius: float, count: int) -> MeasurementSurface:
     """Measurement circle of given radius: count equally spaced points."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
     if count < 8:
         raise ValueError(f"need at least 8 measurement points, got {count}")
     directions = circle_directions(count)
@@ -204,8 +202,6 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
 
 def sphere_surface(radius: float, n_theta: int, n_phi: int) -> MeasurementSurface:
     """Measurement sphere of given radius on the product direction grid."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
     directions = sphere_directions(n_theta, n_phi)
     return MeasurementSurface(
         dims=3,

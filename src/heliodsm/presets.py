@@ -25,9 +25,14 @@ Schema (dims = 2 or 3 everywhere consistent)::
       "algorithm": "dsm2"
     }
 
-Every number must be finite.  The locator values must satisfy
-`DsmOptions`: significance in (0, 1], radii null or positive, components
-null or a non-empty list of distinct indices in 0..dims.
+Every number must be finite.  `ExperimentConfig` builds each object it
+describes when it is made, and that object's constructor checks its rules:
+distinct finite source locations; radius > 0, count >= 8 (3D: n_theta >= 2,
+n_phi >= 4) and >= 4 directions; 0 <= level <= 0.5 and 0 <= seed < 2**128;
+lower < upper on each axis, with counts, fine_counts and dsm_counts dims
+integers >= 2; and `DsmOptions`: significance in (0, 1], radii null or
+positive, components null or a non-empty list of distinct indices in
+0..dims.  A failure raises `ConfigError` naming its config key.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .geometry import (
     SamplingGrid,
     circle_directions,
     circle_surface,
-    make_grid,
     sphere_directions,
     sphere_surface,
 )
@@ -89,14 +93,6 @@ def _ints(values, where: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _counts(values, dims: int, where: str) -> tuple[int, ...]:
-    """Points per grid axis: dims integers, each >= 2."""
-    counts = _ints(values, where)
-    if len(counts) != dims or min(counts) < 2:
-        raise ConfigError(f"{where} must be {dims} integers >= 2")
-    return counts
-
-
 def _as_complex(value, where: str) -> complex:
     if _is_finite_number(value):
         return complex(value)
@@ -133,6 +129,26 @@ class ExperimentConfig:
     algorithm: str = "dsm2"
     output_dir: str | None = None
 
+    def __post_init__(self):
+        # each rule lives in the constructor of the object it guards; building
+        # them all here (after dataclasses.replace too) fails a bad value
+        # before any file is written
+        builders = {
+            "sources": self.ensemble,
+            "measurement": self.surface,
+            "noise": self.noise_spec,
+            "directions": self.direction_set,
+            "grid": self.grid,
+            "fine_counts": lambda: SamplingGrid(self.dims, self.grid_lower, self.grid_upper, self.fine_counts),
+            "dsm_counts": self.dsm_grid,
+            "locator": self.options,
+        }
+        for key, build in builders.items():
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+
     # ------------------------------------------------------------------
     # parsing / serialization
     # ------------------------------------------------------------------
@@ -149,10 +165,7 @@ class ExperimentConfig:
             raise ConfigError("wavenumber must be positive")
 
         sources = []
-        entries = _want(raw, "sources", list, "config")
-        if not entries:
-            raise ConfigError("config needs at least one source")
-        for i, entry in enumerate(entries):
+        for i, entry in enumerate(_want(raw, "sources", list, "config")):
             where = f"sources[{i}]"
             if not isinstance(entry, dict):
                 raise ConfigError(f"{where} must be an object")
@@ -165,9 +178,7 @@ class ExperimentConfig:
                 if "monopole" in entry:
                     sources.append(monopole(loc, _as_complex(entry["monopole"], where)))
                 else:
-                    vec = entry["dipole"]
-                    if not isinstance(vec, list) or len(vec) != dims:
-                        raise ConfigError(f"{where} dipole must have length {dims}")
+                    vec = _want(entry, "dipole", list, where)
                     sources.append(dipole(loc, [_as_complex(v, where) for v in vec]))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
@@ -200,17 +211,9 @@ class ExperimentConfig:
         if not all(_is_finite_number(v) for bound in bounds for v in bound):
             raise ConfigError("grid lower/upper must be finite numbers")
         lower, upper = (tuple(float(v) for v in bound) for bound in bounds)
-        counts = _counts(_want(grid, "counts", list, "grid"), dims, "grid counts")
-        if not (len(lower) == len(upper) == dims):
-            raise ConfigError("grid lower/upper must have length dims")
-        if any(lo >= hi for lo, hi in zip(lower, upper)):
-            raise ConfigError("grid lower must be strictly below upper")
-
-        fine = _counts(_want(raw, "fine_counts", list, "config"), dims, "fine_counts")
-
-        dsm_counts = None
-        if raw.get("dsm_counts") is not None:
-            dsm_counts = _counts(raw["dsm_counts"], dims, "dsm_counts")
+        counts = _ints(_want(grid, "counts", list, "grid"), "grid counts")
+        fine = _ints(_want(raw, "fine_counts", list, "config"), "fine_counts")
+        dsm_counts = None if raw.get("dsm_counts") is None else _ints(raw["dsm_counts"], "dsm_counts")
 
         loc_opts = raw.get("locator", {})
         if not isinstance(loc_opts, dict):
@@ -234,34 +237,27 @@ class ExperimentConfig:
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError("'output_dir' must be a string")
 
-        try:
-            cfg = cls(
-                dims=dims,
-                wavenumber=k,
-                sources=tuple(sources),
-                measurement_radius=radius,
-                measurement_counts=meas_counts,
-                noise_level=level,
-                noise_seed=seed,
-                direction_counts=dir_counts,
-                grid_lower=lower,
-                grid_upper=upper,
-                grid_counts=counts,
-                fine_counts=fine,
-                dsm_counts=dsm_counts,
-                significance=significance,
-                merge_radius=merge_radius,
-                cluster_radius=cluster_radius,
-                components=components,
-                algorithm=algorithm,
-                output_dir=output_dir,
-            )
-            # a bad locator or direction value fails here, before any file
-            # is written (the grids are fully checked above)
-            cfg.options()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg
+        return cls(
+            dims=dims,
+            wavenumber=k,
+            sources=tuple(sources),
+            measurement_radius=radius,
+            measurement_counts=meas_counts,
+            noise_level=level,
+            noise_seed=seed,
+            direction_counts=dir_counts,
+            grid_lower=lower,
+            grid_upper=upper,
+            grid_counts=counts,
+            fine_counts=fine,
+            dsm_counts=dsm_counts,
+            significance=significance,
+            merge_radius=merge_radius,
+            cluster_radius=cluster_radius,
+            components=components,
+            algorithm=algorithm,
+            output_dir=output_dir,
+        )
 
     def to_dict(self) -> dict:
         sources = []
@@ -334,11 +330,11 @@ class ExperimentConfig:
         return sphere_directions(*self.direction_counts)
 
     def grid(self) -> SamplingGrid:
-        return make_grid(self.grid_lower, self.grid_upper, self.grid_counts)
+        return SamplingGrid(self.dims, self.grid_lower, self.grid_upper, self.grid_counts)
 
     def dsm_grid(self) -> SamplingGrid:
         counts = self.dsm_counts if self.dsm_counts is not None else self.grid_counts
-        return make_grid(self.grid_lower, self.grid_upper, counts)
+        return SamplingGrid(self.dims, self.grid_lower, self.grid_upper, counts)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(level=self.noise_level, seed=self.noise_seed)

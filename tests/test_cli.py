@@ -493,11 +493,25 @@ def test_cli_validation_exit_codes(tmp_path):
         lambda r: r["locator"].__setitem__("significance", "abc"),
         lambda r: r["locator"].__setitem__("components", [0, 0]),
         lambda r: r["grid"].__setitem__("lower", [float("nan"), -4.0]),
+        lambda r: r["measurement"].__setitem__("count", 0),
+        lambda r: r["measurement"].__setitem__("count", 7),
+        lambda r: r["measurement"].__setitem__("radius", -1.0),
+        lambda r: r["noise"].__setitem__("level", -0.1),
+        lambda r: r["noise"].__setitem__("level", 5.0),
+        lambda r: r["noise"].__setitem__("seed", -5),
+        lambda r: r["sources"][1].__setitem__("location", r["sources"][0]["location"]),
+        lambda r: r["sources"][0].__setitem__("location", [float("nan"), 3.0]),
+        lambda r: r["sources"][0].__setitem__("location", [float("inf"), 3.0]),
+        # a 3D box, grid and fine counts in a dims=2 config
+        lambda r: (r["grid"].update(lower=[-4.0] * 3, upper=[4.0] * 3, counts=[10] * 3),
+                   r.__setitem__("fine_counts", [4] * 3)),
     ],
     ids=["significance", "fine_counts", "fractional_grid_counts", "negative_merge_radius",
          "zero_cluster_radius", "no_components", "nan_merge_radius", "nan_cluster_radius",
          "bool_significance", "bool_merge_radius", "text_significance", "repeated_components",
-         "nan_grid_lower"],
+         "nan_grid_lower", "no_measurement_points", "seven_measurement_points",
+         "negative_radius", "negative_noise", "large_noise", "negative_seed",
+         "repeated_location", "nan_location", "inf_location", "grid_dims"],
 )
 def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate):
     raw = preset_config("example1").to_dict()
@@ -507,7 +521,14 @@ def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate)
     out = tmp_path / "run"
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
     assert "config error:" in capsys.readouterr().err
-    assert not (out / "cauchy.csv").exists()
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_seed_override_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--preset", "example1", "--seed", "-1", "--out", str(out), "--quiet"]) == 1
+    assert "config error: noise:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

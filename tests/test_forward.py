@@ -36,6 +36,9 @@ def test_source_must_be_pure():
         monopole([0.0, 0.0], 0.0)
     with pytest.raises(ValueError):
         dipole([0.0, 0.0], [0.0, 0.0])
+    for location in ([math.nan, 0.0], [0.0, math.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            monopole(location, 1.0)
     src = monopole([1.0, 2.0], 3.0 + 1.0j)
     assert src.is_monopole
     with pytest.raises(ValueError):
@@ -278,6 +281,9 @@ def test_noise_spec_validation():
         NoiseSpec(level=-0.1, seed=0)
     with pytest.raises(ValueError):
         NoiseSpec(level=0.6, seed=0)
+    for seed in (-1, 2**128):  # outside the Philox key range
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(level=0.05, seed=seed)
     with pytest.warns(UserWarning):
         NoiseSpec(level=0.3, seed=0)
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import heliodsm.locator
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
-from heliodsm.geometry import circle_directions, circle_surface, make_grid
+from heliodsm.geometry import SamplingGrid, circle_directions, circle_surface, make_grid
 from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
 from heliodsm.locator import (
     DsmOptions,
@@ -408,7 +409,9 @@ def test_batched_refine_matches_per_peak_fine_grids(case):
         for p in find_peaks(IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)
     ]
     assert len({p.component for p in peaks}) == grid.dims + 1
-    refined = _refine(peaks, reduced, k, grid, cfg.fine_counts)
+    # the local lattice on [0, side], side one wavelength or the box span
+    side = np.minimum(2.0 * math.pi / k, np.subtract(grid.upper, grid.lower))
+    refined = _refine(peaks, reduced, k, grid, SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), cfg.fine_counts))
     assert len(refined) == len(peaks)
     for peak, got in zip(peaks, refined):
         index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, cfg.fine_counts)
@@ -458,6 +461,20 @@ def test_dsm2_warns_on_coarse_grid(example1):
     too_coarse = make_grid([-4, -4], [4, 4], [10, 10])
     with pytest.warns(UserWarning, match="spacing"):
         dsm2(noisy, cfg.wavenumber, too_coarse, (40, 40), cfg.options())
+
+
+@pytest.mark.parametrize(
+    "fine_counts", [(1, 40), (40,), (40, 40, 40), (40.5, 40)], ids=["one_point", "short", "long", "fractional"]
+)
+def test_dsm2_rejects_bad_fine_counts_before_any_work(example1, monkeypatch, fine_counts):
+    cfg, _, _, noisy = example1
+
+    def unreached(*args):
+        raise AssertionError("dsm2 formed R(d) before checking fine_counts")
+
+    monkeypatch.setattr(heliodsm.locator, "reduced_data", unreached)
+    with pytest.raises(ValueError):
+        dsm2(noisy, cfg.wavenumber, cfg.grid(), fine_counts, cfg.options())
 
 
 def test_recover_intensities_matches_readoff(example1):
