@@ -463,10 +463,18 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | 
     return _sample(cauchy, k, grid, options, None)
 
 
+def _fine_lattice(grid: SamplingGrid, k: float, fine_counts) -> SamplingGrid:
+    """The local refine lattice: fine_counts points on the box [0, side], side
+    one wavelength, or the probe-box span on a narrower axis.  SamplingGrid
+    rejects fine_counts that are not dims integers >= 2."""
+    side = np.minimum(2.0 * math.pi / k, np.subtract(grid.upper, grid.lower))
+    return SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), tuple(fine_counts))
+
+
 def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine: SamplingGrid) -> list[Peak]:
-    """Argmax of |I_ell| over a copy of the local lattice `fine` (box
-    [0, side]) shifted to each peak; one grid-kernel call on the lattice x
-    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}."""
+    """Argmax of |I_ell| over a copy of the `_fine_lattice` `fine` shifted to
+    each peak; one grid-kernel call on the lattice x evaluates them all,
+    peak p as weight column v_ell(d) e^{-ik d.c_p}."""
     if not peaks:
         return []
     lower, upper, side = np.array(grid.lower), np.array(grid.upper), np.array(fine.upper)
@@ -503,9 +511,7 @@ def dsm2(
     """
     if fine_counts is None:
         fine_counts = FINE_COUNTS_2D if cauchy.dims == 2 else FINE_COUNTS_3D
-    # the local lattice on [0, side]: side one wavelength, or the box span on a narrower axis
-    side = np.minimum(2.0 * math.pi / k, np.subtract(coarse_grid.upper, coarse_grid.lower))
-    fine = SamplingGrid(coarse_grid.dims, (0.0,) * coarse_grid.dims, tuple(side), tuple(fine_counts))
+    fine = _fine_lattice(coarse_grid, k, fine_counts)
     if max(coarse_grid.spacing) > math.pi / k:
         warnings.warn(
             "coarse grid spacing exceeds half a wavelength; maximizers may be missed",

@@ -9,12 +9,13 @@ from hypothesis import assume, given, strategies as st
 
 import heliodsm.locator
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
-from heliodsm.geometry import SamplingGrid, circle_directions, circle_surface, make_grid
+from heliodsm.geometry import circle_directions, circle_surface, make_grid
 from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
 from heliodsm.locator import (
     DsmOptions,
     Peak,
     PeakGroup,
+    _fine_lattice,
     _refine,
     cluster_peaks,
     dsm,
@@ -409,9 +410,7 @@ def test_batched_refine_matches_per_peak_fine_grids(case):
         for p in find_peaks(IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)
     ]
     assert len({p.component for p in peaks}) == grid.dims + 1
-    # the local lattice on [0, side], side one wavelength or the box span
-    side = np.minimum(2.0 * math.pi / k, np.subtract(grid.upper, grid.lower))
-    refined = _refine(peaks, reduced, k, grid, SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), cfg.fine_counts))
+    refined = _refine(peaks, reduced, k, grid, _fine_lattice(grid, k, cfg.fine_counts))
     assert len(refined) == len(peaks)
     for peak, got in zip(peaks, refined):
         index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, cfg.fine_counts)
