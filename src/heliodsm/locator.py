@@ -360,8 +360,8 @@ class _Stopwatch:
         self.last = now
 
 
-def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine: SamplingGrid | None) -> Reconstruction:
-    """The sampling pipeline behind `dsm` (fine None) and `dsm2`."""
+def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_counts) -> Reconstruction:
+    """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
     watch = _Stopwatch()
     options = options or DsmOptions()
     wavelength = 2.0 * math.pi / k
@@ -369,7 +369,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine: Sam
     cluster = options.cluster_radius if options.cluster_radius is not None else wavelength
     comps = options.components if options.components is not None else tuple(range(cauchy.dims + 1))
     dirs = options.directions if options.directions is not None else default_directions(cauchy.dims)
-    algorithm = "dsm" if fine is None else "dsm2"
+    algorithm = "dsm" if fine_counts is None else "dsm2"
     params = {
         "algorithm": algorithm,
         "wavenumber": k,
@@ -402,11 +402,11 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine: Sam
         warnings.warn("no significant indicator maximizers survived", stacklevel=3)
     watch.lap("peaks")
     grid_points, fine_grids = [len(grid)], 0
-    if fine is not None:
-        params["fine_counts"] = list(fine.counts)
-        peaks = _refine(peaks, reduced, k, grid, fine)
+    if fine_counts is not None:
+        params["fine_counts"] = list(fine_counts)
+        peaks = _refine(peaks, reduced, k, grid, fine_counts)
         fine_grids = len(peaks)
-        grid_points.append(fine_grids * len(fine))
+        grid_points.append(fine_grids * math.prod(fine_counts))
         # fine grids resolve peaks better than the coarse lattice; normalize
         # group strengths by the refined component maxima
         for p in peaks:
@@ -463,31 +463,25 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | 
     return _sample(cauchy, k, grid, options, None)
 
 
-def _fine_lattice(grid: SamplingGrid, k: float, fine_counts) -> SamplingGrid:
-    """The local refine lattice: fine_counts points on the box [0, side], side
-    one wavelength, or the probe-box span on a narrower axis.  SamplingGrid
-    rejects fine_counts that are not dims integers >= 2."""
-    side = np.minimum(2.0 * math.pi / k, np.subtract(grid.upper, grid.lower))
-    return SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), tuple(fine_counts))
-
-
-def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine: SamplingGrid) -> list[Peak]:
-    """Argmax of |I_ell| over a copy of the `_fine_lattice` `fine` shifted to
-    each peak; one grid-kernel call on the lattice x evaluates them all,
-    peak p as weight column v_ell(d) e^{-ik d.c_p}."""
+def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> list[Peak]:
+    """Argmax of |I_ell| over a one-wavelength fine grid around each peak (the
+    box span on a narrower axis); one grid-kernel call on the local lattice x
+    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}."""
     if not peaks:
         return []
-    lower, upper, side = np.array(grid.lower), np.array(grid.upper), np.array(fine.upper)
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
+    side = np.minimum(2.0 * math.pi / k, upper - lower)
     lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
     over = lo + side > upper  # shift down; max() as upper - span may round below lower
     lo, hi = np.where(over, np.maximum(lower, upper - side), lo), np.where(over, upper, lo + side)
     dirs = reduced.directions
     weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ lo.T))
-    magnitudes = np.abs(_grid_kernel(weights, dirs, k, fine.axes()))
+    local = SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), tuple(fine_counts))
+    magnitudes = np.abs(_grid_kernel(weights, dirs, k, local.axes()))
     best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
-    index = np.unravel_index(best, fine.counts, order="F")
+    index = np.unravel_index(best, fine_counts, order="F")
     # report the fine grids' own points, np.linspace(lo, hi, n) on each axis
-    at = np.stack([np.linspace(lo[:, i], hi[:, i], n)[index[i], cols] for i, n in enumerate(fine.counts)], axis=1)
+    at = np.stack([np.linspace(lo[:, i], hi[:, i], n)[index[i], cols] for i, n in enumerate(fine_counts)], axis=1)
     return [
         Peak(location=loc, component=p.component, magnitude=float(m), grid_index=int(i))
         for p, loc, m, i in zip(peaks, at, magnitudes[best, cols], best)
@@ -511,10 +505,11 @@ def dsm2(
     """
     if fine_counts is None:
         fine_counts = FINE_COUNTS_2D if cauchy.dims == 2 else FINE_COUNTS_3D
-    fine = _fine_lattice(coarse_grid, k, fine_counts)
+    # _refine's local lattice makes this rule too; check it before any work
+    SamplingGrid(coarse_grid.dims, coarse_grid.lower, coarse_grid.upper, tuple(fine_counts))
     if max(coarse_grid.spacing) > math.pi / k:
         warnings.warn(
             "coarse grid spacing exceeds half a wavelength; maximizers may be missed",
             stacklevel=2,
         )
-    return _sample(cauchy, k, coarse_grid, options, fine)
+    return _sample(cauchy, k, coarse_grid, options, fine_counts)

@@ -15,7 +15,6 @@ from heliodsm.locator import (
     DsmOptions,
     Peak,
     PeakGroup,
-    _fine_lattice,
     _refine,
     cluster_peaks,
     dsm,
@@ -410,7 +409,7 @@ def test_batched_refine_matches_per_peak_fine_grids(case):
         for p in find_peaks(IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)
     ]
     assert len({p.component for p in peaks}) == grid.dims + 1
-    refined = _refine(peaks, reduced, k, grid, _fine_lattice(grid, k, cfg.fine_counts))
+    refined = _refine(peaks, reduced, k, grid, cfg.fine_counts)
     assert len(refined) == len(peaks)
     for peak, got in zip(peaks, refined):
         index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, cfg.fine_counts)
