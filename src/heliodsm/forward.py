@@ -41,13 +41,14 @@ __all__ = [
     "monopole",
     "dipole",
     "synthesize_cauchy",
+    "check_inside",
     "add_noise",
     "check_assumptions",
     "AssumptionReport",
 ]
 
-# A source closer to the boundary than this fraction of the surface radius
-# is rejected (catastrophic cancellation guard).
+# Every source must lie inside the measurement radius by at least this
+# fraction of it (catastrophic cancellation guard).
 BOUNDARY_GUARD = 1e-8
 
 # The noise model targets the small-noise regime (eps << 1); levels beyond
@@ -213,7 +214,7 @@ class NoiseSpec:
         if self.level > NOISE_WARN_LEVEL:
             warnings.warn(
                 f"noise level {self.level} is far outside the small-noise regime",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the line that built the spec
             )
 
 
@@ -263,17 +264,24 @@ def _traces(
     return u, du
 
 
+def check_inside(ensemble: SourceEnsemble, radius: float) -> None:
+    """Raise ValueError unless every source lies strictly inside the
+    measurement radius, |z| < radius (1 - BOUNDARY_GUARD)."""
+    for s in ensemble.sources:
+        norm = float(np.linalg.norm(s.location))
+        if not norm < radius * (1.0 - BOUNDARY_GUARD):
+            raise ValueError(
+                f"source at {s.location.tolist()} (|z| = {norm:.6g}) is not inside the measurement radius {radius:g}"
+            )
+
+
 def synthesize_cauchy(ensemble: SourceEnsemble, k: float, surface: MeasurementSurface) -> CauchyData:
     """Evaluate the closed-form traces at every surface point."""
     if ensemble.dims != surface.dims:
         raise ValueError("ensemble and surface dimensions differ")
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
-    guard = BOUNDARY_GUARD * surface.radius
-    for s in ensemble.sources:
-        gap = np.min(np.linalg.norm(surface.points - s.location, axis=1))
-        if gap <= guard:
-            raise ValueError("a source lies on the measurement surface")
+    check_inside(ensemble, surface.radius)
     dirichlet, neumann = _traces(ensemble, k, surface.points, surface.normals)
     return CauchyData(surface=surface, dirichlet=dirichlet, neumann=neumann)
 

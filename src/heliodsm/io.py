@@ -14,9 +14,8 @@ reconstruction.csv
     One row per recovered group:
     group, components ('|'-separated), z1..zN (centroid), lambda_re,
     lambda_im, eta1_re, eta1_im, .., magnitude, kind.  lambda and eta are
-    the plane-wave fit read-offs of `locator` (read at the group's
-    strongest members, not at the centroid; all groups fitted jointly
-    unless run.json records readoff_coupling "per_group").
+    the boundary-fit read-offs of `locator` (read at the group's strongest
+    members, not at the centroid; all groups fitted jointly).
 run.json
     Parameters, seed, timings, thread count.  Timings vary run to run, so
     determinism guarantees cover the CSV files only.

@@ -13,25 +13,23 @@ again.  `dsm` (single level) and `dsm2` (two level) are its two entry
 points.
 
 Intensities are read off by `recover_intensities`, which fits the
-plane-wave identity
+forward model itself,
 
-    R(d) ~ sum_j (lambda_j - ik eta_j.d) e^{ik d.z_j}
+    u(x) = -sum_j [lambda_j Phi + eta_j . grad_x Phi](x - z_j),
 
-to the reduced data over the direction nodes, a weighted least-squares
-problem with (N+1) unknowns per group.  Each group's lambda term sits at
-its strongest component-0 maximizer (|I_0| peaks at monopoles) and its eta
-terms at its strongest maximizer of components 1..N (|I_ell| peaks at
-dipoles); a group without one kind uses the other's point.  Fitting all
-groups at once removes the cross-source terms that a single-point
-indicator read-off picks up.  The coupled fit needs R(d) itself to be
-accurate, so the driver computes the boundary-rule resolution ratio
-
-    q = h k (R + rho) / (2 pi R),
-
-with h the mean boundary node spacing, R the measurement radius and rho
-the largest probe-box corner norm (q < 1: the boundary rule resolves every
-plane-wave term of a source inside the box).  For q >= 1 it warns and fits
-each group alone at the same points.
+and its normal derivative to the boundary Cauchy data: one weighted
+least-squares problem with (N+1) unknowns per group.  Its rows are u and
+d_nu u / k at each boundary node, weighted by the square root of the node's
+quadrature weight, so the squared residual approximates the boundary
+integral of |u - U|^2 + |d_nu u - d_nu U|^2 / k^2.  Away from a source
+d_nu Phi ~ ik Phi, so the division by k puts both traces on one scale and
+neither outweighs the other.  The fit forms no quadrature of the data, so
+it holds on a boundary rule too coarse to resolve R(d).  Each group's
+lambda term sits at its strongest component-0 maximizer (|I_0| peaks at
+monopoles) and its eta terms at its strongest maximizer of components 1..N
+(|I_ell| peaks at dipoles); a group without one kind uses the other's
+point.  Fitting all groups at once removes the cross-source terms that a
+single-point indicator read-off picks up.
 
 `dsm2` runs the same collection on a coarse grid, then re-samples only
 the relevant component on a small fine grid (side one wavelength, 2*pi/k)
@@ -72,7 +70,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forward import CauchyData
+from .forward import CauchyData, _radial
 from .geometry import DirectionSet, SamplingGrid
 from .indicators import (
     IndicatorField,
@@ -92,7 +90,6 @@ __all__ = [
     "find_peaks",
     "cluster_peaks",
     "recover_intensities",
-    "resolution_ratio",
     "dsm",
     "dsm2",
 ]
@@ -304,47 +301,44 @@ def _readoff_points(group: PeakGroup) -> tuple[np.ndarray, np.ndarray]:
     return lam_at, eta_at
 
 
-def recover_intensities(groups, reduced: ReducedData, k: float) -> list[tuple[complex, np.ndarray]]:
+def recover_intensities(groups, cauchy: CauchyData, k: float) -> list[tuple[complex, np.ndarray]]:
     """Intensity read-offs (lambda, eta), one per group, fitted jointly.
 
-    Minimizes sum_d w_d |R(d) - sum_j (lambda_j - ik eta_j.d) e^{ik d.z_j}|^2
-    over the direction nodes, with z_j the read-off points of each group
-    (see the module docstring).  Fitting the groups together keeps each
-    source's terms out of the others' read-offs; one group alone gives the
-    single-group fit.  For a lone source at its exact location the result
-    is exact up to the quadrature error of R(d).
+    Fits the forward field U of sources at each group's read-off points to
+    u and d_nu u / k over the boundary nodes (see the module docstring).
+    Fitting the groups together keeps each source's terms out of the
+    others' read-offs; one group alone gives the single-group fit.  On
+    clean data at the exact source points the result is exact to rounding.
     """
     if not groups:
         return []
-    dirs = reduced.directions
-    cols = []
-    for g in groups:
-        lam_at, eta_at = _readoff_points(g)
-        cols.append(np.exp(1j * k * (dirs.nodes @ lam_at)))
-        wave = np.exp(1j * k * (dirs.nodes @ eta_at))
-        cols.extend(-1j * k * dirs.nodes[:, c] * wave for c in range(dirs.dims))
-    sqrt_w = np.sqrt(dirs.weights)
-    design = np.stack(cols, axis=1) * sqrt_w[:, None]
-    coef = np.linalg.lstsq(design, reduced.values * sqrt_w, rcond=None)[0]
-    return [(complex(c[0]), c[1:]) for c in coef.reshape(len(groups), dirs.dims + 1)]
+    surf = cauchy.surface
+    at = np.array([z for g in groups for z in _readoff_points(g)])  # lambda point, eta point per group
+    points, which = np.unique(at, axis=0, return_inverse=True)
+    t = surf.points[:, None] - points  # (m, p, N)
+    r = np.sqrt(np.einsum("mpd,mpd->mp", t, t))
+    phi, dphi = _radial(surf.dims, k, r)
+    g = dphi / r
+    nu_t = np.einsum("md,mpd->mp", surf.normals, t)
+    hess = nu_t * (surf.dims * g + k * k * phi) / (r * r)
+    # column j(N+1) + c holds group j's unit monopole (c = 0) or unit dipole
+    # e_c (c >= 1) traces, as forward._traces forms them; the sign of
+    # u = -sum_j [...] goes to the data
+    lam, eta = which.reshape(len(groups), 2).T
+    design = np.empty((2, len(surf), len(groups), surf.dims + 1), dtype=complex)  # u rows, d_nu u rows
+    design[0, :, :, 0] = phi[:, lam]
+    design[1, :, :, 0] = (g * nu_t)[:, lam]
+    design[0, :, :, 1:] = g[:, eta, None] * t[:, eta]
+    design[1, :, :, 1:] = g[:, eta, None] * surf.normals[:, None] - hess[:, eta, None] * t[:, eta]
+    scale = np.sqrt(surf.weights) / np.array([[1.0], [k]])  # rows u and d_nu u / k
+    design *= scale[:, :, None, None]
+    data = -np.stack([cauchy.dirichlet, cauchy.neumann]) * scale
+    coef = np.linalg.lstsq(design.reshape(data.size, -1), data.reshape(-1), rcond=None)[0]
+    return [(complex(c[0]), c[1:]) for c in coef.reshape(len(groups), surf.dims + 1)]
 
 
 def _classify(lam: complex, eta: np.ndarray, k: float) -> str:
     return "monopole" if abs(lam) >= k * float(np.linalg.norm(eta)) else "dipole"
-
-
-def resolution_ratio(cauchy: CauchyData, k: float, grid: SamplingGrid) -> float:
-    """Boundary-rule resolution ratio q = h k (R + rho) / (2 pi R).
-
-    h = (sum of boundary weights / m)^(1/(N-1)) is the mean node spacing,
-    R the measurement radius and rho the largest corner norm of the probe
-    box.  q < 1 means the boundary rule has more nodes than the angular
-    bandwidth k (R + rho) of the integrand of R(d) for a source in the box.
-    """
-    surf = cauchy.surface
-    h = (float(np.sum(surf.weights)) / len(surf)) ** (1.0 / (surf.dims - 1))
-    rho = math.sqrt(sum(max(lo * lo, hi * hi) for lo, hi in zip(grid.lower, grid.upper)))
-    return h * k * (surf.radius + rho) / (2.0 * math.pi * surf.radius)
 
 
 class _Stopwatch:
@@ -420,19 +414,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
         if max(p.magnitude / comp_max[p.component] for p in g.members) >= DEFAULT_GROUP_SIGNIFICANCE
     ]
     watch.lap("cluster")
-    q = resolution_ratio(cauchy, k, grid)
-    params["readoff_q"] = q
-    params["readoff_coupling"] = "joint" if q < 1.0 else "per_group"
-    if q < 1.0:
-        fits = recover_intensities(accepted, reduced, k)
-    else:
-        if accepted:
-            warnings.warn(
-                f"boundary rule under-resolves R(d) (q = {q:.3f} >= 1); "
-                "intensities are read per group without cross-source coupling",
-                stacklevel=3,
-            )
-        fits = [recover_intensities((g,), reduced, k)[0] for g in accepted]
+    fits = recover_intensities(accepted, cauchy, k)
     groups = tuple(
         replace(g, lambda_estimate=lam, eta_estimate=eta, kind=_classify(lam, eta, k))
         for g, (lam, eta) in zip(accepted, fits)

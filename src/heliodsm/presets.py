@@ -27,7 +27,8 @@ Schema (dims = 2 or 3 everywhere consistent)::
 
 Every number must be finite.  `ExperimentConfig` builds each object it
 describes when it is made, and that object's constructor checks its rules:
-distinct finite source locations; radius > 0, count >= 8 (3D: n_theta >= 2,
+distinct finite source locations strictly inside the measurement radius
+(`forward.check_inside`); radius > 0, count >= 8 (3D: n_theta >= 2,
 n_phi >= 4) and >= 4 directions; 0 <= level <= 0.5 and 0 <= seed < 2**128;
 lower < upper on each axis, with counts, fine_counts and dsm_counts dims
 integers >= 2; and `DsmOptions`: significance in (0, 1], radii null or
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import NoiseSpec, PointSource, SourceEnsemble, dipole, monopole
+from .forward import NoiseSpec, PointSource, SourceEnsemble, check_inside, dipole, monopole
 from .geometry import (
     DirectionSet,
     MeasurementSurface,
@@ -132,10 +133,11 @@ class ExperimentConfig:
     def __post_init__(self):
         # each rule lives in the constructor of the object it guards; building
         # them all here (after dataclasses.replace too) fails a bad value
-        # before any file is written
+        # before any file is written; the sources rule reads the measurement
+        # radius, so the measurement is built first
         builders = {
-            "sources": self.ensemble,
             "measurement": self.surface,
+            "sources": lambda: check_inside(self.ensemble(), self.measurement_radius),
             "noise": self.noise_spec,
             "directions": self.direction_set,
             "grid": self.grid,

@@ -254,8 +254,15 @@ def test_criterion_7_example4_dsm_vs_dsm2():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         noisy = add_noise(clean, cfg.noise_spec())
-        recon2 = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options())
-        recon1 = dsm(noisy, k, cfg.dsm_grid(), cfg.options())
+        # the fastest of 3 runs each, so a host stall in either cannot decide
+        recon2 = min(
+            (dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options()) for _ in range(3)),
+            key=lambda r: r.elapsed_seconds,
+        )
+        recon1 = min(
+            (dsm(noisy, k, cfg.dsm_grid(), cfg.options()) for _ in range(3)),
+            key=lambda r: r.elapsed_seconds,
+        )
     errs2 = [float(np.min(np.linalg.norm(recon2.centroids() - e, axis=1))) for e in exact]
     errs1 = [float(np.min(np.linalg.norm(recon1.centroids() - e, axis=1))) for e in exact]
     ratio = recon2.elapsed_seconds / recon1.elapsed_seconds
@@ -312,12 +319,11 @@ def test_criterion_9_intensity_readoff(example1_runs):
     lam = 2.5 - 1.5j
     ens = SourceEnsemble(sources=(monopole(z, lam),))
     cauchy = synthesize_cauchy(ens, k, circle_surface(6.0, 1024))
-    red = reduced_data(cauchy, k, circle_directions(256))
     group = PeakGroup(
         members=(Peak(location=z, component=0, magnitude=abs(lam), grid_index=0),),
         centroid=z,
     )
-    [(lam_hat, eta_hat)] = recover_intensities((group,), red, k)
+    [(lam_hat, eta_hat)] = recover_intensities((group,), cauchy, k)
     m1_gap = max(abs(lam_hat - lam), float(np.max(np.abs(eta_hat))))
 
     # Example 1 at eps = 5%: relative read-off error per source, 5 seeds
@@ -339,7 +345,7 @@ def test_criterion_9_intensity_readoff(example1_runs):
     )
     assert m1_gap <= 1e-8
     assert worst_rel <= 0.20, (
-        "plane-wave read-off error: the joint least-squares fit of R(d) at "
+        "read-off error: the joint least-squares fit of the Cauchy data at "
         "each group's strongest component-0 member misses lambda by more "
         "than 20% on some example-1 seed"
     )

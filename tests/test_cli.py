@@ -29,7 +29,7 @@ from heliodsm.io import (
     write_reconstruction_csv,
 )
 from heliodsm.locator import Peak, PeakGroup, Reconstruction
-from heliodsm.presets import ConfigError, ExperimentConfig, preset_config
+from heliodsm.presets import PRESETS, ConfigError, ExperimentConfig, preset_config
 
 
 def test_config_roundtrip_idempotent():
@@ -505,13 +505,16 @@ def test_cli_validation_exit_codes(tmp_path):
         # a 3D box, grid and fine counts in a dims=2 config
         lambda r: (r["grid"].update(lower=[-4.0] * 3, upper=[4.0] * 3, counts=[10] * 3),
                    r.__setitem__("fine_counts", [4] * 3)),
+        lambda r: r["sources"][3].__setitem__("location", [7.0, 0.0]),
+        lambda r: r["sources"][3].__setitem__("location", [6.0, 0.0]),
     ],
     ids=["significance", "fine_counts", "fractional_grid_counts", "negative_merge_radius",
          "zero_cluster_radius", "no_components", "nan_merge_radius", "nan_cluster_radius",
          "bool_significance", "bool_merge_radius", "text_significance", "repeated_components",
          "nan_grid_lower", "no_measurement_points", "seven_measurement_points",
          "negative_radius", "negative_noise", "large_noise", "negative_seed",
-         "repeated_location", "nan_location", "inf_location", "grid_dims"],
+         "repeated_location", "nan_location", "inf_location", "grid_dims",
+         "source_outside_surface", "source_on_surface"],
 )
 def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate):
     raw = preset_config("example1").to_dict()
@@ -522,6 +525,21 @@ def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate)
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("location", [[7.0, 0.0], [6.0, 0.0]], ids=["outside", "on_surface"])
+def test_config_rejects_source_not_inside_the_surface(location):
+    raw = preset_config("example1").to_dict()
+    raw["sources"][3]["location"] = location
+    with pytest.raises(ConfigError, match="^sources: source at"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_presets_reconstruct_without_warnings(tmp_path, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", "--preset", name, "--out", str(tmp_path / name), "--quiet"]) == 0
 
 
 def test_reconstruct_rejects_seed_override_before_writing(tmp_path, capsys):

@@ -243,6 +243,14 @@ def test_source_on_surface_rejected():
         synthesize_cauchy(ens, 5.0, circle_surface(6.0, 64))
 
 
+def test_source_outside_surface_rejected():
+    # between the nodes of the circle and outside it: no node is near either
+    for location in ([6.0 * math.cos(0.05), 6.0 * math.sin(0.05)], [7.0, 0.0]):
+        ens = SourceEnsemble(sources=(monopole(location, 1.0),))
+        with pytest.raises(ValueError, match="not inside the measurement radius"):
+            synthesize_cauchy(ens, 5.0, circle_surface(6.0, 64))
+
+
 def test_noise_zero_is_identity(example1):
     _, _, clean, _ = example1
     out = add_noise(clean, NoiseSpec(level=0.0, seed=7))
@@ -286,6 +294,12 @@ def test_noise_spec_validation():
             NoiseSpec(level=0.05, seed=seed)
     with pytest.warns(UserWarning):
         NoiseSpec(level=0.3, seed=0)
+
+
+def test_noise_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="small-noise") as record:
+        NoiseSpec(level=0.3, seed=1)
+    assert all(w.filename == __file__ for w in record)
 
 
 def test_cauchy_data_validation(example1):

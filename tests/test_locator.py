@@ -21,7 +21,6 @@ from heliodsm.locator import (
     dsm2,
     find_peaks,
     recover_intensities,
-    resolution_ratio,
 )
 from heliodsm.specfun import bessel_j
 from heliodsm.presets import preset_config
@@ -479,9 +478,8 @@ def test_recover_intensities_matches_readoff(example1):
     cfg, ens, _, noisy = example1
     k = cfg.wavenumber
     recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options())
-    red = reduced_data(noisy, k, cfg.direction_set())
     g = recon.groups[0]
-    lam, eta = recover_intensities(recon.groups, red, k)[0]
+    lam, eta = recover_intensities(recon.groups, noisy, k)[0]
     assert lam == g.lambda_estimate
     assert np.array_equal(eta, g.eta_estimate)
     assert g.kind == "monopole"
@@ -522,8 +520,7 @@ def test_counts_record_the_work_done(example1, example4):
         "phase_exps": 200 * 256,
     }
     cfg, _, _, noisy = example4
-    with pytest.warns(UserWarning, match="under-resolves"):
-        recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
+    recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
     assert recon.counts == {
         "directions": 42 * 43,
         "boundary_points": 42 * 43,
@@ -544,39 +541,46 @@ def test_joint_readoff_removes_cross_source_terms():
     z1, z2 = np.array([1.0, 0.5]), np.array([0.44, 0.08])
     lam1, lam2 = 3.0 + 1.0j, -2.0 + 0.5j
     ens = SourceEnsemble(sources=(monopole(z1, lam1), monopole(z2, lam2)))
-    red = reduced_data(synthesize_cauchy(ens, k, circle_surface(6.0, 1024)), k, circle_directions(256))
-    fits = recover_intensities((_point_group(z1), _point_group(z2)), red, k)
+    cauchy = synthesize_cauchy(ens, k, circle_surface(6.0, 1024))
+    fits = recover_intensities((_point_group(z1), _point_group(z2)), cauchy, k)
     for (lam_hat, eta_hat), lam in zip(fits, (lam1, lam2)):
         assert abs(lam_hat - lam) <= 1e-8
         assert np.max(np.abs(eta_hat)) <= 1e-8
     # the indicator at z1 also carries the other source's lambda_2 J0(k|z1 - z2|)
     cross = lam2 * bessel_j(0, k * float(np.linalg.norm(z1 - z2)))
-    i0 = indicator_at(red, k, z1[None, :], (0,))[0, 0]
+    i0 = indicator_at(reduced_data(cauchy, k, circle_directions(256)), k, z1[None, :], (0,))[0, 0]
     assert abs(i0 - (lam1 + cross)) <= 1e-8
     assert abs(i0 - lam1) > 0.1 * abs(lam1)
 
 
-def test_underresolved_boundary_reads_per_group(example1):
+def _exact_groups(ensemble):
+    return [_point_group(s.location) for s in ensemble.sources]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5", "circle120"])
+def test_readoff_exact_on_clean_data(name):
+    # every preset on its own surface, and example1 on a 120-point circle
+    # (too coarse to resolve R(d) there), read at the exact source points
+    cfg = preset_config("example1" if name == "circle120" else name)
+    ens, k = cfg.ensemble(), cfg.wavenumber
+    surface = circle_surface(cfg.measurement_radius, 120) if name == "circle120" else cfg.surface()
+    fits = recover_intensities(_exact_groups(ens), synthesize_cauchy(ens, k, surface), k)
+    for s, (lam, eta) in zip(ens.sources, fits):
+        truth = np.concatenate([[s.scalar_intensity], s.vector_intensity])
+        assert np.linalg.norm(np.concatenate([[lam], eta]) - truth) <= 1e-10 * np.linalg.norm(truth)
+
+
+def test_underresolved_boundary_reads_jointly(example1):
     cfg, ens, _, _ = example1
     k = cfg.wavenumber
     cauchy = synthesize_cauchy(ens, k, circle_surface(cfg.measurement_radius, 120))
-    assert resolution_ratio(cauchy, k, cfg.grid()) == pytest.approx(1.457, abs=1e-3)
-    with pytest.warns(UserWarning, match="under-resolves"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         recon = dsm2(cauchy, k, cfg.grid(), cfg.fine_counts, cfg.options())
     assert recon.estimated_count > 1
-    assert recon.parameters["readoff_coupling"] == "per_group"
-    red = reduced_data(cauchy, k, cfg.direction_set())
-    for g in recon.groups:
-        [(lam, eta)] = recover_intensities((g,), red, k)
+    for g, (lam, eta) in zip(recon.groups, recover_intensities(recon.groups, cauchy, k)):
         assert lam == g.lambda_estimate
         assert np.array_equal(eta, g.eta_estimate)
-
-
-def test_preset_boundary_records_joint_coupling(example1):
-    cfg, _, _, noisy = example1
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
-    assert recon.parameters["readoff_q"] == pytest.approx(0.874, abs=1e-3)
-    assert recon.parameters["readoff_coupling"] == "joint"
 
 
 @pytest.mark.parametrize("algorithm", ["dsm", "dsm2"])
@@ -597,10 +601,9 @@ def test_reconstruction_carries_collection_grid_fields(example1, algorithm):
 
 
 def test_driver_warnings_point_at_the_caller(example1):
-    cfg, ens, _, noisy = example1
+    cfg, _, _, noisy = example1
     k = cfg.wavenumber
     coarse = make_grid([-4, -4], [4, 4], [10, 10])
-    under = synthesize_cauchy(ens, k, circle_surface(cfg.measurement_radius, 120))
     silent = CauchyData(
         surface=noisy.surface,
         dirichlet=np.zeros_like(noisy.dirichlet),
@@ -608,8 +611,6 @@ def test_driver_warnings_point_at_the_caller(example1):
     )
     calls = [
         ("spacing", lambda: dsm2(noisy, k, coarse, (40, 40), cfg.options())),
-        ("under-resolves", lambda: dsm2(under, k, cfg.grid(), cfg.fine_counts, cfg.options())),
-        ("under-resolves", lambda: dsm(under, k, cfg.grid(), cfg.options())),
         ("no significant", lambda: dsm(silent, k, cfg.grid(), cfg.options())),
         ("no significant", lambda: dsm2(silent, k, cfg.grid(), cfg.fine_counts, cfg.options())),
     ]
