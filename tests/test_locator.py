@@ -553,10 +553,6 @@ def test_joint_readoff_removes_cross_source_terms():
     assert abs(i0 - lam1) > 0.1 * abs(lam1)
 
 
-def _exact_groups(ensemble):
-    return [_point_group(s.location) for s in ensemble.sources]
-
-
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5", "circle120"])
 def test_readoff_exact_on_clean_data(name):
     # every preset on its own surface, and example1 on a 120-point circle
@@ -564,7 +560,8 @@ def test_readoff_exact_on_clean_data(name):
     cfg = preset_config("example1" if name == "circle120" else name)
     ens, k = cfg.ensemble(), cfg.wavenumber
     surface = circle_surface(cfg.measurement_radius, 120) if name == "circle120" else cfg.surface()
-    fits = recover_intensities(_exact_groups(ens), synthesize_cauchy(ens, k, surface), k)
+    groups = [_point_group(s.location) for s in ens.sources]
+    fits = recover_intensities(groups, synthesize_cauchy(ens, k, surface), k)
     for s, (lam, eta) in zip(ens.sources, fits):
         truth = np.concatenate([[s.scalar_intensity], s.vector_intensity])
         assert np.linalg.norm(np.concatenate([[lam], eta]) - truth) <= 1e-10 * np.linalg.norm(truth)
