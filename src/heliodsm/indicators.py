@@ -51,6 +51,16 @@ its sums over the azimuth are circular correlations, done with numpy's
 FFT.  Any other point set, unequal azimuth counts and all of 2D take the
 chunked path.
 
+Two tables never depend on the Cauchy data and recur from run to run:
+the inverse DFT of that phase table (key: k, the radius, both polar
+rules and n_phi) and the axis factors of dsm2's local fine lattice (key:
+k, the direction nodes and the lattice).  Each is built by the expression
+that would build it per call, then held read-only, bit for bit, in one
+process-wide LRU of _HELD_MAX entries (`_held`); on the 3D presets each
+table is about 1.1 MiB.  Collection-grid factors and the 2D chunked
+phase matrix are built per call: held as well, they raised the peak
+memory of the 60^3 dsm run and of a 2D loop by about 14%.
+
 `moment` holds the closed form of the circle and sphere integrals of
 d_p d_q e^{ik d.z}, one expression for both dimensions; it is the
 verification target for the direction-set quadrature and the source of the
@@ -60,6 +70,8 @@ decay-rate checks.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +102,11 @@ _RING_BLOCK = 1 << 15
 # Largest coordinate gap at which unit vectors still count as a product rule.
 _RULE_TOL = 1e-12
 
+# Entries of the process-wide memo of phase tables (see `_held`).
+_HELD_MAX = 8
+_held_tables: OrderedDict = OrderedDict()
+_held_lock = threading.Lock()
+
 # Indicator-integral direction defaults (2D count; 3D product factors).
 DEFAULT_CIRCLE_DIRECTIONS = 256
 DEFAULT_SPHERE_DIRECTIONS = (42, 43)
@@ -101,7 +118,8 @@ class ReducedData:
 
     directions: DirectionSet
     values: np.ndarray  # (n_dir,) complex
-    phase_exps: int = 0  # complex exponentials formed to compute values
+    phase_exps: int = 0  # entries of the phase table R(d) used
+    tables_built: int = 0  # held phase tables built, not reused, for values
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -185,21 +203,45 @@ def _product_rule(unit: np.ndarray):
     return cos_t, sin_t, n_phi
 
 
+def _held(key, build):
+    """build()'s tuple of arrays, held read-only in a process-wide LRU of
+    _HELD_MAX entries under key, and whether this call built it (True) or
+    reused it (False).  key must hold every input of build, bit for bit."""
+    with _held_lock:
+        if key in _held_tables:
+            _held_tables.move_to_end(key)
+            return _held_tables[key], False
+    arrays = build()
+    for a in arrays:
+        a.flags.writeable = False
+    with _held_lock:
+        _held_tables[key] = arrays
+        while len(_held_tables) > _HELD_MAX:
+            _held_tables.popitem(last=False)
+    return arrays, True
+
+
 def _circulant_parts(surf, nodes: np.ndarray, rows: np.ndarray, k: float):
     """reduced_data's (n_dir, n_rows) contraction on two product rules with
-    equal n_phi, and the size of its phase table; None for other inputs."""
+    equal n_phi, the size of its phase table and whether this call built the
+    table's spectrum (see `_held`); None for other inputs."""
     pts_rule, dir_rule = _product_rule(surf.points / surf.radius), _product_rule(nodes)
     if pts_rule is None or dir_rule is None or pts_rule[2] != dir_rule[2]:
         return None
     (cos_a, sin_a, n), (cos_c, sin_c, _) = pts_rule, dir_rule
-    # x.d at azimuth difference p_b - p'_e = 2 pi m / n, for rings a and c
-    cos_m = np.cos(2.0 * np.pi * np.arange(n) / n)
-    table = np.exp(1j * k * surf.radius * (
-        np.outer(sin_a, sin_c)[:, :, None] * cos_m + np.outer(cos_a, cos_c)[:, :, None]))
+
+    def build():
+        # x.d at azimuth difference p_b - p'_e = 2 pi m / n, for rings a and c
+        cos_m = np.cos(2.0 * np.pi * np.arange(n) / n)
+        table = np.exp(1j * k * surf.radius * (
+            np.outer(sin_a, sin_c)[:, :, None] * cos_m + np.outer(cos_a, cos_c)[:, :, None]))
+        return (np.fft.ifft(table, norm="forward"),)
+
+    key = ("spectrum", k, surf.radius, n) + tuple(v.tobytes() for v in (cos_a, sin_a, cos_c, sin_c))
+    (table_spectrum,), built = _held(key, build)
     # parts[r, c, e] = sum_{a, b} rows[r, a, b] table[a, c, (b - e) mod n]
-    spectrum = np.einsum(
-        "raq,acq->rcq", np.fft.fft(rows.reshape(len(rows), -1, n)), np.fft.ifft(table, norm="forward"))
-    return np.fft.ifft(spectrum).transpose(1, 2, 0).reshape(-1, len(rows)), table.size
+    spectrum = np.einsum("raq,acq->rcq", np.fft.fft(rows.reshape(len(rows), -1, n)), table_spectrum)
+    return np.fft.ifft(spectrum).transpose(1, 2, 0).reshape(-1, len(rows)), table_spectrum.size, built
 
 
 def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> ReducedData:
@@ -217,16 +259,16 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
     )
     circulant = _circulant_parts(surf, nodes, rows, k) if surf.dims == 3 else None
     if circulant is not None:
-        parts, exps = circulant
+        parts, exps, built = circulant
     else:
         parts = _chunked(
             len(directions), len(rows), lambda s: np.exp(1j * k * (nodes[s] @ surf.points.T)) @ rows.T
         )
-        exps = len(surf) * len(directions)
+        exps, built = len(surf) * len(directions), False
     out = parts[:, 0]
     for c in range(surf.dims):
         out = out - 1j * k * nodes[:, c] * parts[:, c + 1]
-    return ReducedData(directions=directions, values=out, phase_exps=exps)
+    return ReducedData(directions=directions, values=out, phase_exps=exps, tables_built=int(built))
 
 
 def plane_wave_identity(ensemble: SourceEnsemble, k: float, d):
@@ -295,8 +337,26 @@ def _rings(directions: DirectionSet) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, n_phi, 3), cos_t
 
 
-def _grid_kernel(weights: np.ndarray, directions: DirectionSet, k: float, axes) -> np.ndarray:
-    """sum_d weights[d, p] e^{-ik d.z} on the lattice of `axes`, as (n_points, P).
+def _axis_factors(directions: DirectionSet, k: float, axes) -> tuple[np.ndarray, ...]:
+    """`_grid_kernel`'s plane-wave factors on the lattice of `axes`: the first
+    axis' (A, n_x, B), each middle axis' (A, B, n_y), the last axis' (A, n_z)."""
+    rings, level = _rings(directions)
+    middle = [np.exp(-1j * k * rings[:, :, i, None] * axes[i]) for i in range(1, directions.dims - 1)]
+    first = np.exp(-1j * k * axes[0][:, None] * rings[:, None, :, 0])
+    last = np.exp(-1j * k * np.outer(level, axes[-1]))
+    return (first, *middle, last)
+
+
+def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
+    """`_axis_factors` of the grid, held (see `_held`), and whether this call
+    built them.  For lattices that recur, such as dsm2's local fine lattice."""
+    key = ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
+    return _held(key, lambda: _axis_factors(directions, k, grid.axes()))
+
+
+def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
+    """sum_d weights[d, p] e^{-ik d.z} on a lattice, as (n_points, P), from
+    the lattice's `_axis_factors`.
 
     Exploits the tensor-product structure of the lattice and the ring
     structure of the directions (see `_rings`): with x, y, z the first,
@@ -311,24 +371,21 @@ def _grid_kernel(weights: np.ndarray, directions: DirectionSet, k: float, axes) 
     hold at most _RING_BLOCK entries of H (or one first-axis point), which
     also bounds the memory when every ring has one direction.
     """
-    rings, level = _rings(directions)
-    n_ring, per_ring, dims = rings.shape
+    first, *middle, last = factors
+    n_ring, n_x, per_ring = first.shape
     w = weights.reshape(n_ring, per_ring, -1)
-    for i in range(1, dims - 1):  # middle axes; a later axis varies slower
-        f = np.exp(-1j * k * rings[:, :, i, None] * axes[i])
+    for f in middle:  # a later axis varies slower
         w = (f[:, :, :, None] * w[:, :, None, :]).reshape(n_ring, per_ring, -1)
-    first = np.exp(-1j * k * axes[0][:, None] * rings[:, None, :, 0])  # (A, n_x, B)
-    last = np.exp(-1j * k * np.outer(level, axes[-1]))  # (A, n_z)
     width = w.shape[2]
 
     def block(s: slice) -> np.ndarray:
         ring_sums = np.matmul(first[:, s], w).reshape(n_ring, -1)  # (A, n_s * width)
         return (ring_sums.T @ last).reshape(s.stop - s.start, -1)
 
-    out = _chunked(len(axes[0]), width * len(axes[-1]), block, max(1, _RING_BLOCK // (n_ring * width)))
+    out = _chunked(n_x, width * last.shape[1], block, max(1, _RING_BLOCK // (n_ring * width)))
     # out[x, (y, p, z)] -> flat grid order: x + n_x * (y + n_y * z)
     n_cols = weights.shape[1]
-    return out.reshape(len(axes[0]), -1, n_cols, len(axes[-1])).transpose(3, 1, 0, 2).reshape(-1, n_cols)
+    return out.reshape(n_x, -1, n_cols, last.shape[1]).transpose(3, 1, 0, 2).reshape(-1, n_cols)
 
 
 def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:
@@ -336,7 +393,8 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
     comps = _check_components(reduced.dims, components)
     if grid.dims != reduced.dims:
         raise ValueError("grid and reduced data have different dimensions")
-    return _grid_kernel(_component_weights(reduced, k, comps), reduced.directions, k, grid.axes())
+    factors = _axis_factors(reduced.directions, k, grid.axes())
+    return _grid_kernel(_component_weights(reduced, k, comps), factors)
 
 
 def indicator_field(reduced: ReducedData, k: float, grid: SamplingGrid, component: int) -> IndicatorField:

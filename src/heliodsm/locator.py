@@ -38,7 +38,14 @@ Fine grids are shifted, never shrunk, to stay inside the probe box so
 every reported location remains inside it.  Every fine grid is the same
 local lattice x shifted to its corner c_p, and e^{-ik d.(c_p + x)} =
 e^{-ik d.c_p} e^{-ik d.x}, so all of them are one grid-kernel call on x
-with one weight column per peak.
+with one weight column per peak.  The local lattice depends only on k,
+fine_counts and the box clamp, so its plane-wave factors are built once
+per process and held (see `indicators`); the collection grid's are built
+on every call.
+
+The driver holds numpy's bundled OpenBLAS to one thread for the whole
+run, as the CLI does: the least-squares read-off and the small products
+ran several times slower on two BLAS threads.
 
 Spurious-structure handling is layered, reflecting how the indicator
 fields actually look for multipolar ensembles:
@@ -70,6 +77,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _threads
 from .forward import CauchyData, _radial
 from .geometry import DirectionSet, SamplingGrid
 from .indicators import (
@@ -77,6 +85,7 @@ from .indicators import (
     ReducedData,
     _component_weights,
     _grid_kernel,
+    _lattice_factors,
     default_directions,
     indicator_grid_values,
     reduced_data,
@@ -147,8 +156,10 @@ class Reconstruction:
     timings splits elapsed_seconds into the driver's stages (reduce, grid,
     peaks, refine, cluster, readoff; they sum to it), and counts records
     the work done: directions, boundary_points, grid_points (per level:
-    the collection grid, then all fine grids together), fine_grids and
-    phase_exps (the exponentials R(d) formed).
+    the collection grid, then all fine grids together), fine_grids,
+    phase_exps (entries of the phase table R(d) used) and
+    phase_tables_built (how many of the run's held phase tables it built
+    rather than reused; see `indicators`).
     """
 
     estimated_count: int
@@ -354,6 +365,7 @@ class _Stopwatch:
         self.last = now
 
 
+@_threads._one_blas_thread()
 def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_counts) -> Reconstruction:
     """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
     watch = _Stopwatch()
@@ -393,12 +405,14 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
         comp_counts[fld.component] = len(found)
         peaks.extend(found)
     if not peaks:
-        warnings.warn("no significant indicator maximizers survived", stacklevel=3)
+        # frames: _sample, its BLAS hold, dsm or dsm2, their caller
+        warnings.warn("no significant indicator maximizers survived", stacklevel=4)
     watch.lap("peaks")
-    grid_points, fine_grids = [len(grid)], 0
+    grid_points, fine_grids, tables_built = [len(grid)], 0, reduced.tables_built
     if fine_counts is not None:
         params["fine_counts"] = list(fine_counts)
-        peaks = _refine(peaks, reduced, k, grid, fine_counts)
+        peaks, built = _refine(peaks, reduced, k, grid, fine_counts)
+        tables_built += built
         fine_grids = len(peaks)
         grid_points.append(fine_grids * math.prod(fine_counts))
         # fine grids resolve peaks better than the coarse lattice; normalize
@@ -436,6 +450,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
             "grid_points": grid_points,
             "fine_grids": fine_grids,
             "phase_exps": reduced.phase_exps,
+            "phase_tables_built": tables_built,
         },
     )
 
@@ -445,12 +460,14 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | 
     return _sample(cauchy, k, grid, options, None)
 
 
-def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> list[Peak]:
+def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> tuple[list[Peak], bool]:
     """Argmax of |I_ell| over a one-wavelength fine grid around each peak (the
     box span on a narrower axis); one grid-kernel call on the local lattice x
-    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}."""
+    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}.  The
+    lattice's factors are held per process; the flag says whether this call
+    built them."""
     if not peaks:
-        return []
+        return [], False
     lower, upper = np.array(grid.lower), np.array(grid.upper)
     side = np.minimum(2.0 * math.pi / k, upper - lower)
     lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
@@ -459,7 +476,8 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
     dirs = reduced.directions
     weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ lo.T))
     local = SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), tuple(fine_counts))
-    magnitudes = np.abs(_grid_kernel(weights, dirs, k, local.axes()))
+    factors, built = _lattice_factors(dirs, k, local)
+    magnitudes = np.abs(_grid_kernel(weights, factors))
     best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
     index = np.unravel_index(best, fine_counts, order="F")
     # report the fine grids' own points, np.linspace(lo, hi, n) on each axis
@@ -467,7 +485,7 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
     return [
         Peak(location=loc, component=p.component, magnitude=float(m), grid_index=int(i))
         for p, loc, m, i in zip(peaks, at, magnitudes[best, cols], best)
-    ]
+    ], built
 
 
 def dsm2(

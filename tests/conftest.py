@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import heliodsm.indicators
 from heliodsm.forward import add_noise, synthesize_cauchy
 from heliodsm.presets import preset_config
 
@@ -30,6 +31,13 @@ def example4():
         warnings.simplefilter("ignore")
         noisy = add_noise(clean, cfg.noise_spec())
     return cfg, ensemble, clean, noisy
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the process-wide memo of phase tables, so the next calls build them."""
+    with heliodsm.indicators._held_lock:
+        heliodsm.indicators._held_tables.clear()
 
 
 def nearest_errors(recon, exact: np.ndarray) -> list[float]:

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -263,6 +267,52 @@ def test_cli_holds_openblas_to_one_thread(tmp_path, monkeypatch):
         lib.scipy_openblas_set_num_threads64_(old)
     assert seen == [1]
     assert after == before
+
+
+def test_run_json_counts_the_phase_tables_built(tmp_path):
+    # a wavenumber no other test uses, so the first run builds both tables
+    # (the circulant R(d) spectrum and the fine lattice) whatever ran before
+    raw = preset_config("example4").to_dict()
+    raw["wavenumber"] = 9.25
+    cfg_path = tmp_path / "k.json"
+    cfg_path.write_text(json.dumps(raw))
+    built = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+        counts = json.loads((out / "run.json").read_text())["counts"]
+        assert counts["phase_exps"] == 42 * 42 * 43
+        built.append(counts["phase_tables_built"])
+    assert built == [2, 0]
+
+
+def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
+    # one process reconstructs each preset twice, the second time from held
+    # phase tables; a fresh process per preset writes the same CSV bytes
+    env = dict(os.environ)
+    src = str(Path(heliodsm.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    presets = ["example1", "example4"]
+    script = (
+        "import sys\n"
+        "from heliodsm.cli import main\n"
+        "for i, preset in enumerate(sys.argv[2:]):\n"
+        "    assert main(['reconstruct', '--preset', preset, '--out', f'{sys.argv[1]}/{i}', '--quiet']) == 0\n"
+    )
+    one = tmp_path / "one"
+    subprocess.run([sys.executable, "-c", script, str(one)] + 2 * presets, env=env, check=True, timeout=600)
+    for i, preset in enumerate(presets):
+        fresh = tmp_path / preset
+        subprocess.run(
+            [sys.executable, "-m", "heliodsm.cli", "reconstruct", "--preset", preset, "--out", str(fresh), "--quiet"],
+            env=env, check=True, timeout=600,
+        )
+        names = sorted(p.name for p in fresh.glob("*.csv"))
+        assert "reconstruction.csv" in names
+        for run in (one / str(i), one / str(i + len(presets))):  # cold, then warm
+            assert sorted(p.name for p in run.glob("*.csv")) == names
+            for name in names:
+                assert (run / name).read_bytes() == (fresh / name).read_bytes(), (preset, run.name, name)
 
 
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows

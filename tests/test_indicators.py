@@ -506,6 +506,62 @@ def test_surface_read_back_from_csv_takes_the_circulant_path(tmp_path, example4)
 
 
 # ----------------------------------------------------------------------
+# phase tables held per process
+# ----------------------------------------------------------------------
+
+def test_held_spectrum_gives_the_built_bits(example4, cold_tables):
+    cfg, _, _, noisy = example4
+    cold = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
+    warm = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
+    assert (cold.tables_built, warm.tables_built) == (1, 0)
+    assert cold.phase_exps == warm.phase_exps == 42 * 42 * 43
+    assert np.array_equal(cold.values, warm.values)
+
+
+def test_held_tables_are_read_only(example1, example4):
+    for cfg, _, _, noisy in (example1, example4):
+        red = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
+        lattice = make_grid([0.0] * cfg.dims, [0.4] * cfg.dims, cfg.fine_counts)
+        ind._lattice_factors(red.directions, cfg.wavenumber, lattice)
+    held = [a for arrays in ind._held_tables.values() for a in arrays]
+    assert len(held) >= 3 + 2 + 1  # 3D lattice, 2D lattice, spectrum
+    for a in held:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+
+
+def test_each_table_input_gets_its_own_entry(cold_tables):
+    dirs = sphere_directions(42, 43)
+    box = make_grid([0, 0, 0], [0.6, 0.6, 0.6], [5, 5, 5])
+    lattices = [
+        (dirs, 10.0, box),
+        (dirs, 10.5, box),  # k
+        (dirs, 10.0, make_grid([0, 0, 0], [0.6, 0.6, 0.6], [5, 5, 6])),  # fine_counts
+        (dirs, 10.0, make_grid([0, 0, 0], [0.6, 0.3, 0.6], [5, 5, 5])),  # box clamp
+        (sphere_directions(40, 43), 10.0, box),  # direction rule
+    ]
+    for i, args in enumerate(lattices):
+        assert ind._lattice_factors(*args)[1]
+        assert len(ind._held_tables) == i + 1
+    cfg = preset_config("example4")
+    noisy, narrow = _noisy(cfg, cfg.surface()), _noisy(cfg, sphere_surface(cfg.measurement_radius, 30, 43))
+    spectra = [(noisy, 10.0), (noisy, 10.5), (narrow, 10.0)]  # base, k, measurement rule
+    for i, (data, k) in enumerate(spectra):
+        assert reduced_data(data, k, dirs).tables_built == 1
+        assert len(ind._held_tables) == len(lattices) + i + 1 == ind._HELD_MAX - len(spectra) + i + 1
+    for args in lattices:
+        assert not ind._lattice_factors(*args)[1]
+    for data, k in spectra:
+        assert reduced_data(data, k, dirs).tables_built == 0
+    # beyond the bound, the least recently used entry goes
+    for i in range(ind._HELD_MAX):
+        ind._lattice_factors(dirs, 20.0 + i, box)
+        assert len(ind._held_tables) == ind._HELD_MAX
+    assert reduced_data(*spectra[-1], dirs).tables_built == 1
+
+
+# ----------------------------------------------------------------------
 # decay probe
 # ----------------------------------------------------------------------
 

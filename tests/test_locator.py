@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import heliodsm._threads
 import heliodsm.locator
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
@@ -352,6 +353,33 @@ def test_determinism_across_thread_counts(example1):
         assert np.array_equal(ga.eta_estimate, gb.eta_estimate)
 
 
+def test_driver_holds_openblas_to_one_thread(example1, monkeypatch):
+    # the library driver holds it as the CLI does: the read-off's lstsq ran
+    # for over 100 ms on two OpenBLAS threads; the caller's count comes back
+    lib = heliodsm._threads.openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
+    cfg, _, _, noisy = example1
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        before = lib.scipy_openblas_get_num_threads64_()
+        dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+        after = lib.scipy_openblas_get_num_threads64_()
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+    assert seen == [1]
+    assert after == before
+
+
 def test_centroids_stay_inside_probe_box(example1):
     cfg, _, _, noisy = example1
     # probe box deliberately clipped so sources sit at the boundary
@@ -392,7 +420,7 @@ REFINE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(REFINE_CASES))
-def test_batched_refine_matches_per_peak_fine_grids(case):
+def test_batched_refine_matches_per_peak_fine_grids(case, cold_tables):
     preset, box = REFINE_CASES[case]
     cfg = preset_config(preset)
     k = cfg.wavenumber
@@ -408,8 +436,14 @@ def test_batched_refine_matches_per_peak_fine_grids(case):
         for p in find_peaks(IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)
     ]
     assert len({p.component for p in peaks}) == grid.dims + 1
-    refined = _refine(peaks, reduced, k, grid, cfg.fine_counts)
+    refined, built = _refine(peaks, reduced, k, grid, cfg.fine_counts)
     assert len(refined) == len(peaks)
+    # the lattice factors are built once, then held: the warm call gives the same bits
+    again, rebuilt = _refine(peaks, reduced, k, grid, cfg.fine_counts)
+    assert (built, rebuilt) == (True, False)
+    for got, warm in zip(refined, again):
+        assert (got.location.tobytes(), got.magnitude, got.grid_index) == (
+            warm.location.tobytes(), warm.magnitude, warm.grid_index)
     for peak, got in zip(peaks, refined):
         index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, cfg.fine_counts)
         assert got.component == peak.component
@@ -512,21 +546,27 @@ def test_counts_record_the_work_done(example1, example4):
     recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
     fine = sum(recon.parameters["component_peak_counts"].values())
     assert fine > 0
+    built = recon.counts["phase_tables_built"]  # one fine lattice; 0 if an earlier test held it
+    assert built in (0, 1)
     assert recon.counts == {
         "directions": 256,
         "boundary_points": 200,
         "grid_points": [100 * 100, fine * 40 * 40],
         "fine_grids": fine,
         "phase_exps": 200 * 256,
+        "phase_tables_built": built,
     }
     cfg, _, _, noisy = example4
     recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
+    built = recon.counts["phase_tables_built"]  # one circulant spectrum, or none
+    assert built in (0, 1)
     assert recon.counts == {
         "directions": 42 * 43,
         "boundary_points": 42 * 43,
         "grid_points": [30**3],
         "fine_grids": 0,
         "phase_exps": 42 * 42 * 43,  # the circulant phase table, not 1806^2
+        "phase_tables_built": built,
     }
 
 
