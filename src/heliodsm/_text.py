@@ -31,6 +31,16 @@ Python call per value:
   rows, so a block takes them by two slice copies per P-row run.
 * **Fallback.** Subnormals, infinities and nan take ``repr`` itself, one
   value at a time; the slot is rewritten whole and gets its separator back.
+* **Workspace.** A call allocates one block for all its passes: the rows
+  a pass computes in (15 uint64 and 6 bool rows of `BLOCK` values) and, in
+  `write_rows`, the text block, the stacked columns and the compaction
+  mask, which reuses the render rows' bytes. Every op of a pass writes into
+  it (``out=``, in place, ``np.putmask``, or ``np.take(..., out=,
+  mode="clip")`` for the table lookups), so the compacted text is the one
+  array a pass allocates. Pass-length temporaries would be handed back to
+  the kernel by glibc when freed at the top of the heap and faulted in
+  again by the next pass, at about 2 us a page. Masked ufuncs (``where=``)
+  are avoided: they ran 10-20 times slower than the plain op here.
 
 Integer work runs in int64 where the values fit and otherwise in uint64
 with explicit ``np.uint64`` constants only: numpy 1.x promotes uint64 mixed
@@ -47,11 +57,13 @@ import numpy as np
 __all__ = ["write_rows", "strings"]
 
 SLOT = 32  # bytes per value: text (at most 24 bytes, in bytes 0-29), separator (bytes 30-31)
-# Values rendered per pass. A pass holds about 1 MB of uint64 temporaries
-# of 32 kB each; 8192 values wrote about 7% faster but raised the peak RSS
-# of a 2D reconstruct by 0.7 MB, and temporaries ten times longer ran many
-# times slower per value (fresh pages on every allocation).
-BLOCK = 4096
+# Values rendered per pass. At 4096 values each numpy call's fixed cost is
+# about a third of its time; longer passes pay only because a pass
+# allocates nothing (see Workspace). 16384 wrote 3-5% faster than 8192 but
+# doubles the block a call allocates (3.1 MB for a 3D indicator CSV).
+BLOCK = 8192
+_ROWS, _FLAGS = 15, 6  # uint64 and bool rows of a pass's workspace (see _render)
+_WORK = 8 * _ROWS + _FLAGS  # workspace bytes per value
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -146,107 +158,244 @@ def _tables():
     return scale, powers, layouts, suffixes, ascii4
 
 
-def _round_to_odd(g, cp):
-    """floor(g cp / 2^127), with its lowest bit set when the quotient is not whole.
+def _round_to_odd(g, cp, t) -> None:
+    """cp = floor(g cp / 2^127), with its lowest bit set when the quotient is not whole.
 
-    g = (g0 lo, g0 hi, g1 lo, g1 hi, g1) as in `_tables`; cp < 2^60. The
-    bits of g0 cp below 2^64 are dropped, as the method allows.
+    g = (g0 lo, g0 hi, g1 lo, g1 hi, g1) as in `_tables`; cp < 2^60, and t
+    holds four uint64 rows of its shape to work in. The bits of g0 cp below
+    2^64 are dropped, as the method allows.
     """
     g0l, g0h, g1l, g1h, g1 = g
-    cl = cp & _M32
-    ch = cp >> _U(32)
-    x1 = (((g0l * cl) >> _U(32)) + g0l * ch + g0h * cl >> _U(32)) + g0h * ch
-    y1 = (((g1l * cl) >> _U(32)) + g1l * ch + g1h * cl >> _U(32)) + g1h * ch
-    z = ((g1 * cp) >> _U(1)) + x1
-    return (y1 + (z >> _U(63))) | np.minimum(z << _U(1), _U(1))
+    cl, x1, y1, p = t
+    np.multiply(g1, cp, out=p)
+    p >>= _U(1)
+    np.bitwise_and(cp, _M32, out=cl)
+    cp >>= _U(32)
+    ch = cp
+    # x1 = (((g0l cl) >> 32) + g0l ch + g0h cl >> 32) + g0h ch, and likewise y1
+    np.multiply(g0l, cl, out=x1)
+    x1 >>= _U(32)
+    np.multiply(g0l, ch, out=y1)
+    x1 += y1
+    np.multiply(g0h, cl, out=y1)
+    x1 += y1
+    x1 >>= _U(32)
+    np.multiply(g0h, ch, out=y1)
+    x1 += y1
+    x1 += p  # z = ((g1 cp) >> 1) + x1
+    np.multiply(g1l, cl, out=y1)
+    y1 >>= _U(32)
+    np.multiply(g1l, ch, out=p)
+    y1 += p
+    cl *= g1h
+    y1 += cl
+    y1 >>= _U(32)
+    ch *= g1h
+    y1 += ch
+    # (y1 + (z >> 63)) | min(z << 1, 1)
+    np.right_shift(x1, _U(63), out=p)
+    y1 += p
+    x1 <<= _U(1)
+    np.minimum(x1, _U(1), out=x1)
+    np.bitwise_or(y1, x1, out=cp)
 
 
-def _shortest(mag, tables):
+def _shortest(u, b, tables):
     """(d, k): the shortest decimal d 10^k that reads back as each positive normal double.
 
-    `mag` holds the doubles' bits as int64. d has 16 or 17 digits.
+    u (uint64) and b (bool) are workspace rows; u[0] holds the doubles' bits
+    on entry. d (a row of u) has 16 or 17 digits; k is a row of u as int64.
+    Uses u[0:15] and b[2:6].
     """
     scale, powers = tables
-    be = mag >> np.int64(52)
-    m = mag & _M52
-    k, h, dl = np.take(scale, (be << np.int64(1)) | (((m - 1) >> np.int64(63)) & 1), axis=1)
-    g = np.take(powers, k - _KMIN, axis=1)
-    h = h.view(_U)
-    c = m.view(_U) | _HIDDEN
-    cb = c << _U(2)
-    odd = c & _U(1)  # an odd significand's interval excludes its ends
-    vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - dl.view(_U)) << h) + odd
-    vbr = _round_to_odd(g, (cb + _U(2)) << h) - odd
+    i = u.view(np.int64)
+    be, m = i[1], i[0]
+    np.right_shift(m, np.int64(52), out=be)
+    m &= _M52
+    # the scale column of (be, irregular): m - 1 < 0 at a power of two
+    np.subtract(m, np.int64(1), out=i[2])
+    i[2] >>= np.int64(63)
+    i[2] &= np.int64(1)
+    be <<= np.int64(1)
+    be |= i[2]
+    np.take(scale, be, axis=1, out=i[2:5], mode="clip")
+    k, h, dl = i[2], u[3], u[4]
+    np.subtract(k, np.int64(_KMIN), out=i[1])
+    g = u[5:10]
+    np.take(powers, i[1], axis=1, out=g, mode="clip")
+    c, cb = u[0], u[1]
+    c |= _HIDDEN
+    np.left_shift(c, _U(2), out=cb)
+    odd = c
+    odd &= _U(1)  # an odd significand's interval excludes its ends
+    vbl = dl
+    np.subtract(cb, dl, out=vbl)
+    vbl <<= h
+    _round_to_odd(g, vbl, u[10:14])
+    vbl += odd
+    vb = u[10]
+    np.left_shift(cb, h, out=vb)
+    _round_to_odd(g, vb, u[11:15])
+    vbr = cb
+    vbr += _U(2)
+    vbr <<= h
+    _round_to_odd(g, vbr, u[11:15])
+    vbr -= odd
     # One digit fewer (sp or sp + 10) when exactly one of those lies in the
     # interval, else s or s + 1, the closer one if both do.
-    s4 = vb & ~_U(3)
-    s = vb >> _U(2)
-    sp = s // _U(10) * _U(10)
-    upin = vbl <= sp << _U(2)
-    wpin = (sp << _U(2)) + _U(40) <= vbr
-    uin = vbl <= s4
-    up = ~uin | ((s4 + _U(4) <= vbr) & (vb + (s & _U(1)) > s4 + _U(2)))
-    d = np.where(upin != wpin, sp + wpin * _U(10), s + up)
-    return d, k
+    s4, s, sp, t, t2 = u[0], u[3], u[5], u[6], u[7]
+    upin, wpin, up, t3 = b[2:6]
+    np.bitwise_and(vb, ~_U(3), out=s4)
+    np.right_shift(vb, _U(2), out=s)
+    np.floor_divide(s, _U(10), out=sp)
+    sp *= _U(10)
+    np.left_shift(sp, _U(2), out=t)
+    np.less_equal(vbl, t, out=upin)
+    t += _U(40)
+    np.less_equal(t, vbr, out=wpin)
+    # up = ~(vbl <= s4) | ((s4 + 4 <= vbr) & (vb + (s & 1) > s4 + 2))
+    np.add(s4, _U(4), out=t)
+    np.less_equal(t, vbr, out=up)
+    np.bitwise_and(s, _U(1), out=t)
+    t += vb
+    np.add(s4, _U(2), out=t2)
+    np.greater(t, t2, out=t3)
+    up &= t3
+    np.greater(vbl, s4, out=t3)
+    up |= t3
+    upin ^= wpin
+    np.copyto(t, wpin)
+    t *= _U(10)
+    sp += t
+    np.copyto(t, up)
+    s += t
+    np.putmask(s, upin, sp)
+    return s, k
 
 
-def _render(x, out, sep) -> None:
+def _render(x, out, sep, work) -> None:
     """Write the repr text of each float64 in `x` into the uint64 words `out` (x.shape + (4,)).
 
     A slot holds the text NUL-padded in bytes 0-29 and the separator in
     bytes 30-31: `sep` (broadcast against `x`) is or-ed into its last word.
+    `work` is a uint8 workspace of at least _WORK bytes per value, 8-byte
+    aligned; every array of the pass is one of its rows, written in place.
     """
     scale, powers, layouts, suffixes, ascii4 = _tables()
+    split = 8 * _ROWS * x.size
+    u = work[:split].view(np.uint64).reshape((_ROWS,) + x.shape)
+    b = work[split : split + _FLAGS * x.size].view(np.bool_).reshape((_FLAGS,) + x.shape)
+    i, f = u.view(np.int64), u.view(np.float64)
     bits = x.view(np.int64)
-    mag = bits & np.int64(0x7FFFFFFFFFFFFFFF)
-    be = mag >> np.int64(52)
-    special = (be == 0) | (be == 2047)
-    zero = mag == 0
-    # zeros and the fallbacks render as 1.0 here
-    d, k = _shortest(np.where(special, _ONE, mag), (scale, powers))
+    special, zero = b[0], b[1]
+    mag = i[0]
+    np.bitwise_and(bits, np.int64(0x7FFFFFFFFFFFFFFF), out=mag)
+    np.right_shift(mag, np.int64(52), out=i[1])
+    np.equal(i[1], np.int64(0), out=special)
+    np.equal(i[1], np.int64(2047), out=zero)
+    special |= zero
+    np.equal(mag, np.int64(0), out=zero)
+    np.putmask(mag, special, _ONE)  # zeros and the fallbacks render as 1.0 here
+    d, k = _shortest(u, b, (scale, powers))
     # d has 16 or 17 digits; make it 17, decpt places the point after digit decpt
-    short = d < _U(10**16)
-    d = np.where(short, d * _U(10), d).view(np.int64)  # int64 indexes the table without a cast
-    decpt = k + np.where(short, 16, 17)
-    lead = d // 10**16
-    rest = d - lead * 10**16
-    hi = rest // 10**8
-    lo = rest - hi * 10**8
-    hi4 = hi // 10**4
-    lo4 = lo // 10**4
-    z0 = np.where(zero, _ZEROS, (lead.view(_U) << _U(56)) | _ZEROS)
-    z1 = ascii4[hi4] | (ascii4[hi - hi4 * 10**4] << _U(32))
-    z2 = ascii4[lo4] | (ascii4[lo - lo4 * 10**4] << _U(32))
+    short = u[4]
+    np.less(d, _U(10**16), out=b[2])
+    np.copyto(short, b[2])
+    decpt = k
+    decpt += np.int64(17)
+    decpt -= short.view(np.int64)
+    short *= _U(9)
+    short += _U(1)
+    d *= short
+    # the digits: lead, then hi and lo (8 each) as two 4-digit halves each
+    lead, rest, hi, lo, t = i[0], i[1], i[4], i[5], i[6]
+    for num, quo, rem, p in ((i[3], lead, rest, 10**16), (rest, hi, lo, 10**8),
+                             (hi, i[7], i[8], 10**4), (lo, i[9], i[10], 10**4)):
+        np.floor_divide(num, np.int64(p), out=quo)
+        np.multiply(quo, np.int64(p), out=t)
+        np.subtract(num, t, out=rem)
+    z0, z1, z2, t = u[0], u[1], u[3], u[4]
+    z0 <<= _U(56)
+    z0 |= _ZEROS
+    np.putmask(z0, zero, _ZEROS)
+    np.take(ascii4, i[7], out=z1, mode="clip")
+    np.take(ascii4, i[8], out=t, mode="clip")
+    t <<= _U(32)
+    z1 |= t
+    np.take(ascii4, i[9], out=z2, mode="clip")
+    np.take(ascii4, i[10], out=t, mode="clip")
+    t <<= _U(32)
+    z2 |= t
     # significant digits: from the highest byte of z1, z2 that is not '0'
     # (a float64 conversion gives its bit length exactly: each byte is < 10)
-    top1 = ((z1 ^ _ZEROS).astype(np.float64).view(np.int64) >> np.int64(52)) - 1023 >> 3
-    top2 = ((z2 ^ _ZEROS).astype(np.float64).view(np.int64) >> np.int64(52)) - 1023 >> 3
-    nsig = np.maximum(np.maximum(top1 + 2, top2 + 10), 1)  # eight '0's give top = -128
-    positional = (decpt >= -3) & (decpt <= 16)
-    layout = np.where(positional, (decpt + 3) * 17, 340) + (nsig - 1)
-    w0, w1, w2, a0, a1, a2, p0, p1, p2 = np.take(layouts, layout, axis=1)
+    for z, top in ((z1, 5), (z2, 6)):
+        np.bitwise_xor(z, _ZEROS, out=t)
+        np.copyto(f[top], t)
+        i[top] >>= np.int64(52)
+        i[top] -= np.int64(1023)
+        i[top] >>= np.int64(3)
+    nsig = i[5]
+    nsig += np.int64(2)
+    i[6] += np.int64(10)
+    np.maximum(nsig, i[6], out=nsig)
+    np.maximum(nsig, np.int64(1), out=nsig)  # eight '0's give top = -128
+    # layout (decpt + 3) * 17 + nsig - 1 when -3 <= decpt <= 16, else
+    # 340 + nsig - 1: decpt + 3 as uint64 is at least 20 otherwise
+    layout, positional = i[4], b[3]
+    np.add(decpt, np.int64(3), out=layout)
+    np.less_equal(layout.view(_U), _U(19), out=positional)
+    np.minimum(layout.view(_U), _U(20), out=layout.view(_U))
+    layout *= np.int64(17)
+    layout += nsig
+    layout -= np.int64(1)
+    suffix = u[5]
+    decpt += np.int64(308)
+    np.putmask(decpt, positional, np.int64(0))
+    np.take(suffixes, decpt, out=suffix, mode="clip")
+    w0, w1, w2, a0, a1, a2, p0, p1, p2 = u[6:15]
+    np.take(layouts, layout, axis=1, out=u[6:15], mode="clip")
     z0 &= w0
     z1 &= w1
     z2 &= w2
     a0 &= z0
     a1 &= z1
     a2 &= z2
-    out[..., 0] = (z0 ^ a0) | (a0 << _U(8)) | p0 | ((bits.view(_U) >> _U(63)) * _U(ord("-")))
-    out[..., 1] = (z1 ^ a1) | (a1 << _U(8)) | (a0 >> _U(56)) | p1
-    out[..., 2] = (z2 ^ a2) | (a2 << _U(8)) | (a1 >> _U(56)) | p2
-    out[..., 3] = (a2 >> _U(56)) | suffixes[np.where(positional, 0, decpt + 308)] | sep
-    for i in zip(*np.nonzero(special & ~zero)):
-        out[i] = np.frombuffer(repr(float(x[i])).encode().ljust(SLOT, b"\0"), "<u8")
-        out[i + (3,)] |= np.broadcast_to(sep, x.shape)[i]
+    z0 ^= a0
+    z1 ^= a1
+    z2 ^= a2
+    # out[j] = (zj ^ aj) | (aj << 8) | (a(j-1) >> 56) | pj, the sign in word 0
+    z0 |= p0
+    np.left_shift(a0, _U(8), out=w0)
+    z0 |= w0
+    np.right_shift(bits.view(_U), _U(63), out=w0)
+    w0 *= _U(ord("-"))
+    np.bitwise_or(z0, w0, out=out[..., 0])
+    z1 |= p1
+    np.left_shift(a1, _U(8), out=w1)
+    z1 |= w1
+    np.right_shift(a0, _U(56), out=w1)
+    np.bitwise_or(z1, w1, out=out[..., 1])
+    z2 |= p2
+    np.left_shift(a2, _U(8), out=w2)
+    z2 |= w2
+    np.right_shift(a1, _U(56), out=w2)
+    np.bitwise_or(z2, w2, out=out[..., 2])
+    a2 >>= _U(56)
+    a2 |= suffix
+    np.bitwise_or(a2, sep, out=out[..., 3])
+    special ^= zero  # zero is a subset of special
+    for j in zip(*np.nonzero(special)):
+        out[j] = np.frombuffer(repr(float(x[j])).encode().ljust(SLOT, b"\0"), "<u8")
+        out[j + (3,)] |= np.broadcast_to(sep, x.shape)[j]
 
 
 def strings(values) -> list[str]:
     """``[repr(float(v)) for v in values]``, rendered by the same code as `write_rows`."""
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     slots = np.empty((len(x), 4), "<u8")
+    work = np.empty(_WORK * min(len(x), BLOCK), np.uint8)
     for i in range(0, len(x), BLOCK):
-        _render(x[i : i + BLOCK], slots[i : i + BLOCK], _COMMA)
+        _render(x[i : i + BLOCK], slots[i : i + BLOCK], _COMMA, work)
     text = slots.view(np.uint8)
     return text[text != 0].tobytes().decode().split(",")[:-1]
 
@@ -269,7 +418,18 @@ def write_rows(fh, columns, lead=None) -> None:
     end = mid + last.shape[1]
     step = max(1, min(n, BLOCK // m))
     start = -(-end // 8) * 8  # the slots start on a word
-    text = np.zeros((step, start + m * SLOT), np.uint8)
+    # One allocation serves every pass: the text block, the stacked columns
+    # and the render rows, whose bytes take the compaction mask once a pass
+    # is rendered. As the largest block the call frees, it also keeps glibc
+    # from trimming the heap under the next call's arrays.
+    size, width = step * m, start + m * SLOT
+    nt, nx = step * width, 8 * size  # bytes of the text block and of the columns
+    buf = np.empty(nt + nx + max(_WORK * size, nt), np.uint8)
+    text = buf[:nt].reshape(step, width)
+    text[:] = 0
+    x = buf[nt : nt + nx].view(np.float64).reshape(step, m)
+    work = buf[nt + nx :]
+    keep = work[:nt].view(np.bool_).reshape(step, width)
     words = text[:, start:].view("<u8").reshape(step, m, 4)
     sep = np.full(m, _COMMA)
     sep[-1] = _CRLF
@@ -279,6 +439,7 @@ def write_rows(fh, columns, lead=None) -> None:
             lo, hi = max(i, s * p), min(i + rows, (s + 1) * p)
             text[lo - i : hi - i, :mid] = prefix[lo - s * p : hi - s * p]
             text[lo - i : hi - i, mid:end] = last[s]
-        _render(np.stack([c[i : i + rows] for c in columns], axis=1), words[:rows], sep)
-        part = text[:rows]
-        fh.write(part[part != 0])
+        np.stack([c[i : i + rows] for c in columns], axis=1, out=x[:rows])
+        _render(x[:rows], words[:rows], sep, work)
+        np.not_equal(text[:rows], 0, out=keep[:rows])
+        fh.write(text[:rows][keep[:rows]])

@@ -24,6 +24,7 @@ import dataclasses
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,7 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+@cache  # parsing leaves the parser as it is, so in-process callers share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heliodsm",

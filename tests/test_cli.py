@@ -614,6 +614,27 @@ def test_cli_rejects_bad_thread_env(tmp_path, monkeypatch, capsys, value):
     assert main(["synthesize", "--preset", "example1", "--out", str(out), "--threads", "1", "--quiet"]) == 0
 
 
+def test_main_builds_its_parser_once(monkeypatch):
+    import argparse
+
+    built = []
+
+    def parser(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(heliodsm.cli, "argparse", SimpleNamespace(ArgumentParser=parser))
+    heliodsm.cli._build_parser.cache_clear()
+    try:
+        argv = ["synthesize", "--preset", "example1", "--threads", "0", "--quiet"]
+        assert main(argv) == main(argv) == 1  # a bad --threads stops before any work
+        assert built == ["heliodsm"]
+        args = heliodsm.cli._build_parser().parse_args(argv)
+        assert args == heliodsm.cli._build_parser().parse_args(argv)
+    finally:
+        heliodsm.cli._build_parser.cache_clear()
+
+
 def test_config_output_dir_used_when_out_absent(tmp_path, monkeypatch):
     raw = preset_config("example1").to_dict()
     target = tmp_path / "from_config"

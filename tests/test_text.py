@@ -2,6 +2,7 @@
 
 import io
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -56,14 +57,38 @@ def test_matches_repr_at_boundaries():
     assert _mismatches(np.concatenate([values, -values])) == []
 
 
-@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("columns", [1, 3, 13, 15])  # 13 and 15: cauchy.csv in 2D and 3D
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_block_edges(columns, offset):
+    # 15 columns leave BLOCK % 15 slots of each pass unused
     rows = _text.BLOCK // columns
     rng = np.random.default_rng(rows + offset)
     values = rng.standard_normal(columns * (rows + offset)) * 10.0 ** rng.integers(-20, 20, columns * (rows + offset))
     assert _mismatches(values, columns) == []
     assert _text.strings(values) == [repr(v) for v in values.tolist()]
+
+
+def _padded(texts):
+    """NUL-padded uint8 rows of the given byte strings."""
+    out = np.zeros((len(texts), max(map(len, texts))), np.uint8)
+    for row, text in zip(out, texts):
+        row[: len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+@pytest.mark.parametrize("extra", [0, 7])
+def test_lead_period_not_dividing_the_pass(extra):
+    # as on a 30^3 grid: P = 900 rows per last-axis slice, BLOCK // 3 rows per pass
+    p, rows = 900, 3 * (_text.BLOCK // 3) + extra
+    rng = np.random.default_rng(rows)
+    prefix = [b"%d,%d," % (r % 30, r // 30) for r in range(p)]
+    last = [b"%.1f," % (s / 3) for s in range(-(-rows // p))]
+    columns = list(rng.standard_normal((3, rows)) * 10.0 ** rng.integers(-6, 6, (3, rows)))
+    fh = io.BytesIO()
+    _text.write_rows(fh, columns, lead=(_padded(prefix), _padded(last)))
+    want = b"".join(prefix[r % p] + last[r // p] + ",".join(repr(float(c[r])) for c in columns).encode() + b"\r\n"
+                    for r in range(rows))
+    assert fh.getvalue() == want
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -102,3 +127,33 @@ def test_import_builds_no_tables():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "0"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="glibc malloc tunables")
+def test_passes_allocate_no_temporaries():
+    # With these tunables glibc returns every freed block at the top of the
+    # heap to the system, so passes that allocate their pass-length
+    # temporaries fault them back in every pass: over 300 times a pass. The
+    # compacted text (about 160 kB) is the one array a pass allocates here.
+    env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0", MALLOC_MMAP_THRESHOLD_="131072")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """if True:
+        import os, resource
+        import numpy as np
+        from heliodsm import _text
+        rows = _text.BLOCK // 3
+        x = np.random.default_rng(0).standard_normal((3, 20 * rows))
+        counts = []
+        with open(os.devnull, "wb") as fh:
+            _text.write_rows(fh, x[:, : 2 * rows])
+            for passes in (20, 2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                _text.write_rows(fh, x[:, : passes * rows])
+                counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print((counts[0] - counts[1]) / 18)
+    """
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 100
