@@ -38,7 +38,7 @@ from .indicators import (
     plane_wave_identity,
     reduced_data,
 )
-from .locator import DsmOptions, Peak, PeakGroup, Reconstruction, dsm, dsm2
+from .locator import Peak, PeakGroup, Reconstruction, dsm, dsm2
 from .presets import ExperimentConfig, preset_config
 
 __version__ = "0.1.0"

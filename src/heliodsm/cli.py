@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import json
 import math
 import sys
 import time
@@ -72,6 +74,13 @@ def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
     return out
 
 
+def _data_sha256(noisy) -> str:
+    """sha256 of the noisy Dirichlet then Neumann complex128 bytes: the
+    data a run used, equal for a fresh run and a reuse of its cauchy.csv
+    (which reads back bit for bit)."""
+    return hashlib.sha256(noisy.dirichlet.tobytes() + noisy.neumann.tobytes()).hexdigest()
+
+
 def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
     ensemble = cfg.ensemble()
     report = check_assumptions(ensemble, cfg.wavenumber)
@@ -92,6 +101,7 @@ def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
             "points": len(clean.surface),
             "noise_level": cfg.noise_level,
             "seed": cfg.noise_seed,
+            "data_sha256": _data_sha256(noisy),
             "min_separation": finite(report.min_separation),
             "separation_ratio": finite(report.separation_ratio),
             "warnings": list(report.warnings),
@@ -111,6 +121,21 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _stored_data(path: Path, wanted: dict) -> dict:
+    """The DATA_KEYS of the config.json at path, checked and normalized as a
+    config with the request's other keys; its other keys are not read."""
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or any(key not in raw for key in DATA_KEYS):
+        raise ConfigError(f"needs the keys {', '.join(DATA_KEYS)}")
+    data = {key: raw[key] for key in DATA_KEYS}
+    if data["dims"] != wanted["dims"]:
+        return data  # stale; the request's other keys do not fit its dims
+    return ExperimentConfig.from_dict({**wanted, **data}).to_dict()
+
+
 def _obtain_cauchy(cfg: ExperimentConfig, out: Path, args):
     path = out / "cauchy.csv"
     if not path.exists():
@@ -118,8 +143,11 @@ def _obtain_cauchy(cfg: ExperimentConfig, out: Path, args):
     stored_path = out / "config.json"
     if not stored_path.exists():
         raise ConfigError(f"cannot reuse {path}: no config.json beside it")
-    stored = ExperimentConfig.from_json(stored_path.read_text()).to_dict()
     wanted = cfg.to_dict()
+    try:
+        stored = _stored_data(stored_path, wanted)
+    except ConfigError as exc:
+        raise ConfigError(f"cannot reuse {path}: {stored_path}: {exc}") from exc
     stale = [key for key in DATA_KEYS if stored[key] != wanted[key]]
     if stale:
         raise ConfigError(
@@ -132,10 +160,11 @@ def _obtain_cauchy(cfg: ExperimentConfig, out: Path, args):
 
 def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: str = ""):
     noisy = _obtain_cauchy(cfg, out, args)
+    settings = {"components": cfg.components, "directions": cfg.direction_set()}
     if algorithm == "dsm":
-        recon = dsm(noisy, cfg.wavenumber, cfg.dsm_grid(), cfg.options())
+        recon = dsm(noisy, cfg.wavenumber, cfg.dsm_grid(), **settings)
     else:
-        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, **settings)
     t0 = time.perf_counter()
     written = [out / f"indicator_{fld.component}{tag}.csv" for fld in recon.fields]
     io.write_indicator_csvs(written, recon.fields)
@@ -147,6 +176,7 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
         {
             "parameters": recon.parameters,
             "seed": cfg.noise_seed,
+            "data_sha256": _data_sha256(noisy),
             "estimated_count": recon.estimated_count,
             "elapsed_seconds": recon.elapsed_seconds,
             "timings": recon.timings,

@@ -300,11 +300,11 @@ def _component_weights(reduced: ReducedData, k: float, components) -> np.ndarray
 
 
 def _check_components(dims: int, components) -> tuple[int, ...]:
-    if components is None:
-        components = range(dims + 1)
-    comps = tuple(int(c) for c in components)
-    if not comps:
-        raise ValueError("need at least one component")
+    """The components as ints, all N+1 when None; the one rule on them:
+    non-empty, distinct, each in 0..N."""
+    comps = tuple(int(c) for c in (range(dims + 1) if components is None else components))
+    if not comps or len(set(comps)) != len(comps):
+        raise ValueError("components must be non-empty and distinct")
     for c in comps:
         if not (0 <= c <= dims):
             raise ValueError(f"component {c} out of range for dims={dims}")

@@ -17,8 +17,9 @@ reconstruction.csv
     the boundary-fit read-offs of `locator` (read at the group's strongest
     members, not at the centroid; all groups fitted jointly).
 run.json
-    Parameters, seed, timings, thread count.  Timings vary run to run, so
-    determinism guarantees cover the CSV files only.
+    Parameters, seed, input-data fingerprint (data_sha256), timings,
+    thread count.  Timings vary run to run, so determinism guarantees cover
+    the CSV files only.
 
 Floats are written with shortest round-trip precision, byte for byte the
 text of Python's repr (rendered for whole arrays by `_text`), so a file read
@@ -171,7 +172,7 @@ def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorFie
 
 
 def write_reconstruction_csv(path, recon: Reconstruction) -> None:
-    dims = recon.groups[0].centroid.shape[0] if recon.groups else 0
+    dims = recon.dims
     header = (
         ["group", "components"]
         + [f"z{i+1}" for i in range(dims)]

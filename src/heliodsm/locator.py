@@ -48,20 +48,24 @@ run, as the CLI does: the least-squares read-off and the small products
 ran several times slower on two BLAS threads.
 
 Spurious-structure handling is layered, reflecting how the indicator
-fields actually look for multipolar ensembles:
+fields actually look for multipolar ensembles.  Each rule has a fixed
+constant, and none of them is an option:
 
-* per component, a maximizer must reach `significance` (default 0.5) of
-  that component's largest magnitude;
-* the greedy merge absorbs weaker maximizers within `merge_radius`
-  (default two wavelengths, 4*pi/k) of a stronger one - the Bessel-kernel
-  side rings of a source reach ~0.73 of the main peak as far as ~1.1
-  wavelengths out (second J0/J1 extrema), so a one-wavelength radius
-  demonstrably lets them through while two wavelengths absorbs them, and
-  source sparsity keeps two wavelengths far below the separation scale;
+* per component, a maximizer must reach PEAK_SIGNIFICANCE (0.5) of that
+  component's largest magnitude;
+* the greedy merge absorbs weaker maximizers within
+  MERGE_RADIUS_WAVELENGTHS (two wavelengths, 4*pi/k) of a stronger one -
+  the Bessel-kernel side rings of a source reach ~0.73 of the main peak as
+  far as ~1.1 wavelengths out (second J0/J1 extrema), so a one-wavelength
+  radius demonstrably lets them through while two wavelengths absorbs
+  them, and source sparsity keeps two wavelengths far below the
+  separation scale;
+* clustering links maximizers within CLUSTER_RADIUS_WAVELENGTHS (one
+  wavelength, 2*pi/k) of each other;
 * after clustering, a group is accepted only if its best member reaches
-  DEFAULT_GROUP_SIGNIFICANCE (0.65, not an option) of its component's
-  maximum, which removes far-field interference bumps that no
-  per-component threshold can separate from the weakest true peak.
+  DEFAULT_GROUP_SIGNIFICANCE (0.65) of its component's maximum, which
+  removes far-field interference bumps that no per-component threshold
+  can separate from the weakest true peak.
 
 Everything here is deterministic: ties in magnitude are broken by the
 lowest grid index, group and member orderings are fixed, and all heavy
@@ -79,10 +83,11 @@ import numpy as np
 
 from . import _threads
 from .forward import CauchyData, _radial
-from .geometry import DirectionSet, SamplingGrid
+from .geometry import SamplingGrid
 from .indicators import (
     IndicatorField,
     ReducedData,
+    _check_components,
     _component_weights,
     _grid_kernel,
     _lattice_factors,
@@ -95,7 +100,6 @@ __all__ = [
     "Peak",
     "PeakGroup",
     "Reconstruction",
-    "DsmOptions",
     "find_peaks",
     "cluster_peaks",
     "recover_intensities",
@@ -103,9 +107,10 @@ __all__ = [
     "dsm2",
 ]
 
-DEFAULT_SIGNIFICANCE = 0.5
+PEAK_SIGNIFICANCE = 0.5
 DEFAULT_GROUP_SIGNIFICANCE = 0.65
-MERGE_RADIUS_WAVELENGTHS = 2.0  # merge radius default, in units of 2*pi/k
+MERGE_RADIUS_WAVELENGTHS = 2.0  # in units of 2*pi/k
+CLUSTER_RADIUS_WAVELENGTHS = 1.0  # in units of 2*pi/k
 FINE_COUNTS_2D = (40, 40)
 FINE_COUNTS_3D = (20, 20, 20)
 
@@ -171,46 +176,13 @@ class Reconstruction:
     timings: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
 
+    @property
+    def dims(self) -> int:
+        return len(self.parameters["grid_counts"])
+
     def centroids(self) -> np.ndarray:
-        if not self.groups:
-            return np.empty((0, 0))
-        return np.array([g.centroid for g in self.groups])
-
-
-@dataclass(frozen=True)
-class DsmOptions:
-    """Tunables for the sampling driver; None fields fall back to defaults.
-
-    merge_radius defaults to two wavelengths (4*pi/k) and cluster_radius
-    to one (2*pi/k).  components defaults to all N+1 indicator components;
-    restrict it (e.g. to (0,) for a priori monopole-only sources) to skip
-    the others.  directions overrides the indicator-integral direction
-    set.  Clustered groups are always filtered at
-    DEFAULT_GROUP_SIGNIFICANCE (see the module docstring).
-
-    significance must lie in (0, 1]; a set merge_radius or cluster_radius
-    must be finite and positive; set components must be non-empty and
-    distinct.  Anything else raises ValueError here, before any work.
-    """
-
-    significance: float = DEFAULT_SIGNIFICANCE
-    merge_radius: float | None = None
-    cluster_radius: float | None = None
-    components: tuple[int, ...] | None = None
-    directions: DirectionSet | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.significance <= 1.0):
-            raise ValueError("significance must lie in (0, 1]")
-        for name in ("merge_radius", "cluster_radius"):
-            radius = getattr(self, name)
-            if radius is not None and not (math.isfinite(radius) and radius > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.components is not None:
-            comps = tuple(int(c) for c in self.components)
-            if not comps or len(set(comps)) != len(comps):
-                raise ValueError("components must be non-empty and distinct")
-            object.__setattr__(self, "components", comps)
+        """(groups, dims) centroid array; (0, dims) when nothing was found."""
+        return np.array([g.centroid for g in self.groups]).reshape(len(self.groups), self.dims)
 
 
 def find_peaks(field: IndicatorField, significance: float, merge_radius: float) -> list[Peak]:
@@ -366,20 +338,19 @@ class _Stopwatch:
 
 
 @_threads._one_blas_thread()
-def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_counts) -> Reconstruction:
+def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, fine_counts, components, directions) -> Reconstruction:
     """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
     watch = _Stopwatch()
-    options = options or DsmOptions()
+    comps = _check_components(cauchy.dims, components)
+    dirs = directions if directions is not None else default_directions(cauchy.dims)
     wavelength = 2.0 * math.pi / k
-    merge = options.merge_radius if options.merge_radius is not None else MERGE_RADIUS_WAVELENGTHS * wavelength
-    cluster = options.cluster_radius if options.cluster_radius is not None else wavelength
-    comps = options.components if options.components is not None else tuple(range(cauchy.dims + 1))
-    dirs = options.directions if options.directions is not None else default_directions(cauchy.dims)
+    merge = MERGE_RADIUS_WAVELENGTHS * wavelength
+    cluster = CLUSTER_RADIUS_WAVELENGTHS * wavelength
     algorithm = "dsm" if fine_counts is None else "dsm2"
     params = {
         "algorithm": algorithm,
         "wavenumber": k,
-        "significance": options.significance,
+        "significance": PEAK_SIGNIFICANCE,
         "merge_radius": merge,
         "cluster_radius": cluster,
         "group_significance": DEFAULT_GROUP_SIGNIFICANCE,
@@ -401,7 +372,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
     comp_counts: dict[int, int] = {}
     for fld in fields:
         comp_max[fld.component] = float(np.max(np.abs(fld.values)))
-        found = find_peaks(fld, options.significance, merge)
+        found = find_peaks(fld, PEAK_SIGNIFICANCE, merge)
         comp_counts[fld.component] = len(found)
         peaks.extend(found)
     if not peaks:
@@ -455,9 +426,14 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, options, fine_coun
     )
 
 
-def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, options: DsmOptions | None = None) -> Reconstruction:
-    """Single-level direct sampling over the probe grid."""
-    return _sample(cauchy, k, grid, options, None)
+def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, *, components=None, directions=None) -> Reconstruction:
+    """Single-level direct sampling over the probe grid.
+
+    components are the indicator components to sample (distinct, in 0..N;
+    all N+1 when None, (0,) for sources known to be monopoles); directions
+    is the indicator-integral DirectionSet, `default_directions` when None.
+    """
+    return _sample(cauchy, k, grid, None, components, directions)
 
 
 def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> tuple[list[Peak], bool]:
@@ -493,7 +469,9 @@ def dsm2(
     k: float,
     coarse_grid: SamplingGrid,
     fine_counts: tuple[int, ...] | None = None,
-    options: DsmOptions | None = None,
+    *,
+    components=None,
+    directions=None,
 ) -> Reconstruction:
     """Two-level direct sampling: coarse collection, local fine refinement.
 
@@ -502,6 +480,7 @@ def dsm2(
     the argmax of |I_ell| over that fine grid.  One grid-kernel call
     evaluates all fine grids (see the module docstring).  fine_counts must
     be dims integers >= 2; anything else raises ValueError before any work.
+    components and directions are as for `dsm`.
     """
     if fine_counts is None:
         fine_counts = FINE_COUNTS_2D if cauchy.dims == 2 else FINE_COUNTS_3D
@@ -512,4 +491,4 @@ def dsm2(
             "coarse grid spacing exceeds half a wavelength; maximizers may be missed",
             stacklevel=2,
         )
-    return _sample(cauchy, k, coarse_grid, options, fine_counts)
+    return _sample(cauchy, k, coarse_grid, fine_counts, components, directions)

@@ -20,9 +20,9 @@ Schema (dims = 2 or 3 everywhere consistent)::
       "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "counts": [100, 100]},
       "fine_counts": [40, 40],
       "dsm_counts": [60, 60, 60],        # optional, single-level comparison grid
-      "locator": {"significance": 0.5, "merge_radius": null,
-                  "cluster_radius": null, "components": null},
-      "algorithm": "dsm2"
+      "locator": {"components": null},  # optional; null: all N+1 components
+      "algorithm": "dsm2",
+      "output_dir": null                 # optional
     }
 
 Every number must be finite.  `ExperimentConfig` builds each object it
@@ -31,9 +31,12 @@ distinct finite source locations strictly inside the measurement radius
 (`forward.check_inside`); radius > 0, count >= 8 (3D: n_theta >= 2,
 n_phi >= 4) and >= 4 directions; 0 <= level <= 0.5 and 0 <= seed < 2**128;
 lower < upper on each axis, with counts, fine_counts and dsm_counts dims
-integers >= 2; and `DsmOptions`: significance in (0, 1], radii null or
-positive, components null or a non-empty list of distinct indices in
-0..dims.  A failure raises `ConfigError` naming its config key.
+integers >= 2; and components null or a non-empty list of distinct
+indices in 0..dims (`indicators._check_components`).  A failure raises
+`ConfigError` naming its config key.  A key the schema does not list, at
+any level, is refused too, so a misspelt key fails instead of leaving its
+setting at the default.  The locator takes no other setting: its peak,
+merge, cluster and group thresholds are `locator` constants.
 """
 
 from __future__ import annotations
@@ -54,13 +57,19 @@ from .geometry import (
     sphere_directions,
     sphere_surface,
 )
-from .locator import DsmOptions
+from .indicators import _check_components
 
 __all__ = ["ConfigError", "ExperimentConfig", "PRESETS", "preset_config", "exact_table"]
 
 
 class ConfigError(ValueError):
     """Raised when an experiment config fails validation."""
+
+
+_TOP_KEYS = (
+    "dims", "wavenumber", "sources", "measurement", "noise", "directions", "grid",
+    "fine_counts", "dsm_counts", "locator", "algorithm", "output_dir",
+)
 
 
 def _is_finite_number(value) -> bool:
@@ -84,6 +93,17 @@ def _want(mapping: dict, key: str, kind, where: str):
     if kind is dict and not isinstance(value, dict):
         raise ConfigError(f"'{key}' in {where} must be an object")
     return value
+
+
+def _known(mapping: dict, keys, where: str) -> None:
+    unknown = [key for key in mapping if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}")
+
+
+def _counts_keys(dims: int) -> tuple[str, ...]:
+    """The keys of the measurement and direction counts."""
+    return ("count",) if dims == 2 else ("n_theta", "n_phi")
 
 
 def _ints(values, where: str) -> tuple[int, ...]:
@@ -123,9 +143,6 @@ class ExperimentConfig:
     grid_counts: tuple[int, ...]
     fine_counts: tuple[int, ...]
     dsm_counts: tuple[int, ...] | None = None
-    significance: float = 0.5
-    merge_radius: float | None = None
-    cluster_radius: float | None = None
     components: tuple[int, ...] | None = None
     algorithm: str = "dsm2"
     output_dir: str | None = None
@@ -143,7 +160,7 @@ class ExperimentConfig:
             "grid": self.grid,
             "fine_counts": lambda: SamplingGrid(self.dims, self.grid_lower, self.grid_upper, self.fine_counts),
             "dsm_counts": self.dsm_grid,
-            "locator": self.options,
+            "locator": lambda: _check_components(self.dims, self.components),
         }
         for key, build in builders.items():
             try:
@@ -159,9 +176,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
+        _known(raw, _TOP_KEYS, "config")
         dims = _want(raw, "dims", int, "config")
         if dims not in (2, 3):
             raise ConfigError("dims must be 2 or 3")
+        counts_keys = _counts_keys(dims)
         k = _want(raw, "wavenumber", float, "config")
         if k <= 0:
             raise ConfigError("wavenumber must be positive")
@@ -171,6 +190,7 @@ class ExperimentConfig:
             where = f"sources[{i}]"
             if not isinstance(entry, dict):
                 raise ConfigError(f"{where} must be an object")
+            _known(entry, ("location", "monopole", "dipole"), where)
             loc = _want(entry, "location", list, where)
             if len(loc) != dims:
                 raise ConfigError(f"{where} location must have length {dims}")
@@ -186,29 +206,21 @@ class ExperimentConfig:
                 raise ConfigError(f"{where}: {exc}") from exc
 
         meas = _want(raw, "measurement", dict, "config")
+        _known(meas, ("radius", *counts_keys), "measurement")
         radius = _want(meas, "radius", float, "measurement")
-        if dims == 2:
-            meas_counts = (_want(meas, "count", int, "measurement"),)
-        else:
-            meas_counts = (
-                _want(meas, "n_theta", int, "measurement"),
-                _want(meas, "n_phi", int, "measurement"),
-            )
+        meas_counts = tuple(_want(meas, key, int, "measurement") for key in counts_keys)
 
         noise = _want(raw, "noise", dict, "config")
+        _known(noise, ("level", "seed"), "noise")
         level = _want(noise, "level", float, "noise")
         seed = _want(noise, "seed", int, "noise")
 
         dirs = _want(raw, "directions", dict, "config")
-        if dims == 2:
-            dir_counts = (_want(dirs, "count", int, "directions"),)
-        else:
-            dir_counts = (
-                _want(dirs, "n_theta", int, "directions"),
-                _want(dirs, "n_phi", int, "directions"),
-            )
+        _known(dirs, counts_keys, "directions")
+        dir_counts = tuple(_want(dirs, key, int, "directions") for key in counts_keys)
 
         grid = _want(raw, "grid", dict, "config")
+        _known(grid, ("lower", "upper", "counts"), "grid")
         bounds = [_want(grid, key, list, "grid") for key in ("lower", "upper")]
         if not all(_is_finite_number(v) for bound in bounds for v in bound):
             raise ConfigError("grid lower/upper must be finite numbers")
@@ -220,16 +232,10 @@ class ExperimentConfig:
         loc_opts = raw.get("locator", {})
         if not isinstance(loc_opts, dict):
             raise ConfigError("'locator' must be an object")
-        significance = _want(loc_opts, "significance", float, "locator") if "significance" in loc_opts else 0.5
-        merge_radius, cluster_radius = (
-            None if loc_opts.get(key) is None else _want(loc_opts, key, float, "locator")
-            for key in ("merge_radius", "cluster_radius")
-        )
+        _known(loc_opts, ("components",), "locator")
         components = loc_opts.get("components")
         if components is not None:
             components = _ints(components, "locator components")
-            if any(not (0 <= c <= dims) for c in components):
-                raise ConfigError("locator components out of range")
 
         algorithm = raw.get("algorithm", "dsm2")
         if algorithm not in ("dsm", "dsm2"):
@@ -253,9 +259,6 @@ class ExperimentConfig:
             grid_counts=counts,
             fine_counts=fine,
             dsm_counts=dsm_counts,
-            significance=significance,
-            merge_radius=merge_radius,
-            cluster_radius=cluster_radius,
             components=components,
             algorithm=algorithm,
             output_dir=output_dir,
@@ -270,14 +273,9 @@ class ExperimentConfig:
             else:
                 entry["dipole"] = [_complex_out(v) for v in s.vector_intensity]
             sources.append(entry)
-        meas: dict = {"radius": self.measurement_radius}
-        dirs: dict = {}
-        if self.dims == 2:
-            meas["count"] = self.measurement_counts[0]
-            dirs["count"] = self.direction_counts[0]
-        else:
-            meas["n_theta"], meas["n_phi"] = self.measurement_counts
-            dirs["n_theta"], dirs["n_phi"] = self.direction_counts
+        counts_keys = _counts_keys(self.dims)
+        meas = {"radius": self.measurement_radius, **dict(zip(counts_keys, self.measurement_counts))}
+        dirs = dict(zip(counts_keys, self.direction_counts))
         out = {
             "dims": self.dims,
             "wavenumber": self.wavenumber,
@@ -292,12 +290,7 @@ class ExperimentConfig:
             },
             "fine_counts": list(self.fine_counts),
             "dsm_counts": None if self.dsm_counts is None else list(self.dsm_counts),
-            "locator": {
-                "significance": self.significance,
-                "merge_radius": self.merge_radius,
-                "cluster_radius": self.cluster_radius,
-                "components": None if self.components is None else list(self.components),
-            },
+            "locator": {"components": None if self.components is None else list(self.components)},
             "algorithm": self.algorithm,
             "output_dir": self.output_dir,
         }
@@ -340,15 +333,6 @@ class ExperimentConfig:
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(level=self.noise_level, seed=self.noise_seed)
-
-    def options(self) -> DsmOptions:
-        return DsmOptions(
-            significance=self.significance,
-            merge_radius=self.merge_radius,
-            cluster_radius=self.cluster_radius,
-            components=self.components,
-            directions=self.direction_set(),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """CLI, config round-trip, file formats, and output determinism."""
 
 import csv
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -37,11 +39,26 @@ from heliodsm.presets import PRESETS, ConfigError, ExperimentConfig, preset_conf
 
 
 def test_config_roundtrip_idempotent():
-    cfg = preset_config("example3")
-    text = cfg.to_json()
-    again = ExperimentConfig.from_json(text)
-    assert again == cfg
-    assert again.to_json() == text
+    for name in PRESETS:  # to_dict writes only keys that from_dict accepts
+        cfg = preset_config(name)
+        text = cfg.to_json()
+        again = ExperimentConfig.from_json(text)
+        assert again == cfg
+        assert again.to_json() == text
+
+
+@pytest.mark.parametrize(
+    "level, key",
+    [("config", "dsm_count"), ("config", "algoritm"), ("measurement", "n_theta"), ("noise", "sede"),
+     ("directions", "counts"), ("grid", "count"), ("locator", "significance"), ("locator", "merge_radius"),
+     ("locator", "cluster_radius"), ("sources[2]", "monopol")],
+)
+def test_config_refuses_unknown_keys(level, key):
+    raw = preset_config("example1").to_dict()
+    target = raw if level == "config" else raw["sources"][2] if level == "sources[2]" else raw[level]
+    target[key] = 1
+    with pytest.raises(ConfigError, match=rf"^unknown key '{key}' in {re.escape(level)}$"):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_accepts_bare_and_pair_complex():
@@ -192,11 +209,10 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
         PeakGroup(members=(dipole, peak), centroid=[np.inf, -1e-300], lambda_estimate=complex(-0.0, 7.0),
                   eta_estimate=np.array([complex(1e22, 2.5), complex(-1e-7, 0.0)]), kind="monopole"),
     )
-    headers = (["group", "components", "z1", "z2", "lambda_re", "lambda_im",
-                "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"],
-               ["group", "components", "lambda_re", "lambda_im", "magnitude", "kind"])
+    header = ["group", "components", "z1", "z2", "lambda_re", "lambda_im",
+              "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"]
     calls = _counted_strings(monkeypatch)
-    for groups, header in zip((groups, ()), headers):
+    for groups in (groups, ()):  # no groups: the same columns, no rows
         rows = []
         for gi, g in enumerate(groups):
             lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
@@ -206,7 +222,7 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
                         + [_fmt(max(p.magnitude for p in g.members)), g.kind or ""])
         _reference_csv(tmp_path / "want.csv", header, rows)
         recon = Reconstruction(estimated_count=len(groups), groups=groups, algorithm="dsm2",
-                               elapsed_seconds=0.0, parameters={})
+                               elapsed_seconds=0.0, parameters={"grid_counts": [4, 4]})
         write_reconstruction_csv(tmp_path / "got.csv", recon)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert [len(c) for c in calls] == [3 * 9, 0]  # one call per table
@@ -466,7 +482,7 @@ def test_reconstruct_refuses_cauchy_from_other_data(tmp_path, capsys):
     # locator settings do not determine the data: re-analysis reuses it
     raw = preset_config("example1").to_dict()
     raw["noise"]["seed"] = 1
-    raw["locator"]["significance"] = 0.6
+    raw["locator"]["components"] = [0, 2]
     cfg_path = tmp_path / "reanalysis.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -474,7 +490,52 @@ def test_reconstruct_refuses_cauchy_from_other_data(tmp_path, capsys):
     assert (out / "cauchy.csv").read_bytes() == data
     run = json.loads((out / "run.json").read_text())
     assert run["seed"] == 1
-    assert run["parameters"]["significance"] == 0.6
+    assert run["parameters"]["components"] == [0, 2]
+
+
+def test_reconstruct_reuses_cauchy_under_a_config_with_old_keys(tmp_path, capsys):
+    # only the data keys of the stored config.json are read, so a file written
+    # when the locator still took significance and radii is reused
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
+    data = (out / "cauchy.csv").read_bytes()
+    stored = json.loads((out / "config.json").read_text())
+    stored["locator"].update(significance=2.0, merge_radius=None, cluster_radius=None)
+    (out / "config.json").write_text(json.dumps(stored))
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out)]) == 0
+    assert "reusing" in capsys.readouterr().out
+    assert (out / "cauchy.csv").read_bytes() == data
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda raw: "{not json", lambda raw: "[]", lambda raw: json.dumps({**raw, "noise": {"level": 5.0, "seed": 1}}),
+     lambda raw: json.dumps({key: v for key, v in raw.items() if key != "sources"})],
+    ids=["invalid_json", "not_an_object", "bad_noise", "no_sources"],
+)
+def test_reconstruct_names_a_bad_stored_config(tmp_path, capsys, damage):
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
+    data = (out / "cauchy.csv").read_bytes()
+    stored = out / "config.json"
+    stored.write_text(damage(json.loads(stored.read_text())))
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet"]) == 1
+    assert f"config error: cannot reuse {out / 'cauchy.csv'}: {stored}: " in capsys.readouterr().err
+    assert (out / "cauchy.csv").read_bytes() == data
+    assert not (out / "run.json").exists()
+
+
+def test_run_json_names_its_input_data(tmp_path, example1):
+    _, _, _, noisy = example1
+    want = hashlib.sha256(noisy.dirichlet.tobytes() + noisy.neumann.tobytes()).hexdigest()
+    out, other = tmp_path / "run", tmp_path / "other"
+    sha = lambda path: json.loads(path.read_text())["data_sha256"]
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
+    assert sha(out / "run.json") == sha(out / "meta.json") == want
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet"]) == 0  # reuses cauchy.csv
+    assert sha(out / "run.json") == want
+    assert main(["reconstruct", "--preset", "example1", "--seed", "7", "--out", str(other), "--quiet"]) == 0
+    assert sha(other / "run.json") != want
 
 
 def test_reconstruct_refuses_cauchy_without_config(tmp_path):
@@ -530,6 +591,8 @@ def test_cli_validation_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "mutate",
     [
+        # the locator takes no significance, merge_radius or cluster_radius:
+        # each case on them fails as an unknown key, whatever its value
         lambda r: r["locator"].__setitem__("significance", 1.5),
         lambda r: r.__setitem__("fine_counts", [1, 40]),
         lambda r: r["grid"].__setitem__("counts", [100.7, 100]),
@@ -557,6 +620,13 @@ def test_cli_validation_exit_codes(tmp_path):
                    r.__setitem__("fine_counts", [4] * 3)),
         lambda r: r["sources"][3].__setitem__("location", [7.0, 0.0]),
         lambda r: r["sources"][3].__setitem__("location", [6.0, 0.0]),
+        lambda r: r.__setitem__("dsm_count", [60, 60]),
+        lambda r: r["measurement"].__setitem__("n_theta", 42),
+        lambda r: r["noise"].__setitem__("sede", 9),
+        lambda r: r["directions"].__setitem__("counts", 256),
+        lambda r: r["grid"].__setitem__("count", [100, 100]),
+        lambda r: r["locator"].__setitem__("component", [0]),
+        lambda r: r["sources"][2].__setitem__("monopol", 8.0),
     ],
     ids=["significance", "fine_counts", "fractional_grid_counts", "negative_merge_radius",
          "zero_cluster_radius", "no_components", "nan_merge_radius", "nan_cluster_radius",
@@ -564,7 +634,9 @@ def test_cli_validation_exit_codes(tmp_path):
          "nan_grid_lower", "no_measurement_points", "seven_measurement_points",
          "negative_radius", "negative_noise", "large_noise", "negative_seed",
          "repeated_location", "nan_location", "inf_location", "grid_dims",
-         "source_outside_surface", "source_on_surface"],
+         "source_outside_surface", "source_on_surface", "unknown_top_key",
+         "unknown_measurement_key", "unknown_noise_key", "unknown_directions_key",
+         "unknown_grid_key", "unknown_locator_key", "unknown_source_key"],
 )
 def test_reconstruct_rejects_bad_config_before_writing(tmp_path, capsys, mutate):
     raw = preset_config("example1").to_dict()

@@ -12,8 +12,8 @@ import heliodsm.locator
 from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
 from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
+from heliodsm.io import write_reconstruction_csv
 from heliodsm.locator import (
-    DsmOptions,
     Peak,
     PeakGroup,
     _refine,
@@ -269,7 +269,7 @@ def test_cluster_peaks_matches_bfs_components(case):
 # drivers
 # ----------------------------------------------------------------------
 
-def test_dsm_zero_data_gives_empty_reconstruction(example1):
+def test_dsm_zero_data_gives_empty_reconstruction(example1, tmp_path):
     _, _, clean, _ = example1
     zero = CauchyData(
         surface=clean.surface,
@@ -278,8 +278,15 @@ def test_dsm_zero_data_gives_empty_reconstruction(example1):
     )
     grid = make_grid([-4, -4], [4, 4], [20, 20])
     with pytest.warns(UserWarning):
-        recon = dsm(zero, 15.0, grid)
-    assert recon.estimated_count == 0
+        recons = [dsm(zero, 15.0, grid), dsm2(zero, 15.0, grid)]
+    for recon in recons:
+        assert recon.estimated_count == 0
+        # an empty result keeps its dimension: (0, N) centroids, every CSV column
+        assert recon.centroids().shape == (0, 2)
+        write_reconstruction_csv(tmp_path / "reconstruction.csv", recon)
+        assert (tmp_path / "reconstruction.csv").read_bytes() == (
+            b"group,components,z1,z2,lambda_re,lambda_im,eta1_re,eta1_im,eta2_re,eta2_im,magnitude,kind\r\n"
+        )
 
 
 def test_dsm_single_monopole_noise_free():
@@ -288,7 +295,7 @@ def test_dsm_single_monopole_noise_free():
     ens = SourceEnsemble(sources=(monopole(z, 3.0),))
     cauchy = synthesize_cauchy(ens, k, circle_surface(6.0, 512))
     grid = make_grid([-2, -2], [2, 2], [60, 60])
-    recon = dsm(cauchy, k, grid, DsmOptions(components=(0,)))
+    recon = dsm(cauchy, k, grid, components=(0,))
     assert recon.estimated_count == 1
     err = np.linalg.norm(recon.groups[0].centroid - z)
     assert err <= math.hypot(*grid.spacing) / 2
@@ -306,9 +313,8 @@ def test_dsm2_refines_single_source():
     ens = SourceEnsemble(sources=(monopole(z, 3.0),))
     cauchy = synthesize_cauchy(ens, k, circle_surface(6.0, 512))
     coarse = make_grid([-2, -2], [2, 2], [40, 40])
-    opts = DsmOptions(components=(0,))
-    fine = dsm2(cauchy, k, coarse, (40, 40), opts)
-    single = dsm(cauchy, k, coarse, opts)
+    fine = dsm2(cauchy, k, coarse, (40, 40), components=(0,))
+    single = dsm(cauchy, k, coarse, components=(0,))
     assert fine.estimated_count == 1
     err_fine = np.linalg.norm(fine.groups[0].centroid - z)
     err_coarse = np.linalg.norm(single.groups[0].centroid - z)
@@ -323,13 +329,13 @@ def test_scaling_equivariance(example1):
     cfg, _, _, noisy = example1
     k = cfg.wavenumber
     grid = make_grid([-4, -4], [4, 4], [50, 50])
-    base = dsm(noisy, k, grid, cfg.options())
+    base = dsm(noisy, k, grid, directions=cfg.direction_set())
     scaled_data = CauchyData(
         surface=noisy.surface,
         dirichlet=(0.3 + 1.9j) * noisy.dirichlet,
         neumann=(0.3 + 1.9j) * noisy.neumann,
     )
-    scaled = dsm(scaled_data, k, grid, cfg.options())
+    scaled = dsm(scaled_data, k, grid, directions=cfg.direction_set())
     assert scaled.estimated_count == base.estimated_count
     assert np.array_equal(scaled.centroids(), base.centroids())
 
@@ -341,9 +347,9 @@ def test_determinism_across_thread_counts(example1):
     k = cfg.wavenumber
     try:
         _threads.set_thread_count(1)
-        a = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options())
+        a = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
         _threads.set_thread_count(4)
-        b = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options())
+        b = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     finally:
         _threads.set_thread_count(None)
     assert a.estimated_count == b.estimated_count
@@ -372,7 +378,7 @@ def test_driver_holds_openblas_to_one_thread(example1, monkeypatch):
     lib.scipy_openblas_set_num_threads64_(2)
     try:
         before = lib.scipy_openblas_get_num_threads64_()
-        dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+        dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
         after = lib.scipy_openblas_get_num_threads64_()
     finally:
         lib.scipy_openblas_set_num_threads64_(old)
@@ -384,7 +390,7 @@ def test_centroids_stay_inside_probe_box(example1):
     cfg, _, _, noisy = example1
     # probe box deliberately clipped so sources sit at the boundary
     coarse = make_grid([-4, -4], [3.0, 3.0], [88, 88])
-    recon = dsm2(noisy, cfg.wavenumber, coarse, (40, 40), cfg.options())
+    recon = dsm2(noisy, cfg.wavenumber, coarse, (40, 40), directions=cfg.direction_set())
     for g in recon.groups:
         assert np.all(g.centroid >= np.array(coarse.lower) - 1e-12)
         assert np.all(g.centroid <= np.array(coarse.upper) + 1e-12)
@@ -460,7 +466,7 @@ def test_example2_spurious_spike_suppression():
     ens = cfg.ensemble()
     clean = synthesize_cauchy(ens, cfg.wavenumber, cfg.surface())
     noisy = add_noise(clean, cfg.noise_spec())
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     assert recon.estimated_count == 2
     exact = ens.locations()
     for ell in range(3):
@@ -491,7 +497,7 @@ def test_dsm2_warns_on_coarse_grid(example1):
     cfg, _, _, noisy = example1
     too_coarse = make_grid([-4, -4], [4, 4], [10, 10])
     with pytest.warns(UserWarning, match="spacing"):
-        dsm2(noisy, cfg.wavenumber, too_coarse, (40, 40), cfg.options())
+        dsm2(noisy, cfg.wavenumber, too_coarse, (40, 40), directions=cfg.direction_set())
 
 
 @pytest.mark.parametrize(
@@ -505,13 +511,26 @@ def test_dsm2_rejects_bad_fine_counts_before_any_work(example1, monkeypatch, fin
 
     monkeypatch.setattr(heliodsm.locator, "reduced_data", unreached)
     with pytest.raises(ValueError):
-        dsm2(noisy, cfg.wavenumber, cfg.grid(), fine_counts, cfg.options())
+        dsm2(noisy, cfg.wavenumber, cfg.grid(), fine_counts, directions=cfg.direction_set())
+
+
+@pytest.mark.parametrize("components", [(), (0, 0), (3,), (-1,)], ids=["none", "repeated", "too_high", "negative"])
+def test_drivers_reject_bad_components_before_any_work(example1, monkeypatch, components):
+    cfg, _, _, noisy = example1
+
+    def unreached(*args):
+        raise AssertionError("the driver formed R(d) before checking components")
+
+    monkeypatch.setattr(heliodsm.locator, "reduced_data", unreached)
+    for run in (dsm, dsm2):
+        with pytest.raises(ValueError, match="component"):
+            run(noisy, cfg.wavenumber, cfg.grid(), components=components)
 
 
 def test_recover_intensities_matches_readoff(example1):
     cfg, ens, _, noisy = example1
     k = cfg.wavenumber
-    recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, cfg.options())
+    recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     g = recon.groups[0]
     lam, eta = recover_intensities(recon.groups, noisy, k)[0]
     assert lam == g.lambda_estimate
@@ -521,7 +540,7 @@ def test_recover_intensities_matches_readoff(example1):
 
 def test_reconstruction_provenance(example1):
     cfg, _, _, noisy = example1
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     assert recon.algorithm == "dsm2"
     assert recon.elapsed_seconds > 0
     assert recon.parameters["fine_counts"] == [40, 40]
@@ -533,9 +552,9 @@ def test_reconstruction_provenance(example1):
 def test_stage_timings_sum_to_elapsed(example1, algorithm):
     cfg, _, _, noisy = example1
     if algorithm == "dsm":
-        recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
+        recon = dsm(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
     else:
-        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     assert list(recon.timings) == ["reduce", "grid", "peaks", "refine", "cluster", "readoff"]
     assert all(t >= 0 for t in recon.timings.values())
     assert abs(sum(recon.timings.values()) - recon.elapsed_seconds) <= 1e-6
@@ -543,7 +562,7 @@ def test_stage_timings_sum_to_elapsed(example1, algorithm):
 
 def test_counts_record_the_work_done(example1, example4):
     cfg, _, _, noisy = example1
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, cfg.options())
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     fine = sum(recon.parameters["component_peak_counts"].values())
     assert fine > 0
     built = recon.counts["phase_tables_built"]  # one fine lattice; 0 if an earlier test held it
@@ -557,7 +576,7 @@ def test_counts_record_the_work_done(example1, example4):
         "phase_tables_built": built,
     }
     cfg, _, _, noisy = example4
-    recon = dsm(noisy, cfg.wavenumber, cfg.grid(), cfg.options())
+    recon = dsm(noisy, cfg.wavenumber, cfg.grid(), components=cfg.components, directions=cfg.direction_set())
     built = recon.counts["phase_tables_built"]  # one circulant spectrum, or none
     assert built in (0, 1)
     assert recon.counts == {
@@ -613,7 +632,7 @@ def test_underresolved_boundary_reads_jointly(example1):
     cauchy = synthesize_cauchy(ens, k, circle_surface(cfg.measurement_radius, 120))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        recon = dsm2(cauchy, k, cfg.grid(), cfg.fine_counts, cfg.options())
+        recon = dsm2(cauchy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
     assert recon.estimated_count > 1
     for g, (lam, eta) in zip(recon.groups, recover_intensities(recon.groups, cauchy, k)):
         assert lam == g.lambda_estimate
@@ -625,11 +644,11 @@ def test_reconstruction_carries_collection_grid_fields(example1, algorithm):
     cfg, _, _, noisy = example1
     k = cfg.wavenumber
     grid = make_grid([-4, -4], [4, 4], [60, 50])
-    opts = DsmOptions(components=(2, 0), directions=cfg.direction_set())
+    settings = {"components": (2, 0), "directions": cfg.direction_set()}
     if algorithm == "dsm":
-        recon = dsm(noisy, k, grid, opts)
+        recon = dsm(noisy, k, grid, **settings)
     else:
-        recon = dsm2(noisy, k, grid, (40, 40), opts)
+        recon = dsm2(noisy, k, grid, (40, 40), **settings)
     expected = indicator_grid_values(reduced_data(noisy, k, cfg.direction_set()), k, grid, (2, 0))
     assert [f.component for f in recon.fields] == [2, 0]
     for i, fld in enumerate(recon.fields):
@@ -647,9 +666,9 @@ def test_driver_warnings_point_at_the_caller(example1):
         neumann=np.zeros_like(noisy.neumann),
     )
     calls = [
-        ("spacing", lambda: dsm2(noisy, k, coarse, (40, 40), cfg.options())),
-        ("no significant", lambda: dsm(silent, k, cfg.grid(), cfg.options())),
-        ("no significant", lambda: dsm2(silent, k, cfg.grid(), cfg.fine_counts, cfg.options())),
+        ("spacing", lambda: dsm2(noisy, k, coarse, (40, 40), directions=cfg.direction_set())),
+        ("no significant", lambda: dsm(silent, k, cfg.grid(), directions=cfg.direction_set())),
+        ("no significant", lambda: dsm2(silent, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())),
     ]
     for match, call in calls:
         with pytest.warns(UserWarning, match=match) as record:
