@@ -1,8 +1,7 @@
 """Float text for the CSV writers: exactly the bytes of ``repr(float(v))``, for whole arrays.
 
-`write_rows` writes CSV rows of float64 columns and `strings` returns the
-texts of a few values; both render through `_render`, which makes no
-Python call per value:
+`write_rows` writes CSV rows of float64 columns; it renders through
+`_render`, which makes no Python call per value:
 
 * **Digits.** Python's ``repr`` writes the shortest decimal that reads
   back as the same double and, of those, the one closest to it (ties to
@@ -23,8 +22,7 @@ Python call per value:
   (decimal point position x significant digits) gives the byte window
   that is kept and where the point goes; uint64 shifts insert it. The
   bytes left out are NUL, so one ``M[M != 0]`` compacts a whole block of
-  rows; `strings` compacts all its slots with one mask and splits the
-  text at the separators once.
+  rows.
 * **Row lead.** `write_rows` can start each row with NUL-padded text
   before its slots, such as a grid point's coordinates: a `prefix` table
   that repeats every P rows and a `last` table that advances every P
@@ -32,9 +30,9 @@ Python call per value:
 * **Fallback.** Subnormals, infinities and nan take ``repr`` itself, one
   value at a time; the slot is rewritten whole and gets its separator back.
 * **Workspace.** A call allocates one block for all its passes: the rows
-  a pass computes in (15 uint64 and 6 bool rows of `BLOCK` values) and, in
-  `write_rows`, the text block, the stacked columns and the compaction
-  mask, which reuses the render rows' bytes. Every op of a pass writes into
+  a pass computes in (15 uint64 and 6 bool rows of `BLOCK` values), the
+  text block, the stacked columns and the compaction mask, which reuses
+  the render rows' bytes. Every op of a pass writes into
   it (``out=``, in place, ``np.putmask``, or ``np.take(..., out=,
   mode="clip")`` for the table lookups), so the compacted text is the one
   array a pass allocates. Pass-length temporaries would be handed back to
@@ -54,7 +52,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["write_rows", "strings"]
+__all__ = ["write_rows"]
 
 SLOT = 32  # bytes per value: text (at most 24 bytes, in bytes 0-29), separator (bytes 30-31)
 # Values rendered per pass. At 4096 values each numpy call's fixed cost is
@@ -387,17 +385,6 @@ def _render(x, out, sep, work) -> None:
     for j in zip(*np.nonzero(special)):
         out[j] = np.frombuffer(repr(float(x[j])).encode().ljust(SLOT, b"\0"), "<u8")
         out[j + (3,)] |= np.broadcast_to(sep, x.shape)[j]
-
-
-def strings(values) -> list[str]:
-    """``[repr(float(v)) for v in values]``, rendered by the same code as `write_rows`."""
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    slots = np.empty((len(x), 4), "<u8")
-    work = np.empty(_WORK * min(len(x), BLOCK), np.uint8)
-    for i in range(0, len(x), BLOCK):
-        _render(x[i : i + BLOCK], slots[i : i + BLOCK], _COMMA, work)
-    text = slots.view(np.uint8)
-    return text[text != 0].tobytes().decode().split(",")[:-1]
 
 
 def write_rows(fh, columns, lead=None) -> None:

@@ -4,11 +4,12 @@ Commands
 --------
 synthesize   evaluate the closed-form Cauchy data for a config and write
              cauchy.csv (+ meta.json)
-reconstruct  run dsm or dsm2 on (possibly pre-synthesized) data and write
-             the driver's indicator fields (indicator_<ell>.csv),
-             reconstruction.csv and run.json; an existing <out>/cauchy.csv
-             is reused only if the config.json beside it names the same
-             data (dims, wavenumber, sources, measurement, noise)
+reconstruct  run dsm2 (or dsm, with --algorithm dsm) on (possibly
+             pre-synthesized) data and write the driver's indicator fields
+             (indicator_<ell>.csv), reconstruction.csv and run.json; an
+             existing <out>/cauchy.csv is reused only if the config.json
+             beside it names the same data (dims, wavenumber, sources,
+             measurement, noise)
 verify       run the built-in oracle suite (quick | full)
 example      run one of the five built-in benchmark presets end to end and
              print a comparison table against the exact source locations
@@ -164,7 +165,7 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
     if algorithm == "dsm":
         recon = dsm(noisy, cfg.wavenumber, cfg.dsm_grid(), **settings)
     else:
-        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, **settings)
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), **settings)
     t0 = time.perf_counter()
     written = [out / f"indicator_{fld.component}{tag}.csv" for fld in recon.fields]
     io.write_indicator_csvs(written, recon.fields)
@@ -184,6 +185,7 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
             "write_seconds": write_seconds,
             "bytes_written": sum(path.stat().st_size for path in written),
             "threads": _threads.get_thread_count(),
+            "warnings": list(recon.warnings),
         },
     )
     _say(
@@ -195,9 +197,8 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
-    algorithm = args.algorithm or cfg.algorithm
     out = _out_dir(args, cfg)
-    _reconstruct(cfg, algorithm, out, args)
+    _reconstruct(cfg, args.algorithm, out, args)
     return EXIT_OK
 
 
@@ -307,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="run dsm/dsm2 and export results")
     common(p)
-    p.add_argument("--algorithm", choices=("dsm", "dsm2"), help="override config algorithm")
+    p.add_argument("--algorithm", choices=("dsm", "dsm2"), default="dsm2", help="dsm2 (default) or one-level dsm")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")

@@ -301,8 +301,12 @@ def _component_weights(reduced: ReducedData, k: float, components) -> np.ndarray
 
 def _check_components(dims: int, components) -> tuple[int, ...]:
     """The components as ints, all N+1 when None; the one rule on them:
-    non-empty, distinct, each in 0..N."""
-    comps = tuple(int(c) for c in (range(dims + 1) if components is None else components))
+    non-empty, distinct integer indices (a bool is none), each in 0..N."""
+    comps = tuple(range(dims + 1) if components is None else components)
+    for c in comps:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise ValueError(f"component {c!r} is not an integer index")
+    comps = tuple(map(int, comps))
     if not comps or len(set(comps)) != len(comps):
         raise ValueError("components must be non-empty and distinct")
     for c in comps:

@@ -22,8 +22,9 @@ run.json
     the CSV files only.
 
 Floats are written with shortest round-trip precision, byte for byte the
-text of Python's repr (rendered for whole arrays by `_text`), so a file read
-back reproduces the in-memory values exactly; rows end in "\r\n".
+text of Python's repr (rendered for whole columns by `_text.write_rows`;
+grid axes and the short reconstruction table call repr itself), so a file
+read back reproduces the in-memory values exactly; rows end in "\r\n".
 `write_indicator_csvs` writes all of a run's indicator fields and renders
 the coordinates of their grid once; `write_indicator_csv` is its one-field
 case.
@@ -146,9 +147,9 @@ def _grid_lead(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
     Grid order is first axis fastest, so row r is prefix[r % P] then
     last[r // P], P points per last-axis slice: `prefix` holds the joined
     texts of the other axes, `last` those of the last axis, each
-    NUL-padded and ended by ','. All axes take one `_text.strings` call.
+    NUL-padded and ended by ','.
     """
-    texts = [x + "," for x in _text.strings(np.concatenate(grid.axes()))]
+    texts = [repr(x) + "," for x in np.concatenate(grid.axes()).tolist()]
     ends = np.cumsum(grid.counts)
     *lead_axes, last = (texts[lo:hi] for lo, hi in zip((0, *ends), ends))
     prefixes = [""]
@@ -180,22 +181,16 @@ def write_reconstruction_csv(path, recon: Reconstruction) -> None:
         + [f"eta{i+1}_{p}" for i in range(dims) for p in ("re", "im")]
         + ["magnitude", "kind"]
     )
-    values = []
-    for g in recon.groups:
-        lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
-        eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(dims, complex)
-        values += [*g.centroid, lam.real, lam.imag]
-        values += [part for v in eta for part in (v.real, v.imag)]
-        values.append(max(p.magnitude for p in g.members))
-    texts = _text.strings(values)
-    width = len(header) - 3  # the float columns of a row
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for gi, g in enumerate(recon.groups):
+            lam = g.lambda_estimate if g.lambda_estimate is not None else 0j
+            eta = g.eta_estimate if g.eta_estimate is not None else np.zeros(dims, complex)
+            values = [*g.centroid, lam.real, lam.imag, *(part for v in eta for part in (v.real, v.imag))]
+            values.append(max(p.magnitude for p in g.members))
             components = "|".join(str(c) for c in g.components)
-            row = texts[gi * width : (gi + 1) * width]
-            writer.writerow([str(gi), components, *row, g.kind or ""])
+            writer.writerow([str(gi), components, *(repr(float(v)) for v in values), g.kind or ""])
 
 
 def read_reconstruction_csv(path) -> list[dict]:

@@ -34,14 +34,16 @@ single-point indicator read-off picks up.
 `dsm2` runs the same collection on a coarse grid, then re-samples only
 the relevant component on a small fine grid (side one wavelength, 2*pi/k)
 around each coarse maximizer and keeps the fine argmax before clustering.
-Fine grids are shifted, never shrunk, to stay inside the probe box so
-every reported location remains inside it.  Every fine grid is the same
-local lattice x shifted to its corner c_p, and e^{-ik d.(c_p + x)} =
-e^{-ik d.c_p} e^{-ik d.x}, so all of them are one grid-kernel call on x
-with one weight column per peak.  The local lattice depends only on k,
-fine_counts and the box clamp, so its plane-wave factors are built once
-per process and held (see `indicators`); the collection grid's are built
-on every call.
+A fine grid is a resolution per wavelength, not a setting: FINE_COUNTS_2D
+(40 x 40) or FINE_COUNTS_3D (20 x 20 x 20) points.  Fine grids are
+shifted, never shrunk, to stay inside the probe box so every reported
+location remains inside it.  Every fine grid is the same local lattice x
+shifted to its corner c_p, and e^{-ik d.(c_p + x)} = e^{-ik d.c_p}
+e^{-ik d.x}, so all of them are one grid-kernel call on x with one weight
+column per peak.  The local lattice depends only on k, the dimension and
+the box clamp, so its plane-wave factors are built once per process and
+held (see `indicators`); the collection grid's are built on every call.
+The driver's warnings go to the caller and into `Reconstruction.warnings`.
 
 The driver holds numpy's bundled OpenBLAS to one thread for the whole
 run, as the CLI does: the least-squares read-off and the small products
@@ -164,7 +166,8 @@ class Reconstruction:
     the collection grid, then all fine grids together), fine_grids,
     phase_exps (entries of the phase table R(d) used) and
     phase_tables_built (how many of the run's held phase tables it built
-    rather than reused; see `indicators`).
+    rather than reused; see `indicators`).  warnings holds the messages of
+    the UserWarnings the run raised, in order.
     """
 
     estimated_count: int
@@ -175,6 +178,7 @@ class Reconstruction:
     fields: tuple[IndicatorField, ...] = ()
     timings: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
 
     @property
     def dims(self) -> int:
@@ -338,15 +342,20 @@ class _Stopwatch:
 
 
 @_threads._one_blas_thread()
-def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, fine_counts, components, directions) -> Reconstruction:
-    """The sampling pipeline behind `dsm` (fine_counts None) and `dsm2`."""
+def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, components, directions) -> Reconstruction:
+    """The sampling pipeline behind `dsm` (refine False) and `dsm2`."""
     watch = _Stopwatch()
     comps = _check_components(cauchy.dims, components)
     dirs = directions if directions is not None else default_directions(cauchy.dims)
+    notes: list[str] = []
+    if refine and max(grid.spacing) > math.pi / k:
+        notes.append("coarse grid spacing exceeds half a wavelength; maximizers may be missed")
+        # frames: _sample, its BLAS hold, dsm or dsm2, their caller
+        warnings.warn(notes[-1], stacklevel=4)
     wavelength = 2.0 * math.pi / k
     merge = MERGE_RADIUS_WAVELENGTHS * wavelength
     cluster = CLUSTER_RADIUS_WAVELENGTHS * wavelength
-    algorithm = "dsm" if fine_counts is None else "dsm2"
+    algorithm = "dsm2" if refine else "dsm"
     params = {
         "algorithm": algorithm,
         "wavenumber": k,
@@ -376,11 +385,12 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, fine_counts, compo
         comp_counts[fld.component] = len(found)
         peaks.extend(found)
     if not peaks:
-        # frames: _sample, its BLAS hold, dsm or dsm2, their caller
-        warnings.warn("no significant indicator maximizers survived", stacklevel=4)
+        notes.append("no significant indicator maximizers survived")
+        warnings.warn(notes[-1], stacklevel=4)
     watch.lap("peaks")
     grid_points, fine_grids, tables_built = [len(grid)], 0, reduced.tables_built
-    if fine_counts is not None:
+    if refine:
+        fine_counts = FINE_COUNTS_2D if grid.dims == 2 else FINE_COUNTS_3D
         params["fine_counts"] = list(fine_counts)
         peaks, built = _refine(peaks, reduced, k, grid, fine_counts)
         tables_built += built
@@ -423,6 +433,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, fine_counts, compo
             "phase_exps": reduced.phase_exps,
             "phase_tables_built": tables_built,
         },
+        warnings=tuple(notes),
     )
 
 
@@ -433,7 +444,7 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, *, components=None, di
     all N+1 when None, (0,) for sources known to be monopoles); directions
     is the indicator-integral DirectionSet, `default_directions` when None.
     """
-    return _sample(cauchy, k, grid, None, components, directions)
+    return _sample(cauchy, k, grid, False, components, directions)
 
 
 def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> tuple[list[Peak], bool]:
@@ -465,30 +476,15 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
 
 
 def dsm2(
-    cauchy: CauchyData,
-    k: float,
-    coarse_grid: SamplingGrid,
-    fine_counts: tuple[int, ...] | None = None,
-    *,
-    components=None,
-    directions=None,
+    cauchy: CauchyData, k: float, coarse_grid: SamplingGrid, *, components=None, directions=None
 ) -> Reconstruction:
     """Two-level direct sampling: coarse collection, local fine refinement.
 
     Each coarse maximizer of component ell gets a fine grid of side 2*pi/k
-    centered on it (clamped into the probe box); the refined maximizer is
-    the argmax of |I_ell| over that fine grid.  One grid-kernel call
-    evaluates all fine grids (see the module docstring).  fine_counts must
-    be dims integers >= 2; anything else raises ValueError before any work.
-    components and directions are as for `dsm`.
+    centered on it (clamped into the probe box) with FINE_COUNTS_2D or
+    FINE_COUNTS_3D points; the refined maximizer is the argmax of |I_ell|
+    over that fine grid.  One grid-kernel call evaluates all fine grids
+    (see the module docstring).  A coarse spacing above half a wavelength
+    warns before any work.  components and directions are as for `dsm`.
     """
-    if fine_counts is None:
-        fine_counts = FINE_COUNTS_2D if cauchy.dims == 2 else FINE_COUNTS_3D
-    # _refine's local lattice makes this rule too; check it before any work
-    SamplingGrid(coarse_grid.dims, coarse_grid.lower, coarse_grid.upper, tuple(fine_counts))
-    if max(coarse_grid.spacing) > math.pi / k:
-        warnings.warn(
-            "coarse grid spacing exceeds half a wavelength; maximizers may be missed",
-            stacklevel=2,
-        )
-    return _sample(cauchy, k, coarse_grid, fine_counts, components, directions)
+    return _sample(cauchy, k, coarse_grid, True, components, directions)

@@ -18,10 +18,8 @@ Schema (dims = 2 or 3 everywhere consistent)::
       "noise": {"level": 0.05, "seed": 101},
       "directions": {"count": 256} | {"n_theta": 42, "n_phi": 43},
       "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "counts": [100, 100]},
-      "fine_counts": [40, 40],
       "dsm_counts": [60, 60, 60],        # optional, single-level comparison grid
       "locator": {"components": null},  # optional; null: all N+1 components
-      "algorithm": "dsm2",
       "output_dir": null                 # optional
     }
 
@@ -30,13 +28,16 @@ describes when it is made, and that object's constructor checks its rules:
 distinct finite source locations strictly inside the measurement radius
 (`forward.check_inside`); radius > 0, count >= 8 (3D: n_theta >= 2,
 n_phi >= 4) and >= 4 directions; 0 <= level <= 0.5 and 0 <= seed < 2**128;
-lower < upper on each axis, with counts, fine_counts and dsm_counts dims
-integers >= 2; and components null or a non-empty list of distinct
-indices in 0..dims (`indicators._check_components`).  A failure raises
-`ConfigError` naming its config key.  A key the schema does not list, at
-any level, is refused too, so a misspelt key fails instead of leaving its
-setting at the default.  The locator takes no other setting: its peak,
-merge, cluster and group thresholds are `locator` constants.
+lower < upper on each axis, with counts and dsm_counts dims integers
+>= 2; and components null or a non-empty list of distinct indices in
+0..dims (`indicators._check_components`).  A failure raises `ConfigError`
+naming its config key.  A key the schema does not list, at any level, is
+refused too, so a misspelt key fails instead of leaving its setting at the
+default.  The locator takes no other setting: its peak, merge, cluster and
+group thresholds and its fine-grid counts (`FINE_COUNTS_2D`,
+`FINE_COUNTS_3D`) are `locator` constants.  A config names no algorithm:
+`reconstruct` runs dsm2 unless `--algorithm dsm` asks for the single level
+on the dsm_counts grid.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = (
     "dims", "wavenumber", "sources", "measurement", "noise", "directions", "grid",
-    "fine_counts", "dsm_counts", "locator", "algorithm", "output_dir",
+    "dsm_counts", "locator", "output_dir",
 )
 
 
@@ -141,10 +142,8 @@ class ExperimentConfig:
     grid_lower: tuple[float, ...]
     grid_upper: tuple[float, ...]
     grid_counts: tuple[int, ...]
-    fine_counts: tuple[int, ...]
     dsm_counts: tuple[int, ...] | None = None
     components: tuple[int, ...] | None = None
-    algorithm: str = "dsm2"
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -158,7 +157,6 @@ class ExperimentConfig:
             "noise": self.noise_spec,
             "directions": self.direction_set,
             "grid": self.grid,
-            "fine_counts": lambda: SamplingGrid(self.dims, self.grid_lower, self.grid_upper, self.fine_counts),
             "dsm_counts": self.dsm_grid,
             "locator": lambda: _check_components(self.dims, self.components),
         }
@@ -226,7 +224,6 @@ class ExperimentConfig:
             raise ConfigError("grid lower/upper must be finite numbers")
         lower, upper = (tuple(float(v) for v in bound) for bound in bounds)
         counts = _ints(_want(grid, "counts", list, "grid"), "grid counts")
-        fine = _ints(_want(raw, "fine_counts", list, "config"), "fine_counts")
         dsm_counts = None if raw.get("dsm_counts") is None else _ints(raw["dsm_counts"], "dsm_counts")
 
         loc_opts = raw.get("locator", {})
@@ -236,10 +233,6 @@ class ExperimentConfig:
         components = loc_opts.get("components")
         if components is not None:
             components = _ints(components, "locator components")
-
-        algorithm = raw.get("algorithm", "dsm2")
-        if algorithm not in ("dsm", "dsm2"):
-            raise ConfigError("algorithm must be 'dsm' or 'dsm2'")
 
         output_dir = raw.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
@@ -257,10 +250,8 @@ class ExperimentConfig:
             grid_lower=lower,
             grid_upper=upper,
             grid_counts=counts,
-            fine_counts=fine,
             dsm_counts=dsm_counts,
             components=components,
-            algorithm=algorithm,
             output_dir=output_dir,
         )
 
@@ -288,10 +279,8 @@ class ExperimentConfig:
                 "upper": list(self.grid_upper),
                 "counts": list(self.grid_counts),
             },
-            "fine_counts": list(self.fine_counts),
             "dsm_counts": None if self.dsm_counts is None else list(self.dsm_counts),
             "locator": {"components": None if self.components is None else list(self.components)},
-            "algorithm": self.algorithm,
             "output_dir": self.output_dir,
         }
         return out
@@ -357,8 +346,6 @@ def _preset_dicts() -> dict[str, dict]:
             "noise": {"level": 0.05, "seed": 101},
             "directions": {"count": 256},
             "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "counts": [100, 100]},
-            "fine_counts": [40, 40],
-            "algorithm": "dsm2",
         },
         "example2": {
             "dims": 2,
@@ -371,8 +358,6 @@ def _preset_dicts() -> dict[str, dict]:
             "noise": {"level": 0.05, "seed": 202},
             "directions": {"count": 256},
             "grid": {"lower": [-3.0, -3.0], "upper": [3.0, 3.0], "counts": [100, 100]},
-            "fine_counts": [40, 40],
-            "algorithm": "dsm2",
         },
         "example3": {
             "dims": 2,
@@ -386,8 +371,6 @@ def _preset_dicts() -> dict[str, dict]:
             "noise": {"level": 0.05, "seed": 303},
             "directions": {"count": 256},
             "grid": {"lower": [-3.0, -3.0], "upper": [3.0, 3.0], "counts": [100, 100]},
-            "fine_counts": [40, 40],
-            "algorithm": "dsm2",
         },
         "example4": {
             "dims": 3,
@@ -405,11 +388,9 @@ def _preset_dicts() -> dict[str, dict]:
                 "upper": [3.0, 3.0, 3.0],
                 "counts": [30, 30, 30],
             },
-            "fine_counts": [20, 20, 20],
             "dsm_counts": [60, 60, 60],
             # pure-monopole a priori: only the zeroth indicator is sampled
             "locator": {"components": [0]},
-            "algorithm": "dsm2",
         },
         "example5": {
             "dims": 3,
@@ -427,8 +408,6 @@ def _preset_dicts() -> dict[str, dict]:
                 "upper": [3.0, 3.0, 3.0],
                 "counts": [30, 30, 30],
             },
-            "fine_counts": [20, 20, 20],
-            "algorithm": "dsm2",
         },
     }
 

@@ -9,11 +9,14 @@ them at a fixed tolerance:
 * the reduced boundary functional against the exact plane-wave sum
   (the identity coupling geometry, forward synthesis, and indicators),
 * single-source indicator read-off exactness,
-* oscillatory-moment decay slopes on a log-log envelope fit.
+* oscillatory-moment decay slopes on a log-log envelope fit,
+* the boundary-fit intensity read-off the locator uses, exact on clean
+  data at the exact sources of every preset.
 
 `run(level)` prints one pass/fail line per check and returns False if any
 check fails.  The quick level runs in seconds; full adds the 3D identity,
-the decay fits, and multi-source read-off bands (a few seconds more).
+the decay fits, the multi-source indicator band and the boundary-fit
+read-off (a few seconds more).
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 from .forward import SourceEnsemble, dipole, monopole, synthesize_cauchy
 from .geometry import DirectionSet, circle_directions, circle_surface, sphere_directions, sphere_surface
 from .indicators import decay_probe, indicator_at, moment, plane_wave_identity, reduced_data
-from .presets import preset_config
+from .locator import Peak, PeakGroup, recover_intensities
+from .presets import PRESETS, preset_config
 from .specfun import bessel_j, bessel_y, spherical_j
 from .specfun import _hankel_expansion, _j_series, _y0_series, _y1_series
 
@@ -182,8 +186,22 @@ def _readoff_band_check() -> Check:
             rel = abs(vals[j, 0] - lam) / abs(lam)
             worst = max(worst, rel)
     return Check(
-        "multi-source read-off within 35% (noise-free)", worst <= 0.35, f"max rel dev = {worst:.3f}"
+        "multi-source I_0(z_j) within 35% of lambda_j (noise-free)", worst <= 0.35, f"max rel dev = {worst:.3f}"
     )
+
+
+def _boundary_fit_check() -> Check:
+    worst = 0.0
+    for name in PRESETS:  # clean data, one group at each exact source
+        cfg = preset_config(name)
+        ens, k = cfg.ensemble(), cfg.wavenumber
+        at = [Peak(location=s.location, component=0, magnitude=1.0, grid_index=0) for s in ens.sources]
+        groups = [PeakGroup(members=(p,), centroid=p.location) for p in at]
+        fits = recover_intensities(groups, synthesize_cauchy(ens, k, cfg.surface()), k)
+        for s, (lam, eta) in zip(ens.sources, fits):
+            truth = np.concatenate([[s.scalar_intensity], s.vector_intensity])
+            worst = max(worst, float(np.linalg.norm(np.concatenate([[lam], eta]) - truth) / np.linalg.norm(truth)))
+    return Check("boundary-fit read-off at exact sources (noise-free)", worst <= 1e-10, f"max rel err = {worst:.2e}")
 
 
 def quick_checks() -> list:
@@ -206,6 +224,7 @@ def full_checks() -> list:
         lambda: _decay_check(2),
         lambda: _decay_check(3),
         _readoff_band_check,
+        _boundary_fit_check,
     ]
 
 

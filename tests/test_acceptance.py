@@ -53,7 +53,7 @@ def example1_runs():
     t0 = time.perf_counter()
     for seed in range(cfg.noise_seed, cfg.noise_seed + 5):
         noisy = add_noise(clean, NoiseSpec(level=cfg.noise_level, seed=seed))
-        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
         runs.append((seed, recon))
     elapsed = time.perf_counter() - t0
     return cfg, ensemble, runs, elapsed
@@ -209,7 +209,7 @@ def test_criterion_6_example3_mixed():
     exact = ens.locations()
     clean = synthesize_cauchy(ens, k, cfg.surface())
     noisy = add_noise(clean, cfg.noise_spec())
-    recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, components=cfg.components, directions=cfg.direction_set())
+    recon = dsm2(noisy, k, cfg.grid(), components=cfg.components, directions=cfg.direction_set())
     errs = [float(np.min(np.linalg.norm(recon.centroids() - e, axis=1))) for e in exact]
 
     # per-component top-3 maximizer triplets, one triplet per source
@@ -257,7 +257,7 @@ def test_criterion_7_example4_dsm_vs_dsm2():
         settings = {"components": cfg.components, "directions": cfg.direction_set()}
         # the fastest of 3 runs each, so a host stall in either cannot decide
         recon2 = min(
-            (dsm2(noisy, k, cfg.grid(), cfg.fine_counts, **settings) for _ in range(3)),
+            (dsm2(noisy, k, cfg.grid(), **settings) for _ in range(3)),
             key=lambda r: r.elapsed_seconds,
         )
         recon1 = min(
@@ -303,7 +303,7 @@ def test_criterion_8_example5_noise_robustness():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             noisy = add_noise(clean, NoiseSpec(level=cfg.noise_level, seed=seed))
-        recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, components=cfg.components, directions=cfg.direction_set())
+        recon = dsm2(noisy, k, cfg.grid(), components=cfg.components, directions=cfg.direction_set())
         counts.append(recon.estimated_count)
         for e in exact:
             worst = max(worst, float(np.min(np.linalg.norm(recon.centroids() - e, axis=1))))

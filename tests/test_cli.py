@@ -14,12 +14,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import heliodsm._text
 import heliodsm._threads
 import heliodsm.cli
 import heliodsm.forward
 import heliodsm.geometry
 import heliodsm.indicators
+import heliodsm.io
 import heliodsm.locator
 from heliodsm import verify
 from heliodsm.cli import main
@@ -165,16 +165,16 @@ def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def _counted_strings(monkeypatch):
-    """Record the values of every `_text.strings` call."""
+def _counted_leads(monkeypatch):
+    """Record the grid of every `io._grid_lead` call."""
     calls = []
 
-    def counted(values):
-        calls.append(np.asarray(values, dtype=float).ravel())
-        return strings(values)
+    def counted(grid):
+        calls.append(grid)
+        return grid_lead(grid)
 
-    strings = heliodsm._text.strings
-    monkeypatch.setattr(heliodsm._text, "strings", counted)
+    grid_lead = heliodsm.io._grid_lead
+    monkeypatch.setattr(heliodsm.io, "_grid_lead", counted)
     return calls
 
 
@@ -183,12 +183,11 @@ def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
     other = make_grid([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [5, 4, 3])
     fields = [IndicatorField(grid=g, component=ell, values=_edge_values(len(g), ell))
               for ell, g in enumerate([grid, grid, other, grid])]
-    calls = _counted_strings(monkeypatch)
+    calls = _counted_leads(monkeypatch)
     paths = [tmp_path / f"got_{i}.csv" for i in range(len(fields))]
     with np.errstate(over="ignore"):
         write_indicator_csvs(paths, fields)
-    # one call per grid, holding each of its axes once
-    assert [c.tolist() for c in calls] == [np.concatenate(g.axes()).tolist() for g in (grid, other)]
+    assert calls == [grid, other]  # one row lead per grid
     for path, fld in zip(paths, fields):
         g = fld.grid
         header = [f"z{i+1}" for i in range(g.dims)] + ["abs", "re", "im"]
@@ -211,7 +210,7 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
     )
     header = ["group", "components", "z1", "z2", "lambda_re", "lambda_im",
               "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"]
-    calls = _counted_strings(monkeypatch)
+    calls = _counted_leads(monkeypatch)
     for groups in (groups, ()):  # no groups: the same columns, no rows
         rows = []
         for gi, g in enumerate(groups):
@@ -225,14 +224,13 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
                                elapsed_seconds=0.0, parameters={"grid_counts": [4, 4]})
         write_reconstruction_csv(tmp_path / "got.csv", recon)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert [len(c) for c in calls] == [3 * 9, 0]  # one call per table
+    assert calls == []  # the table has no grid lead
 
 
 def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypatch):
-    # the grid coordinates of all fields take one strings call, the
-    # reconstruction table one more; config check, sphere and directions
-    # share one Gauss-Legendre rule
-    calls = _counted_strings(monkeypatch)
+    # the grid coordinates of all fields take one row lead; config check,
+    # sphere and directions share one Gauss-Legendre rule
+    calls = _counted_leads(monkeypatch)
     rules = []
     leggauss = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: rules.append(n) or leggauss(n))
@@ -240,7 +238,7 @@ def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypa
     out = tmp_path / "run"
     assert main(["reconstruct", "--preset", "example5", "--out", str(out), "--quiet"]) == 0
     assert len(list(out.glob("indicator_*.csv"))) == 4
-    assert len(calls) == 2
+    assert calls == [preset_config("example5").grid()]
     assert rules == [42]
 
 
@@ -615,9 +613,8 @@ def test_cli_validation_exit_codes(tmp_path):
         lambda r: r["sources"][1].__setitem__("location", r["sources"][0]["location"]),
         lambda r: r["sources"][0].__setitem__("location", [float("nan"), 3.0]),
         lambda r: r["sources"][0].__setitem__("location", [float("inf"), 3.0]),
-        # a 3D box, grid and fine counts in a dims=2 config
-        lambda r: (r["grid"].update(lower=[-4.0] * 3, upper=[4.0] * 3, counts=[10] * 3),
-                   r.__setitem__("fine_counts", [4] * 3)),
+        # a 3D box and grid in a dims=2 config
+        lambda r: r["grid"].update(lower=[-4.0] * 3, upper=[4.0] * 3, counts=[10] * 3),
         lambda r: r["sources"][3].__setitem__("location", [7.0, 0.0]),
         lambda r: r["sources"][3].__setitem__("location", [6.0, 0.0]),
         lambda r: r.__setitem__("dsm_count", [60, 60]),
@@ -662,6 +659,38 @@ def test_presets_reconstruct_without_warnings(tmp_path, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["reconstruct", "--preset", name, "--out", str(tmp_path / name), "--quiet"]) == 0
+    assert json.loads((tmp_path / name / "run.json").read_text())["warnings"] == []
+
+
+def test_run_json_records_driver_warnings(tmp_path):
+    raw = preset_config("example1").to_dict()
+    raw["grid"]["counts"] = [20, 20]  # spacing 8/19 above half a wavelength, pi/15
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="spacing"):
+        assert main(["reconstruct", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert run["warnings"] == ["coarse grid spacing exceeds half a wavelength; maximizers may be missed"]
+
+
+@pytest.mark.parametrize("key, value", [("fine_counts", [40, 40]), ("algorithm", "dsm2")])
+def test_config_json_with_removed_keys(tmp_path, capsys, key, value):
+    # a config.json written when configs still held fine_counts and algorithm:
+    # reuse reads only its data keys, but as --config it names an unknown key
+    out = tmp_path / "run"
+    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
+    stored = out / "config.json"
+    raw = json.loads(stored.read_text())
+    raw[key] = value
+    stored.write_text(json.dumps(raw))
+    data = (out / "cauchy.csv").read_bytes()
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out)]) == 0
+    assert "reusing" in capsys.readouterr().out
+    assert (out / "cauchy.csv").read_bytes() == data
+    assert main(["reconstruct", "--config", str(stored), "--out", str(tmp_path / "other"), "--quiet"]) == 1
+    assert f"config error: unknown key '{key}' in config" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
 
 
 def test_reconstruct_rejects_seed_override_before_writing(tmp_path, capsys):

@@ -33,6 +33,7 @@ from heliodsm.indicators import (
     plane_wave_identity,
     reduced_data,
 )
+from heliodsm.locator import FINE_COUNTS_2D, FINE_COUNTS_3D
 from heliodsm.presets import preset_config
 
 
@@ -521,7 +522,7 @@ def test_held_spectrum_gives_the_built_bits(example4, cold_tables):
 def test_held_tables_are_read_only(example1, example4):
     for cfg, _, _, noisy in (example1, example4):
         red = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
-        lattice = make_grid([0.0] * cfg.dims, [0.4] * cfg.dims, cfg.fine_counts)
+        lattice = make_grid([0.0] * cfg.dims, [0.4] * cfg.dims, FINE_COUNTS_2D if cfg.dims == 2 else FINE_COUNTS_3D)
         ind._lattice_factors(red.directions, cfg.wavenumber, lattice)
     held = [a for arrays in ind._held_tables.values() for a in arrays]
     assert len(held) >= 3 + 2 + 1  # 3D lattice, 2D lattice, spectrum
@@ -537,7 +538,7 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
     lattices = [
         (dirs, 10.0, box),
         (dirs, 10.5, box),  # k
-        (dirs, 10.0, make_grid([0, 0, 0], [0.6, 0.6, 0.6], [5, 5, 6])),  # fine_counts
+        (dirs, 10.0, make_grid([0, 0, 0], [0.6, 0.6, 0.6], [5, 5, 6])),  # lattice counts
         (dirs, 10.0, make_grid([0, 0, 0], [0.6, 0.3, 0.6], [5, 5, 5])),  # box clamp
         (sphere_directions(40, 43), 10.0, box),  # direction rule
     ]

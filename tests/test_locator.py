@@ -14,6 +14,8 @@ from heliodsm.geometry import circle_directions, circle_surface, make_grid
 from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
 from heliodsm.io import write_reconstruction_csv
 from heliodsm.locator import (
+    FINE_COUNTS_2D,
+    FINE_COUNTS_3D,
     Peak,
     PeakGroup,
     _refine,
@@ -313,7 +315,7 @@ def test_dsm2_refines_single_source():
     ens = SourceEnsemble(sources=(monopole(z, 3.0),))
     cauchy = synthesize_cauchy(ens, k, circle_surface(6.0, 512))
     coarse = make_grid([-2, -2], [2, 2], [40, 40])
-    fine = dsm2(cauchy, k, coarse, (40, 40), components=(0,))
+    fine = dsm2(cauchy, k, coarse, components=(0,))
     single = dsm(cauchy, k, coarse, components=(0,))
     assert fine.estimated_count == 1
     err_fine = np.linalg.norm(fine.groups[0].centroid - z)
@@ -347,9 +349,9 @@ def test_determinism_across_thread_counts(example1):
     k = cfg.wavenumber
     try:
         _threads.set_thread_count(1)
-        a = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+        a = dsm2(noisy, k, cfg.grid(), directions=cfg.direction_set())
         _threads.set_thread_count(4)
-        b = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+        b = dsm2(noisy, k, cfg.grid(), directions=cfg.direction_set())
     finally:
         _threads.set_thread_count(None)
     assert a.estimated_count == b.estimated_count
@@ -378,7 +380,7 @@ def test_driver_holds_openblas_to_one_thread(example1, monkeypatch):
     lib.scipy_openblas_set_num_threads64_(2)
     try:
         before = lib.scipy_openblas_get_num_threads64_()
-        dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+        dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
         after = lib.scipy_openblas_get_num_threads64_()
     finally:
         lib.scipy_openblas_set_num_threads64_(old)
@@ -390,7 +392,7 @@ def test_centroids_stay_inside_probe_box(example1):
     cfg, _, _, noisy = example1
     # probe box deliberately clipped so sources sit at the boundary
     coarse = make_grid([-4, -4], [3.0, 3.0], [88, 88])
-    recon = dsm2(noisy, cfg.wavenumber, coarse, (40, 40), directions=cfg.direction_set())
+    recon = dsm2(noisy, cfg.wavenumber, coarse, directions=cfg.direction_set())
     for g in recon.groups:
         assert np.all(g.centroid >= np.array(coarse.lower) - 1e-12)
         assert np.all(g.centroid <= np.array(coarse.upper) + 1e-12)
@@ -442,16 +444,17 @@ def test_batched_refine_matches_per_peak_fine_grids(case, cold_tables):
         for p in find_peaks(IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)
     ]
     assert len({p.component for p in peaks}) == grid.dims + 1
-    refined, built = _refine(peaks, reduced, k, grid, cfg.fine_counts)
+    fine_counts = FINE_COUNTS_2D if grid.dims == 2 else FINE_COUNTS_3D
+    refined, built = _refine(peaks, reduced, k, grid, fine_counts)
     assert len(refined) == len(peaks)
     # the lattice factors are built once, then held: the warm call gives the same bits
-    again, rebuilt = _refine(peaks, reduced, k, grid, cfg.fine_counts)
+    again, rebuilt = _refine(peaks, reduced, k, grid, fine_counts)
     assert (built, rebuilt) == (True, False)
     for got, warm in zip(refined, again):
         assert (got.location.tobytes(), got.magnitude, got.grid_index) == (
             warm.location.tobytes(), warm.magnitude, warm.grid_index)
     for peak, got in zip(peaks, refined):
-        index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, cfg.fine_counts)
+        index, location, magnitude = _per_peak_refine(peak, reduced, k, grid, fine_counts)
         assert got.component == peak.component
         assert got.grid_index == index
         assert np.max(np.abs(got.location - location)) <= 1e-12
@@ -466,7 +469,7 @@ def test_example2_spurious_spike_suppression():
     ens = cfg.ensemble()
     clean = synthesize_cauchy(ens, cfg.wavenumber, cfg.surface())
     noisy = add_noise(clean, cfg.noise_spec())
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
     assert recon.estimated_count == 2
     exact = ens.locations()
     for ell in range(3):
@@ -493,28 +496,27 @@ def test_example1_component0_yields_exactly_four_peaks(example1):
         assert min(np.linalg.norm(p.location - e) for e in exact) <= cell_diag
 
 
-def test_dsm2_warns_on_coarse_grid(example1):
+def test_dsm2_warns_on_coarse_grid(example1, monkeypatch):
     cfg, _, _, noisy = example1
     too_coarse = make_grid([-4, -4], [4, 4], [10, 10])
     with pytest.warns(UserWarning, match="spacing"):
-        dsm2(noisy, cfg.wavenumber, too_coarse, (40, 40), directions=cfg.direction_set())
+        dsm2(noisy, cfg.wavenumber, too_coarse, directions=cfg.direction_set())
+
+    def unreached(*args):
+        raise AssertionError("dsm2 formed R(d) before the spacing check")
+
+    monkeypatch.setattr(heliodsm.locator, "reduced_data", unreached)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="spacing"):
+            dsm2(noisy, cfg.wavenumber, too_coarse, directions=cfg.direction_set())
 
 
 @pytest.mark.parametrize(
-    "fine_counts", [(1, 40), (40,), (40, 40, 40), (40.5, 40)], ids=["one_point", "short", "long", "fractional"]
+    "components",
+    [(), (0, 0), (3,), (-1,), (1.5,), (True,), ("1",), (1.0,)],
+    ids=["none", "repeated", "too_high", "negative", "fractional", "bool", "text", "integral_float"],
 )
-def test_dsm2_rejects_bad_fine_counts_before_any_work(example1, monkeypatch, fine_counts):
-    cfg, _, _, noisy = example1
-
-    def unreached(*args):
-        raise AssertionError("dsm2 formed R(d) before checking fine_counts")
-
-    monkeypatch.setattr(heliodsm.locator, "reduced_data", unreached)
-    with pytest.raises(ValueError):
-        dsm2(noisy, cfg.wavenumber, cfg.grid(), fine_counts, directions=cfg.direction_set())
-
-
-@pytest.mark.parametrize("components", [(), (0, 0), (3,), (-1,)], ids=["none", "repeated", "too_high", "negative"])
 def test_drivers_reject_bad_components_before_any_work(example1, monkeypatch, components):
     cfg, _, _, noisy = example1
 
@@ -527,10 +529,19 @@ def test_drivers_reject_bad_components_before_any_work(example1, monkeypatch, co
             run(noisy, cfg.wavenumber, cfg.grid(), components=components)
 
 
+def test_drivers_take_numpy_integer_components(example1):
+    cfg, _, _, noisy = example1
+    grid = make_grid([-4, -4], [4, 4], [50, 50])
+    plain = dsm(noisy, cfg.wavenumber, grid, components=(2, 0), directions=cfg.direction_set())
+    indexed = dsm(noisy, cfg.wavenumber, grid, components=np.array([2, 0]), directions=cfg.direction_set())
+    assert indexed.parameters == plain.parameters
+    assert np.array_equal(indexed.centroids(), plain.centroids())
+
+
 def test_recover_intensities_matches_readoff(example1):
     cfg, ens, _, noisy = example1
     k = cfg.wavenumber
-    recon = dsm2(noisy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+    recon = dsm2(noisy, k, cfg.grid(), directions=cfg.direction_set())
     g = recon.groups[0]
     lam, eta = recover_intensities(recon.groups, noisy, k)[0]
     assert lam == g.lambda_estimate
@@ -540,7 +551,7 @@ def test_recover_intensities_matches_readoff(example1):
 
 def test_reconstruction_provenance(example1):
     cfg, _, _, noisy = example1
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
     assert recon.algorithm == "dsm2"
     assert recon.elapsed_seconds > 0
     assert recon.parameters["fine_counts"] == [40, 40]
@@ -554,7 +565,7 @@ def test_stage_timings_sum_to_elapsed(example1, algorithm):
     if algorithm == "dsm":
         recon = dsm(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
     else:
-        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
     assert list(recon.timings) == ["reduce", "grid", "peaks", "refine", "cluster", "readoff"]
     assert all(t >= 0 for t in recon.timings.values())
     assert abs(sum(recon.timings.values()) - recon.elapsed_seconds) <= 1e-6
@@ -562,7 +573,7 @@ def test_stage_timings_sum_to_elapsed(example1, algorithm):
 
 def test_counts_record_the_work_done(example1, example4):
     cfg, _, _, noisy = example1
-    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
     fine = sum(recon.parameters["component_peak_counts"].values())
     assert fine > 0
     built = recon.counts["phase_tables_built"]  # one fine lattice; 0 if an earlier test held it
@@ -632,7 +643,7 @@ def test_underresolved_boundary_reads_jointly(example1):
     cauchy = synthesize_cauchy(ens, k, circle_surface(cfg.measurement_radius, 120))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        recon = dsm2(cauchy, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())
+        recon = dsm2(cauchy, k, cfg.grid(), directions=cfg.direction_set())
     assert recon.estimated_count > 1
     for g, (lam, eta) in zip(recon.groups, recover_intensities(recon.groups, cauchy, k)):
         assert lam == g.lambda_estimate
@@ -648,7 +659,7 @@ def test_reconstruction_carries_collection_grid_fields(example1, algorithm):
     if algorithm == "dsm":
         recon = dsm(noisy, k, grid, **settings)
     else:
-        recon = dsm2(noisy, k, grid, (40, 40), **settings)
+        recon = dsm2(noisy, k, grid, **settings)
     expected = indicator_grid_values(reduced_data(noisy, k, cfg.direction_set()), k, grid, (2, 0))
     assert [f.component for f in recon.fields] == [2, 0]
     for i, fld in enumerate(recon.fields):
@@ -666,12 +677,15 @@ def test_driver_warnings_point_at_the_caller(example1):
         neumann=np.zeros_like(noisy.neumann),
     )
     calls = [
-        ("spacing", lambda: dsm2(noisy, k, coarse, (40, 40), directions=cfg.direction_set())),
+        ("spacing", lambda: dsm2(noisy, k, coarse, directions=cfg.direction_set())),
         ("no significant", lambda: dsm(silent, k, cfg.grid(), directions=cfg.direction_set())),
-        ("no significant", lambda: dsm2(silent, k, cfg.grid(), cfg.fine_counts, directions=cfg.direction_set())),
+        ("no significant", lambda: dsm2(silent, k, cfg.grid(), directions=cfg.direction_set())),
     ]
     for match, call in calls:
         with pytest.warns(UserWarning, match=match) as record:
-            call()
+            recon = call()
         hits = [w for w in record if match in str(w.message)]
         assert hits and all(w.filename == __file__ for w in hits), match
+        # the result keeps each message it warned, in order
+        assert recon.warnings == tuple(str(w.message) for w in record if w.category is UserWarning), match
+    assert dsm2(noisy, k, cfg.grid(), directions=cfg.direction_set()).warnings == ()

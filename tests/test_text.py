@@ -30,7 +30,6 @@ def _mismatches(values, columns=1):
 def test_matches_repr_on_any_float(values):
     # st.floats() draws nan, +-inf, subnormals and +-0.0 among the rest
     assert _mismatches(values) == []
-    assert _text.strings(values) == [repr(v) for v in values]
 
 
 def test_matches_repr_on_random_bit_patterns():
@@ -65,7 +64,6 @@ def test_block_edges(columns, offset):
     rng = np.random.default_rng(rows + offset)
     values = rng.standard_normal(columns * (rows + offset)) * 10.0 ** rng.integers(-20, 20, columns * (rows + offset))
     assert _mismatches(values, columns) == []
-    assert _text.strings(values) == [repr(v) for v in values.tolist()]
 
 
 def _padded(texts):
@@ -95,18 +93,18 @@ def test_lead_period_not_dividing_the_pass(extra):
 def test_short_arrays(n):
     values = np.full(n, -1.25)
     assert _mismatches(values) == []
-    assert _text.strings(values) == ["-1.25"] * n
 
 
 @pytest.mark.parametrize("block", [0, 1, 2])
 def test_strings_split_at_separators(block):
     # the fallback slots (inf, nan, subnormals) rewrite the whole slot and
-    # must keep its separator, or two texts would run together
+    # must keep its separator, or two texts would run together; rows of 12
+    # against a 13-value cycle move each through every column, the last
+    # one ("\r\n") included
     specials = [np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.225073858507201e-308,
                 -1e-310, 0.0, -0.0, 1e16, 1e-5]
-    values = np.resize(np.array(specials + [0.1]), block * _text.BLOCK + len(specials))
-    assert _text.strings(values) == [repr(v) for v in values.tolist()]
-    assert _text.strings(values[:0]) == []
+    values = np.resize(np.array(specials + [0.1]), 12 * (block * _text.BLOCK // 12 + len(specials)))
+    assert _mismatches(values, columns=12) == []
 
 
 def test_scale_table_keeps_products_in_range():
