@@ -1,8 +1,9 @@
 """Worker-thread budget for grid evaluations.
 
-Results never depend on the thread count: work is split into fixed-size
-chunks whose internal summation order is fixed, and threads only decide
-which chunk runs where.  `map_chunks` is the one place that runs work in
+The worker count is the one `set_thread_count` pins (the CLI's
+`--threads`), else the CPU count.  Results never depend on it: work is
+split into fixed-size chunks whose internal summation order is fixed, and
+threads only decide which chunk runs where.  `map_chunks` is the one place that runs work in
 parallel.  While it runs, numpy's bundled OpenBLAS is held to one thread
 (through its `scipy_openblas_set_num_threads64_` export), so the BLAS
 products inside a chunk neither oversubscribe the workers nor change their
@@ -24,32 +25,18 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_ENV_VAR = "HELIO_DSM_THREADS"
 _thread_count: int | None = None
 
 
 def get_thread_count() -> int:
-    """The pinned count, else HELIO_DSM_THREADS, else the CPU count.
-
-    A set but invalid HELIO_DSM_THREADS (not an integer >= 1) raises
-    ValueError rather than falling back silently.
-    """
+    """The pinned count, else the CPU count."""
     if _thread_count is not None:
         return _thread_count
-    env = os.environ.get(_ENV_VAR)
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{_ENV_VAR} must be an integer >= 1, got {env!r}")
-    return n
+    return os.cpu_count() or 1
 
 
 def set_thread_count(n: int | None) -> None:
-    """Pin the worker count (None restores the environment default)."""
+    """Pin the worker count (None unpins it)."""
     global _thread_count
     if n is not None and n < 1:
         raise ValueError("thread count must be >= 1")

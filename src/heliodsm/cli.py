@@ -53,24 +53,23 @@ def _say(args, *message) -> None:
         print(*message)
 
 
+def _seeded(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
+    return cfg if seed is None else dataclasses.replace(cfg, noise_seed=seed)
+
+
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "preset", None):
-        cfg = preset_config(args.preset)
-    elif args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = ExperimentConfig.from_json(path.read_text())
-    else:
-        raise ConfigError("either --config or --preset is required")
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, noise_seed=args.seed)
-    return cfg
+    if (args.config is None) == (args.preset is None):
+        raise ConfigError("exactly one of --config or --preset is required")
+    if args.preset:
+        return _seeded(preset_config(args.preset), args.seed)
+    path = Path(args.config)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    return _seeded(ExperimentConfig.from_json(path.read_text()), args.seed)
 
 
-def _out_dir(args, cfg: ExperimentConfig | None = None) -> Path:
-    target = args.out or (cfg.output_dir if cfg is not None else None) or "out"
-    out = Path(target)
+def _out_dir(args) -> Path:
+    out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -117,7 +116,7 @@ def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
 
 def cmd_synthesize(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     _synthesize(cfg, out, args)
     return EXIT_OK
 
@@ -197,7 +196,7 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
 
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     _reconstruct(cfg, args.algorithm, out, args)
     return EXIT_OK
 
@@ -258,12 +257,8 @@ def _compare(exact_rows, recon, args) -> list[dict]:
 
 def cmd_example(args) -> int:
     name = f"example{args.id}"
-    if name not in PRESETS:
-        raise ConfigError(f"unknown example id {args.id}")
-    args.preset = name
-    args.config = None
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+    cfg = _seeded(preset_config(name), args.seed)
+    out = _out_dir(args)
     exact = exact_table(name)
 
     recon2 = _reconstruct(cfg, "dsm2", out, args)
@@ -292,35 +287,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Direct sampling localization of multipolar Helmholtz sources",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "--config": dict(help="experiment config (JSON)"),
+        "--preset": dict(choices=PRESETS, help="built-in preset name"),
+        "--seed": dict(type=int, help="override the noise seed"),
+        "--out": dict(help="output directory (default: ./out)"),
+        "--threads": dict(type=int, help="worker threads (default: the CPU count)"),
+        "--quiet": dict(action="store_true", help="suppress progress output"),
+        "--algorithm": dict(choices=("dsm", "dsm2"), default="dsm2", help="dsm2 (default) or one-level dsm"),
+    }
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="experiment config (JSON)")
-            p.add_argument("--preset", choices=PRESETS, help="built-in preset name")
-            p.add_argument("--seed", type=int, help="override the noise seed")
-        p.add_argument("--out", help="output directory (default: config output_dir or ./out)")
-        p.add_argument("--threads", type=int, help="worker threads (env HELIO_DSM_THREADS)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    def command(name, fn, help, *flags):
+        # each command takes only the options it acts on
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("synthesize", help="write closed-form Cauchy data")
-    common(p)
-    p.set_defaults(fn=cmd_synthesize)
-
-    p = sub.add_parser("reconstruct", help="run dsm/dsm2 and export results")
-    common(p)
-    p.add_argument("--algorithm", choices=("dsm", "dsm2"), default="dsm2", help="dsm2 (default) or one-level dsm")
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser("verify", help="run the oracle verification suite")
+    command("synthesize", cmd_synthesize, "write closed-form Cauchy data",
+            "--config", "--preset", "--seed", "--out", "--quiet")
+    command("reconstruct", cmd_reconstruct, "run dsm/dsm2 and export results",
+            "--config", "--preset", "--seed", "--out", "--threads", "--quiet", "--algorithm")
+    p = command("verify", cmd_verify, "run the oracle verification suite", "--threads", "--quiet")
     p.add_argument("level", nargs="?", default="quick", choices=("quick", "full"))
-    common(p, config=False)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("example", help="run a built-in benchmark preset end to end")
+    p = command("example", cmd_example, "run a built-in benchmark preset end to end",
+                "--seed", "--out", "--threads", "--quiet")
     p.add_argument("id", type=int, choices=(1, 2, 3, 4, 5))
-    common(p, config=False)
-    p.add_argument("--seed", type=int, help="override the preset noise seed")
-    p.set_defaults(fn=cmd_example)
     return parser
 
 
@@ -328,10 +321,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # resolve the worker count first, so a bad one fails before any work
-        _threads.set_thread_count(
-            args.threads if args.threads is not None else _threads.get_thread_count()
-        )
+        # pin the worker count first, so a bad one fails before any work;
+        # synthesize takes no --threads: it runs no worker pool
+        if getattr(args, "threads", None) is not None:
+            _threads.set_thread_count(args.threads)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,8 +19,7 @@ Schema (dims = 2 or 3 everywhere consistent)::
       "directions": {"count": 256} | {"n_theta": 42, "n_phi": 43},
       "grid": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "counts": [100, 100]},
       "dsm_counts": [60, 60, 60],        # optional, single-level comparison grid
-      "locator": {"components": null},  # optional; null: all N+1 components
-      "output_dir": null                 # optional
+      "locator": {"components": null}   # optional; null: all N+1 components
     }
 
 Every number must be finite.  `ExperimentConfig` builds each object it
@@ -37,7 +36,8 @@ default.  The locator takes no other setting: its peak, merge, cluster and
 group thresholds and its fine-grid counts (`FINE_COUNTS_2D`,
 `FINE_COUNTS_3D`) are `locator` constants.  A config names no algorithm:
 `reconstruct` runs dsm2 unless `--algorithm dsm` asks for the single level
-on the dsm_counts grid.
+on the dsm_counts grid.  Nor does it name an output directory: the CLI's
+`--out` does (default ./out).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = (
     "dims", "wavenumber", "sources", "measurement", "noise", "directions", "grid",
-    "dsm_counts", "locator", "output_dir",
+    "dsm_counts", "locator",
 )
 
 
@@ -144,7 +144,6 @@ class ExperimentConfig:
     grid_counts: tuple[int, ...]
     dsm_counts: tuple[int, ...] | None = None
     components: tuple[int, ...] | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         # each rule lives in the constructor of the object it guards; building
@@ -234,10 +233,6 @@ class ExperimentConfig:
         if components is not None:
             components = _ints(components, "locator components")
 
-        output_dir = raw.get("output_dir")
-        if output_dir is not None and not isinstance(output_dir, str):
-            raise ConfigError("'output_dir' must be a string")
-
         return cls(
             dims=dims,
             wavenumber=k,
@@ -252,7 +247,6 @@ class ExperimentConfig:
             grid_counts=counts,
             dsm_counts=dsm_counts,
             components=components,
-            output_dir=output_dir,
         )
 
     def to_dict(self) -> dict:
@@ -281,7 +275,6 @@ class ExperimentConfig:
             },
             "dsm_counts": None if self.dsm_counts is None else list(self.dsm_counts),
             "locator": {"components": None if self.components is None else list(self.components)},
-            "output_dir": self.output_dir,
         }
         return out
 

@@ -1,5 +1,6 @@
 """CLI, config round-trip, file formats, and output determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -574,16 +575,74 @@ def test_cli_validation_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["synthesize", "--config", str(bad), "--out", str(tmp_path / "x"), "--quiet"]) == 1
-    missing = main(
-        ["synthesize", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "y"), "--quiet"]
-    )
-    assert missing == 1
     raw = preset_config("example1").to_dict()
     raw["sources"] = []
     cfg_path = tmp_path / "empty.json"
     cfg_path.write_text(json.dumps(raw))
     assert main(["synthesize", "--config", str(cfg_path), "--out", str(tmp_path / "z"), "--quiet"]) == 1
     assert main(["reconstruct", "--out", str(tmp_path / "w"), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("name", ["none.json", "a_directory"])
+def test_config_path_must_name_a_file(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    path, out = tmp_path / name, tmp_path / "run"
+    assert main(["reconstruct", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    assert f"config error: config file not found: {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+CLI_OPTIONS = {
+    "synthesize": {"--config", "--preset", "--seed", "--out", "--quiet"},
+    "reconstruct": {"--config", "--preset", "--seed", "--out", "--threads", "--quiet", "--algorithm"},
+    "verify": {"level", "--threads", "--quiet"},
+    "example": {"id", "--seed", "--out", "--threads", "--quiet"},
+}
+
+
+@pytest.mark.parametrize("command", CLI_OPTIONS)
+def test_each_command_takes_only_the_options_it_acts_on(command):
+    (sub,) = [a for a in heliodsm.cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(CLI_OPTIONS)
+    taken = {
+        a.option_strings[0] if a.option_strings else a.dest
+        for a in sub.choices[command]._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+    assert taken == CLI_OPTIONS[command]
+
+
+@pytest.mark.parametrize("argv", [["synthesize", "--preset", "example1", "--threads", "1"],
+                                  ["verify", "quick", "--out", "X"]], ids=["synthesize", "verify"])
+def test_cli_refuses_an_option_its_command_ignores(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--quiet"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: heliodsm" in err and "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["synthesize", "reconstruct"])
+def test_config_and_preset_together_refused(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(preset_config("example1").to_json())
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg_path), "--preset", "example1", "--out", str(out), "--quiet"]
+    assert main(argv) == 1
+    assert "config error: exactly one of --config or --preset is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", [[], ["--threads", "1"]], ids=["default", "pinned"])
+def test_cli_reads_no_thread_environment_variable(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("HELIO_DSM_THREADS", "abc")
+    out = tmp_path / "run"
+    assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet", *threads]) == 0
+    want = int(threads[1]) if threads else os.cpu_count()
+    assert json.loads((out / "run.json").read_text())["threads"] == want
+    assert heliodsm._threads.get_thread_count() == os.cpu_count()  # main unpins
 
 
 @pytest.mark.parametrize(
@@ -674,10 +733,13 @@ def test_run_json_records_driver_warnings(tmp_path):
     assert run["warnings"] == ["coarse grid spacing exceeds half a wavelength; maximizers may be missed"]
 
 
-@pytest.mark.parametrize("key, value", [("fine_counts", [40, 40]), ("algorithm", "dsm2")])
+@pytest.mark.parametrize(
+    "key, value", [("fine_counts", [40, 40]), ("algorithm", "dsm2"), ("output_dir", None)]
+)
 def test_config_json_with_removed_keys(tmp_path, capsys, key, value):
-    # a config.json written when configs still held fine_counts and algorithm:
-    # reuse reads only its data keys, but as --config it names an unknown key
+    # a config.json written when configs still held fine_counts, algorithm or
+    # output_dir: reuse reads only its data keys, but as --config it names an
+    # unknown key
     out = tmp_path / "run"
     assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 0
     stored = out / "config.json"
@@ -700,24 +762,7 @@ def test_reconstruct_rejects_seed_override_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_cli_rejects_bad_thread_env(tmp_path, monkeypatch, capsys, value):
-    from heliodsm import _threads
-
-    monkeypatch.setenv("HELIO_DSM_THREADS", value)
-    with pytest.raises(ValueError):
-        _threads.get_thread_count()
-    out = tmp_path / "run"
-    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--quiet"]) == 1
-    assert "HELIO_DSM_THREADS" in capsys.readouterr().err
-    assert not out.exists()
-    # an explicit --threads overrides the environment
-    assert main(["synthesize", "--preset", "example1", "--out", str(out), "--threads", "1", "--quiet"]) == 0
-
-
 def test_main_builds_its_parser_once(monkeypatch):
-    import argparse
-
     built = []
 
     def parser(*args, **kwargs):
@@ -727,24 +772,13 @@ def test_main_builds_its_parser_once(monkeypatch):
     monkeypatch.setattr(heliodsm.cli, "argparse", SimpleNamespace(ArgumentParser=parser))
     heliodsm.cli._build_parser.cache_clear()
     try:
-        argv = ["synthesize", "--preset", "example1", "--threads", "0", "--quiet"]
+        argv = ["reconstruct", "--preset", "example1", "--threads", "0", "--quiet"]
         assert main(argv) == main(argv) == 1  # a bad --threads stops before any work
         assert built == ["heliodsm"]
         args = heliodsm.cli._build_parser().parse_args(argv)
         assert args == heliodsm.cli._build_parser().parse_args(argv)
     finally:
         heliodsm.cli._build_parser.cache_clear()
-
-
-def test_config_output_dir_used_when_out_absent(tmp_path, monkeypatch):
-    raw = preset_config("example1").to_dict()
-    target = tmp_path / "from_config"
-    raw["output_dir"] = str(target)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
-    monkeypatch.chdir(tmp_path)
-    assert main(["synthesize", "--config", str(cfg_path), "--quiet"]) == 0
-    assert (target / "cauchy.csv").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):
