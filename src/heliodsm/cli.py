@@ -320,6 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    pinned = _threads._thread_count  # a library caller's pin, restored after the command
     try:
         # pin the worker count first, so a bad one fails before any work;
         # synthesize takes no --threads: it runs no worker pool
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
-        _threads.set_thread_count(None)
+        _threads.set_thread_count(pinned)
 
 
 if __name__ == "__main__":

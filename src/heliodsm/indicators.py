@@ -51,15 +51,23 @@ its sums over the azimuth are circular correlations, done with numpy's
 FFT.  Any other point set, unequal azimuth counts and all of 2D take the
 chunked path.
 
-Two tables never depend on the Cauchy data and recur from run to run:
+Some tables never depend on the Cauchy data and recur from run to run:
 the inverse DFT of that phase table (key: k, the radius, both polar
-rules and n_phi) and the axis factors of dsm2's local fine lattice (key:
-k, the direction nodes and the lattice).  Each is built by the expression
-that would build it per call, then held read-only, bit for bit, in one
-process-wide LRU of _HELD_MAX entries (`_held`); on the 3D presets each
-table is about 1.1 MiB.  Collection-grid factors and the 2D chunked
-phase matrix are built per call: held as well, they raised the peak
-memory of the 60^3 dsm run and of a 2D loop by about 14%.
+rules and n_phi) and the axis factors of dsm2's coarse collection lattice
+and of its local fine lattice (key: k, the direction nodes and the
+lattice).  Each is built by the expression that would build it per call,
+then held read-only, bit for bit, in one process-wide LRU of _HELD_MAX
+entries (`_held`); on the 3D presets each table is 1.1-1.7 MiB.  The
+factors are exponentiated in place, so a build allocates no second array
+of their size.  `io.write_cauchy_csv` holds its surface text in the same
+LRU.  The public `indicator_grid_values` (and so dsm's 60^3 grid) and
+the 2D chunked phase matrix build per call.  Held, the 60^3 factors
+raised the dsm run's peak memory by 6% (13% built out of place), and the
+2D matrix together with the 2D grid factors raised a 2D loop's by 14%.
+
+The circulant sums over the azimuth spectrum are one batched matmul over
+its n_phi frequencies, on strided views of the held spectrum; holding a
+q-major copy instead raised the dsm run's peak memory by 9%.
 
 `moment` holds the closed form of the circle and sphere integrals of
 d_p d_q e^{ik d.z}, one expression for both dimensions; it is the
@@ -102,8 +110,10 @@ _RING_BLOCK = 1 << 15
 # Largest coordinate gap at which unit vectors still count as a product rule.
 _RULE_TOL = 1e-12
 
-# Entries of the process-wide memo of phase tables (see `_held`).
-_HELD_MAX = 8
+# Entries of the process-wide memo of setup-only tables (see `_held`): the
+# three 2D presets hold eight (a coarse and a fine lattice each, and two
+# surface texts for `io.write_cauchy_csv`).
+_HELD_MAX = 12
 _held_tables: OrderedDict = OrderedDict()
 _held_lock = threading.Lock()
 
@@ -240,8 +250,14 @@ def _circulant_parts(surf, nodes: np.ndarray, rows: np.ndarray, k: float):
     key = ("spectrum", k, surf.radius, n) + tuple(v.tobytes() for v in (cos_a, sin_a, cos_c, sin_c))
     (table_spectrum,), built = _held(key, build)
     # parts[r, c, e] = sum_{a, b} rows[r, a, b] table[a, c, (b - e) mod n]
-    spectrum = np.einsum("raq,acq->rcq", np.fft.fft(rows.reshape(len(rows), -1, n)), table_spectrum)
+    spectrum = _circulant_product(np.fft.fft(rows.reshape(len(rows), -1, n)), table_spectrum)
     return np.fft.ifft(spectrum).transpose(1, 2, 0).reshape(-1, len(rows)), table_spectrum.size, built
+
+
+def _circulant_product(rows_spectrum: np.ndarray, table_spectrum: np.ndarray) -> np.ndarray:
+    """(R, C, n) sums over a of rows_spectrum[r, a, q] table_spectrum[a, c, q]:
+    one batched product over q, on strided views (the held table is not copied)."""
+    return np.matmul(rows_spectrum.transpose(2, 0, 1), table_spectrum.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> ReducedData:
@@ -345,9 +361,13 @@ def _axis_factors(directions: DirectionSet, k: float, axes) -> tuple[np.ndarray,
     """`_grid_kernel`'s plane-wave factors on the lattice of `axes`: the first
     axis' (A, n_x, B), each middle axis' (A, B, n_y), the last axis' (A, n_z)."""
     rings, level = _rings(directions)
-    middle = [np.exp(-1j * k * rings[:, :, i, None] * axes[i]) for i in range(1, directions.dims - 1)]
-    first = np.exp(-1j * k * axes[0][:, None] * rings[:, None, :, 0])
-    last = np.exp(-1j * k * np.outer(level, axes[-1]))
+
+    def exp(arg):  # in place: the factor is the one array of its size a build allocates
+        return np.exp(arg, out=arg)
+
+    middle = [exp(-1j * k * rings[:, :, i, None] * axes[i]) for i in range(1, directions.dims - 1)]
+    first = exp(-1j * k * axes[0][:, None] * rings[:, None, :, 0])
+    last = exp(-1j * k * np.outer(level, axes[-1]))
     return (first, *middle, last)
 
 

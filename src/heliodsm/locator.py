@@ -42,7 +42,8 @@ shifted to its corner c_p, and e^{-ik d.(c_p + x)} = e^{-ik d.c_p}
 e^{-ik d.x}, so all of them are one grid-kernel call on x with one weight
 column per peak.  The local lattice depends only on k, the dimension and
 the box clamp, so its plane-wave factors are built once per process and
-held (see `indicators`); the collection grid's are built on every call.
+held (see `indicators`), and so are those of dsm2's coarse collection
+grid; dsm's full grid builds its factors on every call.
 The driver's warnings go to the caller and into `Reconstruction.warnings`.
 
 The driver holds numpy's bundled OpenBLAS to one thread for the whole
@@ -89,12 +90,12 @@ from .geometry import SamplingGrid
 from .indicators import (
     IndicatorField,
     ReducedData,
+    _axis_factors,
     _check_components,
     _component_weights,
     _grid_kernel,
     _lattice_factors,
     default_directions,
-    indicator_grid_values,
     reduced_data,
 )
 
@@ -165,8 +166,9 @@ class Reconstruction:
     the work done: directions, boundary_points, grid_points (per level:
     the collection grid, then all fine grids together), fine_grids,
     phase_exps (entries of the phase table R(d) used) and
-    phase_tables_built (how many of the run's held phase tables it built
-    rather than reused; see `indicators`).  warnings holds the messages of
+    phase_tables_built (how many of the run's held tables, the R(d)
+    spectrum and the lattice factors, it built rather than reused; see
+    `indicators`).  warnings holds the messages of
     the UserWarnings the run raised, in order.
     """
 
@@ -346,6 +348,8 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
     """The sampling pipeline behind `dsm` (refine False) and `dsm2`."""
     watch = _Stopwatch()
     comps = _check_components(cauchy.dims, components)
+    if grid.dims != cauchy.dims:
+        raise ValueError("grid and Cauchy data have different dimensions")
     dirs = directions if directions is not None else default_directions(cauchy.dims)
     notes: list[str] = []
     if refine and max(grid.spacing) > math.pi / k:
@@ -370,11 +374,17 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
         "grid_upper": list(grid.upper),
     }
     reduced = reduced_data(cauchy, k, dirs)
+    tables_built = reduced.tables_built
     watch.lap("reduce")
-    fields = tuple(  # each field copies its column, so the (n, L) block is freed here
-        IndicatorField(grid=grid, component=ell, values=v)
-        for ell, v in zip(comps, indicator_grid_values(reduced, k, grid, comps).T)
-    )
+    if refine:  # dsm2's coarse lattice recurs from run to run, so its factors are held
+        factors, built = _lattice_factors(dirs, k, grid)
+        tables_built += built
+    else:  # dsm's (60^3) are built per call
+        factors = _axis_factors(dirs, k, grid.axes())
+    values = _grid_kernel(_component_weights(reduced, k, comps), factors)
+    del factors  # dsm's per-call factors go before the fields copy the values
+    fields = tuple(IndicatorField(grid=grid, component=ell, values=v) for ell, v in zip(comps, values.T))
+    del values  # each field holds a copy of its column
     watch.lap("grid")
     peaks: list[Peak] = []
     comp_max: dict[int, float] = {}
@@ -388,7 +398,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
         notes.append("no significant indicator maximizers survived")
         warnings.warn(notes[-1], stacklevel=4)
     watch.lap("peaks")
-    grid_points, fine_grids, tables_built = [len(grid)], 0, reduced.tables_built
+    grid_points, fine_grids = [len(grid)], 0
     if refine:
         fine_counts = FINE_COUNTS_2D if grid.dims == 2 else FINE_COUNTS_3D
         params["fine_counts"] = list(fine_counts)

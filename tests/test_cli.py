@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import heliodsm
 import heliodsm._threads
 import heliodsm.cli
 import heliodsm.forward
@@ -285,8 +286,9 @@ def test_cli_holds_openblas_to_one_thread(tmp_path, monkeypatch):
 
 
 def test_run_json_counts_the_phase_tables_built(tmp_path):
-    # a wavenumber no other test uses, so the first run builds both tables
-    # (the circulant R(d) spectrum and the fine lattice) whatever ran before
+    # a wavenumber no other test uses, so the first run builds all three
+    # tables (the circulant R(d) spectrum, the coarse and the fine lattice)
+    # whatever ran before
     raw = preset_config("example4").to_dict()
     raw["wavenumber"] = 9.25
     cfg_path = tmp_path / "k.json"
@@ -298,12 +300,29 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
         counts = json.loads((out / "run.json").read_text())["counts"]
         assert counts["phase_exps"] == 42 * 42 * 43
         built.append(counts["phase_tables_built"])
-    assert built == [2, 0]
+    assert built == [3, 0]
+
+
+def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
+    # each 2D preset holds its coarse and fine lattice factors, and example2
+    # and example3 share one surface text: eight entries, which all fit, so
+    # a second round builds none
+    presets = ["example1", "example2", "example3"]
+    built = []
+    for run in ("cold", "warm"):
+        for preset in presets:
+            out = tmp_path / run / preset
+            assert main(["reconstruct", "--preset", preset, "--out", str(out), "--quiet"]) == 0
+            built.append(json.loads((out / "run.json").read_text())["counts"]["phase_tables_built"])
+    assert built == [2, 2, 2, 0, 0, 0]
+    kinds = [key[0] for key in heliodsm.indicators._held_tables]
+    assert sorted(kinds) == ["lattice"] * 6 + ["surface text"] * 2
 
 
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
     # one process reconstructs each preset twice, the second time from held
-    # phase tables; a fresh process per preset writes the same CSV bytes
+    # phase tables, lattice factors and surface text; a fresh process per
+    # preset writes the same CSV bytes
     env = dict(os.environ)
     src = str(Path(heliodsm.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -331,8 +350,18 @@ def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows
-def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, preset):
+def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, monkeypatch, cold_tables, preset):
+    # the surface columns' text is rendered by the first write and held for
+    # the second; both must be the per-row bytes
     _, _, clean, noisy = request.getfixturevalue(preset)
+    leads = []
+
+    def counted_lead(columns):
+        leads.append(len(columns))
+        return rows_lead(columns)
+
+    rows_lead = heliodsm.io._rows_lead
+    monkeypatch.setattr(heliodsm.io, "_rows_lead", counted_lead)
     surf = clean.surface
     traces = (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann)
     rows = (
@@ -346,8 +375,11 @@ def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, preset):
            "u_noisy_re", "u_noisy_im", "dnu_noisy_re", "dnu_noisy_im"]
     )
     _reference_csv(tmp_path / "want.csv", header, rows)
-    write_cauchy_csv(tmp_path / "got.csv", clean, noisy)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    want = (tmp_path / "want.csv").read_bytes()
+    for run in ("cold", "held"):
+        write_cauchy_csv(tmp_path / f"{run}.csv", clean, noisy)
+        assert (tmp_path / f"{run}.csv").read_bytes() == want
+    assert leads == [2 * surf.dims + 1]
 
 
 def test_cli_synthesize_writes_expected_rows(tmp_path):
@@ -437,13 +469,14 @@ def test_reconstruct_evaluates_reduced_data_and_collection_grid_once(tmp_path, m
         calls["reduce"] += 1
         return heliodsm.indicators.reduced_data(*args, **kwargs)
 
-    def counted_grid(reduced, k, grid, components=None):
-        calls["grid"] += tuple(grid.counts) == tuple(collection)
-        return heliodsm.indicators.indicator_grid_values(reduced, k, grid, components)
+    def counted_kernel(weights, factors):
+        values = heliodsm.indicators._grid_kernel(weights, factors)
+        calls["grid"] += len(values) == np.prod(collection)
+        return values
 
     for module in (heliodsm.locator, heliodsm.cli):
         monkeypatch.setattr(module, "reduced_data", counted_reduce, raising=False)
-        monkeypatch.setattr(module, "indicator_grid_values", counted_grid, raising=False)
+        monkeypatch.setattr(module, "_grid_kernel", counted_kernel, raising=False)
     out = tmp_path / "run"
     args = ["reconstruct", "--preset", "example1", "--algorithm", algorithm, "--out", str(out), "--quiet"]
     assert main(args) == 0
@@ -642,7 +675,24 @@ def test_cli_reads_no_thread_environment_variable(tmp_path, monkeypatch, threads
     assert main(["reconstruct", "--preset", "example1", "--out", str(out), "--quiet", *threads]) == 0
     want = int(threads[1]) if threads else os.cpu_count()
     assert json.loads((out / "run.json").read_text())["threads"] == want
-    assert heliodsm._threads.get_thread_count() == os.cpu_count()  # main unpins
+    assert heliodsm._threads.get_thread_count() == os.cpu_count()  # nothing was pinned before main
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_cli_restores_a_library_callers_thread_pin(tmp_path, command):
+    out = tmp_path / "run"
+    argv = {
+        "verify": ["verify", "quick", "--quiet"],
+        "reconstruct": ["reconstruct", "--preset", "example1", "--threads", "2", "--out", str(out), "--quiet"],
+    }[command]
+    heliodsm.set_thread_count(1)
+    try:
+        assert main(argv) == 0
+        assert heliodsm.get_thread_count() == 1
+    finally:
+        heliodsm.set_thread_count(None)
+    if command == "reconstruct":  # the command's own count held while it ran
+        assert json.loads((out / "run.json").read_text())["threads"] == 2
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ from heliodsm.indicators import (
     plane_wave_identity,
     reduced_data,
 )
-from heliodsm.locator import FINE_COUNTS_2D, FINE_COUNTS_3D
+from heliodsm.locator import FINE_COUNTS_2D, FINE_COUNTS_3D, dsm2
 from heliodsm.presets import preset_config
 
 
@@ -468,6 +468,20 @@ def test_circulant_reduced_data_matches_general_path(monkeypatch, name, surface_
     assert gap <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["example4", "example5"])
+def test_batched_circulant_product_matches_einsum(monkeypatch, name):
+    # one matmul over q against strided views of the held spectrum, checked
+    # against the sum it replaced, einsum("raq,acq->rcq")
+    cfg = preset_config(name)
+    noisy = _noisy(cfg, cfg.surface())
+    batched = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
+    monkeypatch.setattr(ind, "_circulant_product", lambda f, t: np.einsum("raq,acq->rcq", f, t))
+    summed = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
+    assert batched.phase_exps == summed.phase_exps == 42 * 42 * 43
+    gap = np.max(np.abs(batched.values - summed.values)) / np.max(np.abs(summed.values))
+    assert gap <= 1e-14
+
+
 def _fibonacci_surface(radius, count):
     unit = _fibonacci_units(count)
     return MeasurementSurface(
@@ -519,6 +533,22 @@ def test_held_spectrum_gives_the_built_bits(example4, cold_tables):
     assert np.array_equal(cold.values, warm.values)
 
 
+@pytest.mark.parametrize("name", ["example1", "example4"])
+def test_held_coarse_factors_are_the_built_bits(name, cold_tables):
+    # dsm2 holds its coarse lattice's factors: read-only, and the bits
+    # `_axis_factors` builds per call
+    cfg = preset_config(name)
+    dirs, grid = cfg.direction_set(), cfg.grid()
+    dsm2(_noisy(cfg, cfg.surface()), cfg.wavenumber, grid, components=cfg.components, directions=dirs)
+    held, built = ind._lattice_factors(dirs, cfg.wavenumber, grid)
+    assert not built
+    fresh = ind._axis_factors(dirs, cfg.wavenumber, grid.axes())
+    assert len(held) == len(fresh) == cfg.dims
+    for a, b in zip(held, fresh):
+        assert not a.flags.writeable
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_held_tables_are_read_only(example1, example4):
     for cfg, _, _, noisy in (example1, example4):
         red = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
@@ -550,7 +580,7 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
     spectra = [(noisy, 10.0), (noisy, 10.5), (narrow, 10.0)]  # base, k, measurement rule
     for i, (data, k) in enumerate(spectra):
         assert reduced_data(data, k, dirs).tables_built == 1
-        assert len(ind._held_tables) == len(lattices) + i + 1 == ind._HELD_MAX - len(spectra) + i + 1
+        assert len(ind._held_tables) == len(lattices) + i + 1
     for args in lattices:
         assert not ind._lattice_factors(*args)[1]
     for data, k in spectra:
@@ -558,7 +588,7 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
     # beyond the bound, the least recently used entry goes
     for i in range(ind._HELD_MAX):
         ind._lattice_factors(dirs, 20.0 + i, box)
-        assert len(ind._held_tables) == ind._HELD_MAX
+        assert len(ind._held_tables) == min(len(lattices) + len(spectra) + i + 1, ind._HELD_MAX)
     assert reduced_data(*spectra[-1], dirs).tables_built == 1
 
 
