@@ -59,9 +59,10 @@ lattice).  Each is built by the expression that would build it per call,
 then held read-only, bit for bit, in one process-wide LRU of _HELD_MAX
 entries (`_held`); on the 3D presets each table is 1.1-1.7 MiB.  The
 factors are exponentiated in place, so a build allocates no second array
-of their size.  `io.write_cauchy_csv` holds its surface text in the same
-LRU.  The public `indicator_grid_values` (and so dsm's 60^3 grid) and
-the 2D chunked phase matrix build per call.  Held, the 60^3 factors
+of their size.  `indicator_grid_values` reads a lattice's factors when
+they are held (dsm2 holds its coarse lattice's before it calls it) and
+otherwise builds them for the call, as it does for dsm's 60^3 grid; the
+2D chunked phase matrix is built per call too.  Held, the 60^3 factors
 raised the dsm run's peak memory by 6% (13% built out of place), and the
 2D matrix together with the 2D grid factors raised a 2D loop's by 14%.
 
@@ -110,10 +111,9 @@ _RING_BLOCK = 1 << 15
 # Largest coordinate gap at which unit vectors still count as a product rule.
 _RULE_TOL = 1e-12
 
-# Entries of the process-wide memo of setup-only tables (see `_held`): the
-# three 2D presets hold eight (a coarse and a fine lattice each, and two
-# surface texts for `io.write_cauchy_csv`).
-_HELD_MAX = 12
+# Entries of the process-wide memo of setup-only tables (see `_held`); the
+# most a preset mix holds is six, a coarse and a fine lattice per 2D preset.
+_HELD_MAX = 8
 _held_tables: OrderedDict = OrderedDict()
 _held_lock = threading.Lock()
 
@@ -213,14 +213,21 @@ def _product_rule(unit: np.ndarray):
     return cos_t, sin_t, n_phi
 
 
+def _held_now(key):
+    """The arrays held under key, now the most recently used, or None."""
+    with _held_lock:
+        if key in _held_tables:
+            _held_tables.move_to_end(key)
+        return _held_tables.get(key)
+
+
 def _held(key, build):
     """build()'s tuple of arrays, held read-only in a process-wide LRU of
     _HELD_MAX entries under key, and whether this call built it (True) or
     reused it (False).  key must hold every input of build, bit for bit."""
-    with _held_lock:
-        if key in _held_tables:
-            _held_tables.move_to_end(key)
-            return _held_tables[key], False
+    arrays = _held_now(key)
+    if arrays is not None:
+        return arrays, False
     arrays = build()
     for a in arrays:
         a.flags.writeable = False
@@ -371,11 +378,14 @@ def _axis_factors(directions: DirectionSet, k: float, axes) -> tuple[np.ndarray,
     return (first, *middle, last)
 
 
+def _lattice_key(directions: DirectionSet, k: float, grid: SamplingGrid):
+    return ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
+
+
 def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
     """`_axis_factors` of the grid, held (see `_held`), and whether this call
-    built them.  For lattices that recur, such as dsm2's local fine lattice."""
-    key = ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
-    return _held(key, lambda: _axis_factors(directions, k, grid.axes()))
+    built them.  For lattices that recur, such as dsm2's coarse and fine ones."""
+    return _held(_lattice_key(directions, k, grid), lambda: _axis_factors(directions, k, grid.axes()))
 
 
 def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
@@ -417,7 +427,8 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
     comps = _check_components(reduced.dims, components)
     if grid.dims != reduced.dims:
         raise ValueError("grid and reduced data have different dimensions")
-    factors = _axis_factors(reduced.directions, k, grid.axes())
+    # factors held by `_lattice_factors` are read; any other lattice's are built for this call
+    factors = _held_now(_lattice_key(reduced.directions, k, grid)) or _axis_factors(reduced.directions, k, grid.axes())
     return _grid_kernel(_component_weights(reduced, k, comps), factors)
 
 

@@ -6,11 +6,7 @@ cauchy.csv
     One row per measurement point:
     x1..xN, nu1..nuN, weight, u_re, u_im, dnu_re, dnu_im,
     u_noisy_re, u_noisy_im, dnu_noisy_re, dnu_noisy_im.
-    With zero noise the noisy columns repeat the clean ones.  The text of
-    the surface columns (points, normals, weights) depends on the surface
-    alone, so it is rendered once per surface and held per process (in the
-    `indicators` LRU, keyed by the surface's bytes); each write renders
-    only the eight data columns.
+    With zero noise the noisy columns repeat the clean ones.
 indicator_<ell>.csv
     One row per grid point, in grid order (first axis fastest):
     z1..zN, abs, re, im.
@@ -40,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import json
-from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +43,7 @@ import numpy as np
 from . import _text
 from .forward import CauchyData
 from .geometry import MeasurementSurface, SamplingGrid
-from .indicators import IndicatorField, _held
+from .indicators import IndicatorField
 from .locator import Reconstruction
 
 __all__ = [
@@ -77,30 +72,12 @@ def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -
         + ["weight", "u_re", "u_im", "dnu_re", "dnu_im",
            "u_noisy_re", "u_noisy_im", "dnu_noisy_re", "dnu_noisy_im"]
     )
-    key = ("surface text", n) + tuple(a.tobytes() for a in (surf.points, surf.normals, surf.weights))
-    lead, _ = _held(key, lambda: _rows_lead([*surf.points.T, *surf.normals.T, surf.weights]))
-    columns = []
+    columns = [*surf.points.T, *surf.normals.T, surf.weights]
     for z in (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann):
         columns += [z.real, z.imag]
     with open(path, "wb") as fh:
         fh.write(_header(header))
-        _text.write_rows(fh, columns, lead=lead)
-
-
-def _rows_lead(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The `_text.write_rows` lead (prefix, last) that starts row r with the
-    texts of every column's value r, each ended by ','.
-
-    `prefix` holds one NUL-padded row per value, `last` one empty row.  The
-    text comes from one `write_rows` call; numpy splits it at the row ends.
-    """
-    buf = BytesIO()
-    _text.write_rows(buf, columns)
-    text = np.frombuffer(buf.getbuffer(), np.uint8)
-    ends = np.flatnonzero(text == ord("\n"))
-    body = np.delete(text, ends)  # each row now ends in "\r", which becomes ","
-    body[body == ord("\r")] = ord(",")
-    return _nul_padded(body, np.diff(ends, prepend=-1) - 1), np.zeros((1, 0), np.uint8)
+        _text.write_rows(fh, columns)
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
@@ -178,19 +155,14 @@ def _grid_lead(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
     prefixes = [""]
     for axis in lead_axes:
         prefixes = [p + x for x in axis for p in prefixes]
-    return tuple(
-        _nul_padded(np.frombuffer("".join(rows).encode(), np.uint8), list(map(len, rows)))
-        for rows in (prefixes, last)
-    )
+    return _nul_padded(prefixes), _nul_padded(last)
 
 
-def _nul_padded(text: np.ndarray, lengths) -> np.ndarray:
-    """The uint8 `text` cut into rows of the given lengths, as the rows of a
-    uint8 matrix NUL-padded to the longest."""
-    lengths = np.asarray(lengths)
-    rows = np.zeros((len(lengths), lengths.max()), np.uint8)
-    rows[np.arange(rows.shape[1]) < lengths[:, None]] = text  # a mask fills in row order
-    return rows
+def _nul_padded(texts: list[str]) -> np.ndarray:
+    """The ASCII texts as the rows of a uint8 matrix, NUL-padded to the longest."""
+    width = max(map(len, texts))
+    data = "".join(t.ljust(width, "\0") for t in texts).encode()
+    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
 
 
 def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorField:

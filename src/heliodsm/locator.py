@@ -90,12 +90,12 @@ from .geometry import SamplingGrid
 from .indicators import (
     IndicatorField,
     ReducedData,
-    _axis_factors,
     _check_components,
     _component_weights,
     _grid_kernel,
     _lattice_factors,
     default_directions,
+    indicator_grid_values,
     reduced_data,
 )
 
@@ -376,15 +376,12 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
     reduced = reduced_data(cauchy, k, dirs)
     tables_built = reduced.tables_built
     watch.lap("reduce")
-    if refine:  # dsm2's coarse lattice recurs from run to run, so its factors are held
-        factors, built = _lattice_factors(dirs, k, grid)
-        tables_built += built
-    else:  # dsm's (60^3) are built per call
-        factors = _axis_factors(dirs, k, grid.axes())
-    values = _grid_kernel(_component_weights(reduced, k, comps), factors)
-    del factors  # dsm's per-call factors go before the fields copy the values
-    fields = tuple(IndicatorField(grid=grid, component=ell, values=v) for ell, v in zip(comps, values.T))
-    del values  # each field holds a copy of its column
+    if refine:  # dsm2's coarse lattice recurs from run to run: hold its factors for the grid call
+        tables_built += _lattice_factors(dirs, k, grid)[1]
+    fields = tuple(  # each field copies its column, so the (n, L) block is freed here
+        IndicatorField(grid=grid, component=ell, values=v)
+        for ell, v in zip(comps, indicator_grid_values(reduced, k, grid, comps).T)
+    )
     watch.lap("grid")
     peaks: list[Peak] = []
     comp_max: dict[int, float] = {}

@@ -304,9 +304,8 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
 
 
 def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
-    # each 2D preset holds its coarse and fine lattice factors, and example2
-    # and example3 share one surface text: eight entries, which all fit, so
-    # a second round builds none
+    # each 2D preset holds its coarse and fine lattice factors: six entries,
+    # which all fit, so a second round builds none
     presets = ["example1", "example2", "example3"]
     built = []
     for run in ("cold", "warm"):
@@ -316,13 +315,13 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
             built.append(json.loads((out / "run.json").read_text())["counts"]["phase_tables_built"])
     assert built == [2, 2, 2, 0, 0, 0]
     kinds = [key[0] for key in heliodsm.indicators._held_tables]
-    assert sorted(kinds) == ["lattice"] * 6 + ["surface text"] * 2
+    assert kinds == ["lattice"] * 6
 
 
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
     # one process reconstructs each preset twice, the second time from held
-    # phase tables, lattice factors and surface text; a fresh process per
-    # preset writes the same CSV bytes
+    # phase tables and lattice factors; a fresh process per preset writes
+    # the same CSV bytes
     env = dict(os.environ)
     src = str(Path(heliodsm.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -350,18 +349,8 @@ def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows
-def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, monkeypatch, cold_tables, preset):
-    # the surface columns' text is rendered by the first write and held for
-    # the second; both must be the per-row bytes
+def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, preset):
     _, _, clean, noisy = request.getfixturevalue(preset)
-    leads = []
-
-    def counted_lead(columns):
-        leads.append(len(columns))
-        return rows_lead(columns)
-
-    rows_lead = heliodsm.io._rows_lead
-    monkeypatch.setattr(heliodsm.io, "_rows_lead", counted_lead)
     surf = clean.surface
     traces = (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann)
     rows = (
@@ -375,11 +364,8 @@ def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, monkeypatch, c
            "u_noisy_re", "u_noisy_im", "dnu_noisy_re", "dnu_noisy_im"]
     )
     _reference_csv(tmp_path / "want.csv", header, rows)
-    want = (tmp_path / "want.csv").read_bytes()
-    for run in ("cold", "held"):
-        write_cauchy_csv(tmp_path / f"{run}.csv", clean, noisy)
-        assert (tmp_path / f"{run}.csv").read_bytes() == want
-    assert leads == [2 * surf.dims + 1]
+    write_cauchy_csv(tmp_path / "got.csv", clean, noisy)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_cli_synthesize_writes_expected_rows(tmp_path):
@@ -469,14 +455,13 @@ def test_reconstruct_evaluates_reduced_data_and_collection_grid_once(tmp_path, m
         calls["reduce"] += 1
         return heliodsm.indicators.reduced_data(*args, **kwargs)
 
-    def counted_kernel(weights, factors):
-        values = heliodsm.indicators._grid_kernel(weights, factors)
-        calls["grid"] += len(values) == np.prod(collection)
-        return values
+    def counted_grid(reduced, k, grid, components=None):
+        calls["grid"] += tuple(grid.counts) == tuple(collection)
+        return heliodsm.indicators.indicator_grid_values(reduced, k, grid, components)
 
     for module in (heliodsm.locator, heliodsm.cli):
         monkeypatch.setattr(module, "reduced_data", counted_reduce, raising=False)
-        monkeypatch.setattr(module, "_grid_kernel", counted_kernel, raising=False)
+        monkeypatch.setattr(module, "indicator_grid_values", counted_grid, raising=False)
     out = tmp_path / "run"
     args = ["reconstruct", "--preset", "example1", "--algorithm", algorithm, "--out", str(out), "--quiet"]
     assert main(args) == 0

@@ -549,6 +549,23 @@ def test_held_coarse_factors_are_the_built_bits(name, cold_tables):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_grid_values_read_held_factors_and_hold_none(example1, monkeypatch, cold_tables):
+    # a lattice nobody held is built for the call and left unheld; once
+    # `_lattice_factors` holds it, the call reads those factors, same bits
+    cfg, _, _, noisy = example1
+    dirs, grid, k = cfg.direction_set(), cfg.grid(), cfg.wavenumber
+    red = reduced_data(noisy, k, dirs)
+    built = indicator_grid_values(red, k, grid)
+    assert not ind._held_tables
+    ind._lattice_factors(dirs, k, grid)
+
+    def unreached(*args):
+        raise AssertionError("held factors were built again")
+
+    monkeypatch.setattr(ind, "_axis_factors", unreached)
+    assert indicator_grid_values(red, k, grid).tobytes() == built.tobytes()
+
+
 def test_held_tables_are_read_only(example1, example4):
     for cfg, _, _, noisy in (example1, example4):
         red = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
@@ -580,7 +597,7 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
     spectra = [(noisy, 10.0), (noisy, 10.5), (narrow, 10.0)]  # base, k, measurement rule
     for i, (data, k) in enumerate(spectra):
         assert reduced_data(data, k, dirs).tables_built == 1
-        assert len(ind._held_tables) == len(lattices) + i + 1
+        assert len(ind._held_tables) == len(lattices) + i + 1 == ind._HELD_MAX - len(spectra) + i + 1
     for args in lattices:
         assert not ind._lattice_factors(*args)[1]
     for data, k in spectra:
@@ -588,7 +605,7 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
     # beyond the bound, the least recently used entry goes
     for i in range(ind._HELD_MAX):
         ind._lattice_factors(dirs, 20.0 + i, box)
-        assert len(ind._held_tables) == min(len(lattices) + len(spectra) + i + 1, ind._HELD_MAX)
+        assert len(ind._held_tables) == ind._HELD_MAX
     assert reduced_data(*spectra[-1], dirs).tables_built == 1
 
 
