@@ -20,12 +20,17 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 _thread_count: int | None = None
+
+# callers inside `_one_blas_thread`, and the OpenBLAS count the first one found
+_blas_lock = threading.Lock()
+_blas_callers, _blas_found = 0, 1
 
 
 def get_thread_count() -> int:
@@ -41,6 +46,18 @@ def set_thread_count(n: int | None) -> None:
     if n is not None and n < 1:
         raise ValueError("thread count must be >= 1")
     _thread_count = None if n is None else int(n)
+
+
+@contextmanager
+def pinned(n: int | None):
+    """Pin the worker count to n (None leaves the pin alone) for the block,
+    then restore the caller's pin.  A count below 1 fails on entry."""
+    before = _thread_count
+    set_thread_count(before if n is None else n)
+    try:
+        yield
+    finally:
+        set_thread_count(before)
 
 
 @functools.cache
@@ -64,22 +81,26 @@ def openblas():
 
 @contextmanager
 def _one_blas_thread():
-    """Hold the bundled OpenBLAS to one thread, then restore its count.
-
-    The save/restore is not shared between callers: map_chunks calls that
-    overlap from several Python threads may leave the count at 1, which
-    slows later BLAS calls but never changes their results.
-    """
+    """Hold the bundled OpenBLAS to one thread while any caller is inside,
+    then restore the count the first one found: a caller that restored it
+    alone would give another thread's BLAS calls several threads and new bits."""
+    global _blas_callers, _blas_found
     lib = openblas()
     if lib is None:
         yield
         return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    with _blas_lock:
+        if not _blas_callers:
+            _blas_found = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _blas_callers += 1
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(old)
+        with _blas_lock:
+            _blas_callers -= 1
+            if not _blas_callers:
+                lib.scipy_openblas_set_num_threads64_(_blas_found)
 
 
 def map_chunks(fn, starts: list[int]) -> None:

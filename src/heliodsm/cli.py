@@ -70,7 +70,10 @@ def _load_config(args) -> ExperimentConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # it or a parent is a file
+        raise ValueError(f"--out {out} is not a directory") from None
     return out
 
 
@@ -309,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--config", "--preset", "--seed", "--out", "--quiet")
     command("reconstruct", cmd_reconstruct, "run dsm/dsm2 and export results",
             "--config", "--preset", "--seed", "--out", "--threads", "--quiet", "--algorithm")
-    p = command("verify", cmd_verify, "run the oracle verification suite", "--threads", "--quiet")
+    p = command("verify", cmd_verify, "run the oracle verification suite", "--quiet")
     p.add_argument("level", nargs="?", default="quick", choices=("quick", "full"))
     p = command("example", cmd_example, "run a built-in benchmark preset end to end",
                 "--seed", "--out", "--threads", "--quiet")
@@ -318,21 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    pinned = _threads._thread_count  # a library caller's pin, restored after the command
+    args = _build_parser().parse_args(argv)
     try:
-        # pin the worker count first, so a bad one fails before any work;
-        # synthesize takes no --threads: it runs no worker pool
-        if getattr(args, "threads", None) is not None:
-            _threads.set_thread_count(args.threads)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        # one hold covers synthesis, the driver and the writes: numpy's
-        # OpenBLAS would run their small products on every core
-        with _threads._one_blas_thread():
+        # a bad --threads fails before any work; one BLAS hold covers synthesis,
+        # the driver and the writes, whose small products OpenBLAS would spread
+        with _threads.pinned(getattr(args, "threads", None)), _threads._one_blas_thread():
             return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -343,8 +336,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    finally:
-        _threads.set_thread_count(pinned)
 
 
 if __name__ == "__main__":

@@ -53,18 +53,16 @@ chunked path.
 
 Some tables never depend on the Cauchy data and recur from run to run:
 the inverse DFT of that phase table (key: k, the radius, both polar
-rules and n_phi) and the axis factors of dsm2's coarse collection lattice
-and of its local fine lattice (key: k, the direction nodes and the
-lattice).  Each is built by the expression that would build it per call,
-then held read-only, bit for bit, in one process-wide LRU of _HELD_MAX
-entries (`_held`); on the 3D presets each table is 1.1-1.7 MiB.  The
-factors are exponentiated in place, so a build allocates no second array
-of their size.  `indicator_grid_values` reads a lattice's factors when
-they are held (dsm2 holds its coarse lattice's before it calls it) and
-otherwise builds them for the call, as it does for dsm's 60^3 grid; the
-2D chunked phase matrix is built per call too.  Held, the 60^3 factors
-raised the dsm run's peak memory by 6% (13% built out of place), and the
-2D matrix together with the 2D grid factors raised a 2D loop's by 14%.
+rules and n_phi) and a lattice's axis factors (key: k, the direction
+nodes and the lattice).  Each is built by the expression that would
+build it per call, then held read-only, bit for bit, in one process-wide
+LRU of _HELD_MAX entries (`_held`, which counts its builds per thread).
+`_lattice_factors` holds a lattice's factors when they fit in
+_HELD_LATTICE_BYTES, whichever driver asks, and builds them for each call
+otherwise: held, dsm's 60^3 factors raised its peak memory by 6%.  Each
+factor is exponentiated in place.  The 2D chunked phase matrix is built
+per call (held with the 2D grid factors, it raised a 2D loop's peak
+memory by 14%).
 
 The circulant sums over the azimuth spectrum are one batched matmul over
 its n_phi frequencies, on strided views of the held spectrum; holding a
@@ -116,6 +114,7 @@ _RULE_TOL = 1e-12
 _HELD_MAX = 8
 _held_tables: OrderedDict = OrderedDict()
 _held_lock = threading.Lock()
+_HELD_LATTICE_BYTES = 2 << 20  # 30^3 factors on the 42 x 43 rule (1.67 MiB) fit, 60^3 (3.35 MiB) not
 
 # Indicator-integral direction defaults (2D count; 3D product factors).
 DEFAULT_CIRCLE_DIRECTIONS = 256
@@ -129,7 +128,6 @@ class ReducedData:
     directions: DirectionSet
     values: np.ndarray  # (n_dir,) complex
     phase_exps: int = 0  # entries of the phase table R(d) used
-    tables_built: int = 0  # held phase tables built, not reused, for values
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -213,35 +211,39 @@ def _product_rule(unit: np.ndarray):
     return cos_t, sin_t, n_phi
 
 
-def _held_now(key):
-    """The arrays held under key, now the most recently used, or None."""
+class _Builds(threading.local):
+    count = 0  # the tables `_held` built on this thread
+
+
+_held_builds = _Builds()
+
+
+def _held(key, build, max_bytes=math.inf):
+    """build()'s tuple of arrays, held read-only under key in a process-wide
+    LRU of _HELD_MAX entries when they take at most max_bytes (a held build
+    counts in `_held_builds`), else built for the call.  key must hold every
+    input of build, bit for bit."""
     with _held_lock:
         if key in _held_tables:
             _held_tables.move_to_end(key)
-        return _held_tables.get(key)
-
-
-def _held(key, build):
-    """build()'s tuple of arrays, held read-only in a process-wide LRU of
-    _HELD_MAX entries under key, and whether this call built it (True) or
-    reused it (False).  key must hold every input of build, bit for bit."""
-    arrays = _held_now(key)
-    if arrays is not None:
-        return arrays, False
+            return _held_tables[key]
     arrays = build()
+    if sum(a.nbytes for a in arrays) > max_bytes:
+        return arrays
+    _held_builds.count += 1
     for a in arrays:
         a.flags.writeable = False
     with _held_lock:
         _held_tables[key] = arrays
         while len(_held_tables) > _HELD_MAX:
             _held_tables.popitem(last=False)
-    return arrays, True
+    return arrays
 
 
 def _circulant_parts(surf, nodes: np.ndarray, rows: np.ndarray, k: float):
     """reduced_data's (n_dir, n_rows) contraction on two product rules with
-    equal n_phi, the size of its phase table and whether this call built the
-    table's spectrum (see `_held`); None for other inputs."""
+    equal n_phi and the size of its phase table (its spectrum is held, see
+    `_held`); None for other inputs."""
     pts_rule, dir_rule = _product_rule(surf.points / surf.radius), _product_rule(nodes)
     if pts_rule is None or dir_rule is None or pts_rule[2] != dir_rule[2]:
         return None
@@ -255,10 +257,10 @@ def _circulant_parts(surf, nodes: np.ndarray, rows: np.ndarray, k: float):
         return (np.fft.ifft(table, norm="forward"),)
 
     key = ("spectrum", k, surf.radius, n) + tuple(v.tobytes() for v in (cos_a, sin_a, cos_c, sin_c))
-    (table_spectrum,), built = _held(key, build)
+    (table_spectrum,) = _held(key, build)
     # parts[r, c, e] = sum_{a, b} rows[r, a, b] table[a, c, (b - e) mod n]
     spectrum = _circulant_product(np.fft.fft(rows.reshape(len(rows), -1, n)), table_spectrum)
-    return np.fft.ifft(spectrum).transpose(1, 2, 0).reshape(-1, len(rows)), table_spectrum.size, built
+    return np.fft.ifft(spectrum).transpose(1, 2, 0).reshape(-1, len(rows)), table_spectrum.size
 
 
 def _circulant_product(rows_spectrum: np.ndarray, table_spectrum: np.ndarray) -> np.ndarray:
@@ -282,16 +284,16 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
     )
     circulant = _circulant_parts(surf, nodes, rows, k) if surf.dims == 3 else None
     if circulant is not None:
-        parts, exps, built = circulant
+        parts, exps = circulant
     else:
         parts = _chunked(
             len(directions), len(rows), lambda s: np.exp(1j * k * (nodes[s] @ surf.points.T)) @ rows.T
         )
-        exps, built = len(surf) * len(directions), False
+        exps = len(surf) * len(directions)
     out = parts[:, 0]
     for c in range(surf.dims):
         out = out - 1j * k * nodes[:, c] * parts[:, c + 1]
-    return ReducedData(directions=directions, values=out, phase_exps=exps, tables_built=int(built))
+    return ReducedData(directions=directions, values=out, phase_exps=exps)
 
 
 def plane_wave_identity(ensemble: SourceEnsemble, k: float, d):
@@ -378,14 +380,11 @@ def _axis_factors(directions: DirectionSet, k: float, axes) -> tuple[np.ndarray,
     return (first, *middle, last)
 
 
-def _lattice_key(directions: DirectionSet, k: float, grid: SamplingGrid):
-    return ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
-
-
 def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
-    """`_axis_factors` of the grid, held (see `_held`), and whether this call
-    built them.  For lattices that recur, such as dsm2's coarse and fine ones."""
-    return _held(_lattice_key(directions, k, grid), lambda: _axis_factors(directions, k, grid.axes()))
+    """`_axis_factors` of the grid, held (see `_held`) when they take at most
+    _HELD_LATTICE_BYTES and built for the call otherwise."""
+    key = ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
+    return _held(key, lambda: _axis_factors(directions, k, grid.axes()), _HELD_LATTICE_BYTES)
 
 
 def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
@@ -427,9 +426,7 @@ def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, co
     comps = _check_components(reduced.dims, components)
     if grid.dims != reduced.dims:
         raise ValueError("grid and reduced data have different dimensions")
-    # factors held by `_lattice_factors` are read; any other lattice's are built for this call
-    factors = _held_now(_lattice_key(reduced.directions, k, grid)) or _axis_factors(reduced.directions, k, grid.axes())
-    return _grid_kernel(_component_weights(reduced, k, comps), factors)
+    return _grid_kernel(_component_weights(reduced, k, comps), _lattice_factors(reduced.directions, k, grid))
 
 
 def indicator_field(reduced: ReducedData, k: float, grid: SamplingGrid, component: int) -> IndicatorField:

@@ -41,9 +41,8 @@ location remains inside it.  Every fine grid is the same local lattice x
 shifted to its corner c_p, and e^{-ik d.(c_p + x)} = e^{-ik d.c_p}
 e^{-ik d.x}, so all of them are one grid-kernel call on x with one weight
 column per peak.  The local lattice depends only on k, the dimension and
-the box clamp, so its plane-wave factors are built once per process and
-held (see `indicators`), and so are those of dsm2's coarse collection
-grid; dsm's full grid builds its factors on every call.
+the box clamp.  Both drivers take a lattice's factors from `indicators`,
+which holds per process those that fit (dsm's 60^3 ones do not).
 The driver's warnings go to the caller and into `Reconstruction.warnings`.
 
 The driver holds numpy's bundled OpenBLAS to one thread for the whole
@@ -93,6 +92,7 @@ from .indicators import (
     _check_components,
     _component_weights,
     _grid_kernel,
+    _held_builds,
     _lattice_factors,
     default_directions,
     indicator_grid_values,
@@ -166,9 +166,9 @@ class Reconstruction:
     the work done: directions, boundary_points, grid_points (per level:
     the collection grid, then all fine grids together), fine_grids,
     phase_exps (entries of the phase table R(d) used) and
-    phase_tables_built (how many of the run's held tables, the R(d)
-    spectrum and the lattice factors, it built rather than reused; see
-    `indicators`).  warnings holds the messages of
+    phase_tables_built (how many held tables, the R(d) spectrum and the
+    lattice factors small enough to hold, the run built on its thread
+    rather than reused; see `indicators`).  warnings holds the messages of
     the UserWarnings the run raised, in order.
     """
 
@@ -373,11 +373,9 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
         "grid_lower": list(grid.lower),
         "grid_upper": list(grid.upper),
     }
+    built_before = _held_builds.count
     reduced = reduced_data(cauchy, k, dirs)
-    tables_built = reduced.tables_built
     watch.lap("reduce")
-    if refine:  # dsm2's coarse lattice recurs from run to run: hold its factors for the grid call
-        tables_built += _lattice_factors(dirs, k, grid)[1]
     fields = tuple(  # each field copies its column, so the (n, L) block is freed here
         IndicatorField(grid=grid, component=ell, values=v)
         for ell, v in zip(comps, indicator_grid_values(reduced, k, grid, comps).T)
@@ -399,8 +397,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
     if refine:
         fine_counts = FINE_COUNTS_2D if grid.dims == 2 else FINE_COUNTS_3D
         params["fine_counts"] = list(fine_counts)
-        peaks, built = _refine(peaks, reduced, k, grid, fine_counts)
-        tables_built += built
+        peaks = _refine(peaks, reduced, k, grid, fine_counts)
         fine_grids = len(peaks)
         grid_points.append(fine_grids * math.prod(fine_counts))
         # fine grids resolve peaks better than the coarse lattice; normalize
@@ -438,7 +435,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
             "grid_points": grid_points,
             "fine_grids": fine_grids,
             "phase_exps": reduced.phase_exps,
-            "phase_tables_built": tables_built,
+            "phase_tables_built": _held_builds.count - built_before,
         },
         warnings=tuple(notes),
     )
@@ -454,14 +451,12 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, *, components=None, di
     return _sample(cauchy, k, grid, False, components, directions)
 
 
-def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> tuple[list[Peak], bool]:
+def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> list[Peak]:
     """Argmax of |I_ell| over a one-wavelength fine grid around each peak (the
     box span on a narrower axis); one grid-kernel call on the local lattice x
-    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}.  The
-    lattice's factors are held per process; the flag says whether this call
-    built them."""
+    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}."""
     if not peaks:
-        return [], False
+        return []
     lower, upper = np.array(grid.lower), np.array(grid.upper)
     side = np.minimum(2.0 * math.pi / k, upper - lower)
     lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
@@ -470,8 +465,7 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
     dirs = reduced.directions
     weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ lo.T))
     local = SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), tuple(fine_counts))
-    factors, built = _lattice_factors(dirs, k, local)
-    magnitudes = np.abs(_grid_kernel(weights, factors))
+    magnitudes = np.abs(_grid_kernel(weights, _lattice_factors(dirs, k, local)))
     best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
     index = np.unravel_index(best, fine_counts, order="F")
     # report the fine grids' own points, np.linspace(lo, hi, n) on each axis
@@ -479,7 +473,7 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
     return [
         Peak(location=loc, component=p.component, magnitude=float(m), grid_index=int(i))
         for p, loc, m, i in zip(peaks, at, magnitudes[best, cols], best)
-    ], built
+    ]
 
 
 def dsm2(

@@ -319,33 +319,37 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
 
 
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
-    # one process reconstructs each preset twice, the second time from held
-    # phase tables and lattice factors; a fresh process per preset writes
-    # the same CSV bytes
+    # one process runs each request twice, the second time from held phase
+    # tables and lattice factors (example1's dsm reads the lattice its dsm2
+    # held); a fresh process per request writes the same CSV bytes
     env = dict(os.environ)
     src = str(Path(heliodsm.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    presets = ["example1", "example4"]
+    requests = [("example1", "dsm2"), ("example4", "dsm2"), ("example1", "dsm")]
     script = (
         "import sys\n"
         "from heliodsm.cli import main\n"
-        "for i, preset in enumerate(sys.argv[2:]):\n"
-        "    assert main(['reconstruct', '--preset', preset, '--out', f'{sys.argv[1]}/{i}', '--quiet']) == 0\n"
+        "for i, request in enumerate(sys.argv[2:]):\n"
+        "    preset, algorithm = request.split(':')\n"
+        "    argv = ['reconstruct', '--preset', preset, '--algorithm', algorithm, '--out', f'{sys.argv[1]}/{i}']\n"
+        "    assert main(argv + ['--quiet']) == 0\n"
     )
     one = tmp_path / "one"
-    subprocess.run([sys.executable, "-c", script, str(one)] + 2 * presets, env=env, check=True, timeout=600)
-    for i, preset in enumerate(presets):
-        fresh = tmp_path / preset
+    subprocess.run([sys.executable, "-c", script, str(one)] + 2 * [":".join(r) for r in requests],
+                   env=env, check=True, timeout=600)
+    for i, (preset, algorithm) in enumerate(requests):
+        fresh = tmp_path / f"{preset}_{algorithm}"
         subprocess.run(
-            [sys.executable, "-m", "heliodsm.cli", "reconstruct", "--preset", preset, "--out", str(fresh), "--quiet"],
+            [sys.executable, "-m", "heliodsm.cli", "reconstruct", "--preset", preset, "--algorithm", algorithm,
+             "--out", str(fresh), "--quiet"],
             env=env, check=True, timeout=600,
         )
         names = sorted(p.name for p in fresh.glob("*.csv"))
         assert "reconstruction.csv" in names
-        for run in (one / str(i), one / str(i + len(presets))):  # cold, then warm
+        for run in (one / str(i), one / str(i + len(requests))):  # first, then warm
             assert sorted(p.name for p in run.glob("*.csv")) == names
             for name in names:
-                assert (run / name).read_bytes() == (fresh / name).read_bytes(), (preset, run.name, name)
+                assert (run / name).read_bytes() == (fresh / name).read_bytes(), (preset, algorithm, run.name, name)
 
 
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows
@@ -613,7 +617,7 @@ def test_config_path_must_name_a_file(tmp_path, capsys, name):
 CLI_OPTIONS = {
     "synthesize": {"--config", "--preset", "--seed", "--out", "--quiet"},
     "reconstruct": {"--config", "--preset", "--seed", "--out", "--threads", "--quiet", "--algorithm"},
-    "verify": {"level", "--threads", "--quiet"},
+    "verify": {"level", "--quiet"},
     "example": {"id", "--seed", "--out", "--threads", "--quiet"},
 }
 
@@ -631,7 +635,9 @@ def test_each_command_takes_only_the_options_it_acts_on(command):
 
 
 @pytest.mark.parametrize("argv", [["synthesize", "--preset", "example1", "--threads", "1"],
-                                  ["verify", "quick", "--out", "X"]], ids=["synthesize", "verify"])
+                                  ["verify", "quick", "--out", "X"],
+                                  ["verify", "quick", "--threads", "2"]],
+                         ids=["synthesize", "verify", "verify-threads"])
 def test_cli_refuses_an_option_its_command_ignores(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_:
@@ -816,13 +822,31 @@ def test_main_builds_its_parser_once(monkeypatch):
         heliodsm.cli._build_parser.cache_clear()
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+def test_cli_runtime_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a fault outside validation, here a failed write, exits 2
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(heliodsm.io, "write_cauchy_csv", full)
+    code = main(["synthesize", "--preset", "example1", "--out", str(tmp_path / "run"), "--quiet"])
+    assert code == 2
+    assert "runtime error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["synthesize", "--preset", "example1"],
+                                     ["reconstruct", "--preset", "example1"],
+                                     ["example", "1"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_must_name_a_directory(tmp_path, monkeypatch, capsys, command, under):
+    # an --out that is a file, or lies under one, is refused before any work
+    monkeypatch.chdir(tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    code = main(
-        ["synthesize", "--preset", "example1", "--out", str(blocker / "sub"), "--quiet"]
-    )
-    assert code == 2
+    out = blocker / "sub" if under else blocker
+    assert main(command + ["--out", str(out), "--quiet"]) == 1
+    assert f"error: --out {out} is not a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory"
 
 
 def test_cli_example_runs_end_to_end(tmp_path, capsys):

@@ -524,11 +524,18 @@ def test_surface_read_back_from_csv_takes_the_circulant_path(tmp_path, example4)
 # phase tables held per process
 # ----------------------------------------------------------------------
 
+def _builds(call):
+    """call()'s result and how many held tables it built on this thread."""
+    before = ind._held_builds.count
+    out = call()
+    return out, ind._held_builds.count - before
+
+
 def test_held_spectrum_gives_the_built_bits(example4, cold_tables):
     cfg, _, _, noisy = example4
-    cold = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
-    warm = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
-    assert (cold.tables_built, warm.tables_built) == (1, 0)
+    cold, cold_built = _builds(lambda: reduced_data(noisy, cfg.wavenumber, cfg.direction_set()))
+    warm, warm_built = _builds(lambda: reduced_data(noisy, cfg.wavenumber, cfg.direction_set()))
+    assert (cold_built, warm_built) == (1, 0)
     assert cold.phase_exps == warm.phase_exps == 42 * 42 * 43
     assert np.array_equal(cold.values, warm.values)
 
@@ -540,8 +547,8 @@ def test_held_coarse_factors_are_the_built_bits(name, cold_tables):
     cfg = preset_config(name)
     dirs, grid = cfg.direction_set(), cfg.grid()
     dsm2(_noisy(cfg, cfg.surface()), cfg.wavenumber, grid, components=cfg.components, directions=dirs)
-    held, built = ind._lattice_factors(dirs, cfg.wavenumber, grid)
-    assert not built
+    held, built = _builds(lambda: ind._lattice_factors(dirs, cfg.wavenumber, grid))
+    assert built == 0
     fresh = ind._axis_factors(dirs, cfg.wavenumber, grid.axes())
     assert len(held) == len(fresh) == cfg.dims
     for a, b in zip(held, fresh):
@@ -549,21 +556,22 @@ def test_held_coarse_factors_are_the_built_bits(name, cold_tables):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_grid_values_read_held_factors_and_hold_none(example1, monkeypatch, cold_tables):
-    # a lattice nobody held is built for the call and left unheld; once
-    # `_lattice_factors` holds it, the call reads those factors, same bits
-    cfg, _, _, noisy = example1
-    dirs, grid, k = cfg.direction_set(), cfg.grid(), cfg.wavenumber
+def test_grid_values_hold_the_lattice_factors_that_fit(example4, cold_tables):
+    # the 30^3 lattice's factors (1.67 MiB) are held by the first call and
+    # read by the second; the 60^3 ones (3.35 MiB) are built for each call
+    # and never held; either way the calls give the bytes of factors built
+    # for them
+    cfg, _, _, noisy = example4
+    dirs, k = cfg.direction_set(), cfg.wavenumber
     red = reduced_data(noisy, k, dirs)
-    built = indicator_grid_values(red, k, grid)
-    assert not ind._held_tables
-    ind._lattice_factors(dirs, k, grid)
-
-    def unreached(*args):
-        raise AssertionError("held factors were built again")
-
-    monkeypatch.setattr(ind, "_axis_factors", unreached)
-    assert indicator_grid_values(red, k, grid).tobytes() == built.tobytes()
+    for grid, held in ((cfg.dsm_grid(), False), (cfg.grid(), True)):
+        weights = ind._component_weights(red, k, cfg.components)
+        fresh = ind._grid_kernel(weights, ind._axis_factors(dirs, k, grid.axes()))
+        cold, cold_built = _builds(lambda: indicator_grid_values(red, k, grid, cfg.components))
+        warm, warm_built = _builds(lambda: indicator_grid_values(red, k, grid, cfg.components))
+        assert (cold_built, warm_built) == ((1, 0) if held else (0, 0))
+        assert cold.tobytes() == warm.tobytes() == fresh.tobytes()
+        assert [key[-1] for key in ind._held_tables if key[0] == "lattice"] == ([grid] if held else [])
 
 
 def test_held_tables_are_read_only(example1, example4):
@@ -590,23 +598,23 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
         (sphere_directions(40, 43), 10.0, box),  # direction rule
     ]
     for i, args in enumerate(lattices):
-        assert ind._lattice_factors(*args)[1]
+        assert _builds(lambda: ind._lattice_factors(*args))[1] == 1
         assert len(ind._held_tables) == i + 1
     cfg = preset_config("example4")
     noisy, narrow = _noisy(cfg, cfg.surface()), _noisy(cfg, sphere_surface(cfg.measurement_radius, 30, 43))
     spectra = [(noisy, 10.0), (noisy, 10.5), (narrow, 10.0)]  # base, k, measurement rule
     for i, (data, k) in enumerate(spectra):
-        assert reduced_data(data, k, dirs).tables_built == 1
+        assert _builds(lambda: reduced_data(data, k, dirs))[1] == 1
         assert len(ind._held_tables) == len(lattices) + i + 1 == ind._HELD_MAX - len(spectra) + i + 1
     for args in lattices:
-        assert not ind._lattice_factors(*args)[1]
+        assert _builds(lambda: ind._lattice_factors(*args))[1] == 0
     for data, k in spectra:
-        assert reduced_data(data, k, dirs).tables_built == 0
+        assert _builds(lambda: reduced_data(data, k, dirs))[1] == 0
     # beyond the bound, the least recently used entry goes
     for i in range(ind._HELD_MAX):
         ind._lattice_factors(dirs, 20.0 + i, box)
         assert len(ind._held_tables) == ind._HELD_MAX
-    assert reduced_data(*spectra[-1], dirs).tables_built == 1
+    assert _builds(lambda: reduced_data(*spectra[-1], dirs))[1] == 1
 
 
 # ----------------------------------------------------------------------
