@@ -31,14 +31,16 @@
   value at a time; the slot is rewritten whole and gets its separator back.
 * **Workspace.** A call allocates one block for all its passes: the rows
   a pass computes in (15 uint64 and 6 bool rows of `BLOCK` values), the
-  text block, the stacked columns and the compaction mask, which reuses
-  the render rows' bytes. Every op of a pass writes into
-  it (``out=``, in place, ``np.putmask``, or ``np.take(..., out=,
-  mode="clip")`` for the table lookups), so the compacted text is the one
-  array a pass allocates. Pass-length temporaries would be handed back to
-  the kernel by glibc when freed at the top of the heap and faulted in
-  again by the next pass, at about 2 us a page. Masked ufuncs (``where=``)
-  are avoided: they ran 10-20 times slower than the plain op here.
+  text block, the stacked columns, one separator word per slot (a
+  length-m separator row broadcast over a pass ran the or-ing three times
+  slower) and the compaction mask, which reuses the render rows' bytes.
+  Every op of a pass writes into it (``out=``, in place, ``np.putmask``,
+  or ``np.take(..., out=, mode="clip")`` for the table lookups), so the
+  compacted text is the one array a pass allocates. Pass-length
+  temporaries would be handed back to the kernel by glibc when freed at
+  the top of the heap and faulted in again by the next pass, at about
+  2 us a page. Masked ufuncs (``where=``) are avoided: they ran 10-20
+  times slower than the plain op here.
 
 Integer work runs in int64 where the values fit and otherwise in uint64
 with explicit ``np.uint64`` constants only: numpy 1.x promotes uint64 mixed
@@ -382,6 +384,8 @@ def _render(x, out, sep, work) -> None:
     a2 |= suffix
     np.bitwise_or(a2, sep, out=out[..., 3])
     special ^= zero  # zero is a subset of special
+    if not special.any():  # the common pass: np.nonzero would cost 15 times as much
+        return
     for j in zip(*np.nonzero(special)):
         out[j] = np.frombuffer(repr(float(x[j])).encode().ljust(SLOT, b"\0"), "<u8")
         out[j + (3,)] |= np.broadcast_to(sep, x.shape)[j]
@@ -405,21 +409,24 @@ def write_rows(fh, columns, lead=None) -> None:
     end = mid + last.shape[1]
     step = max(1, min(n, BLOCK // m))
     start = -(-end // 8) * 8  # the slots start on a word
-    # One allocation serves every pass: the text block, the stacked columns
-    # and the render rows, whose bytes take the compaction mask once a pass
-    # is rendered. As the largest block the call frees, it also keeps glibc
-    # from trimming the heap under the next call's arrays.
+    # One allocation serves every pass: the text block, the stacked columns,
+    # the separators and the render rows, whose bytes take the compaction
+    # mask once a pass is rendered. As the largest block the call frees, it
+    # also keeps glibc from trimming the heap under the next call's arrays.
     size, width = step * m, start + m * SLOT
     nt, nx = step * width, 8 * size  # bytes of the text block and of the columns
-    buf = np.empty(nt + nx + max(_WORK * size, nt), np.uint8)
+    buf = np.empty(nt + 2 * nx + max(_WORK * size, nt), np.uint8)
     text = buf[:nt].reshape(step, width)
     text[:] = 0
     x = buf[nt : nt + nx].view(np.float64).reshape(step, m)
-    work = buf[nt + nx :]
+    # one separator per slot: a length-m row broadcast over the pass would
+    # run numpy's inner loop m values at a time
+    sep = buf[nt + nx : nt + 2 * nx].view(np.uint64).reshape(step, m)
+    sep[:] = _COMMA
+    sep[:, -1] = _CRLF
+    work = buf[nt + 2 * nx :]
     keep = work[:nt].view(np.bool_).reshape(step, width)
     words = text[:, start:].view("<u8").reshape(step, m, 4)
-    sep = np.full(m, _COMMA)
-    sep[-1] = _CRLF
     for i in range(0, n, step):
         rows = min(step, n - i)
         for s in range(i // p, (i + rows - 1) // p + 1):
@@ -427,6 +434,6 @@ def write_rows(fh, columns, lead=None) -> None:
             text[lo - i : hi - i, :mid] = prefix[lo - s * p : hi - s * p]
             text[lo - i : hi - i, mid:end] = last[s]
         np.stack([c[i : i + rows] for c in columns], axis=1, out=x[:rows])
-        _render(x[:rows], words[:rows], sep, work)
+        _render(x[:rows], words[:rows], sep[:rows], work)
         np.not_equal(text[:rows], 0, out=keep[:rows])
         fh.write(text[:rows][keep[:rows]])

@@ -7,8 +7,9 @@ measurement boundary) at a single wavenumber,
 
 with Phi the outgoing fundamental solution, (i/4) H0(k r) in 2D and
 e^{ikr}/(4 pi r) in 3D.  One private kernel, `_traces`, forms both traces
-for either dimension from the radial profile (Phi, Phi') alone, one source
-at a time over all points (one H0 and one H1 evaluation per source in 2D).
+for either dimension from the radial profile (Phi, Phi') alone, evaluated
+once for all sources and points (one H0 and one H1 call per synthesis in
+2D), then sums the sources' terms one source at a time.
 The module also applies the multiplicative random noise model
 
     u_noisy = u + eps * r1 * |u| * exp(i pi r2),
@@ -245,16 +246,17 @@ def _traces(
 
     in any dimension N; only the radial profile (Phi, Phi') depends on N.
     """
+    # (n_sources, m) rows, one radial profile call for all of them
+    ts = points - ensemble.locations()[:, None, :]
+    # r enters the phase k r, so its last bit shows in u: take each row's
+    # norm as np.linalg.norm takes one point's (a BLAS dot per row)
+    rs = np.sqrt(np.matmul(ts[..., None, :], ts[..., :, None])[..., 0, 0])
+    if not np.all(rs > 0.0):
+        raise ValueError("field evaluated at a source location")
+    phis, dphis = _radial(ensemble.dims, k, rs)
     u = np.zeros(len(points), dtype=complex)
     du = np.zeros(len(points), dtype=complex)
-    for s in ensemble.sources:
-        t = points - s.location
-        # r enters the phase k r, so its last bit shows in u: take each row's
-        # norm as np.linalg.norm takes one point's (a BLAS dot per row)
-        r = np.sqrt(np.matmul(t[:, None, :], t[:, :, None])[:, 0, 0])
-        if not np.all(r > 0.0):
-            raise ValueError("field evaluated at a source location")
-        phi, dphi = _radial(ensemble.dims, k, r)
+    for s, t, r, phi, dphi in zip(ensemble.sources, ts, rs, phis, dphis):
         g = dphi / r
         nu_t = np.einsum("md,md->m", normals, t)
         eta_t = t @ s.vector_intensity

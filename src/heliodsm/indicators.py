@@ -53,16 +53,18 @@ chunked path.
 
 Some tables never depend on the Cauchy data and recur from run to run:
 the inverse DFT of that phase table (key: k, the radius, both polar
-rules and n_phi) and a lattice's axis factors (key: k, the direction
-nodes and the lattice).  Each is built by the expression that would
-build it per call, then held read-only, bit for bit, in one process-wide
-LRU of _HELD_MAX entries (`_held`, which counts its builds per thread).
-`_lattice_factors` holds a lattice's factors when they fit in
-_HELD_LATTICE_BYTES, whichever driver asks, and builds them for each call
-otherwise: held, dsm's 60^3 factors raised its peak memory by 6%.  Each
-factor is exponentiated in place.  The 2D chunked phase matrix is built
-per call (held with the 2D grid factors, it raised a 2D loop's peak
-memory by 14%).
+rules and n_phi), the chunked path's phase matrix (key: k, the direction
+nodes and the measurement points) and a lattice's axis factors (key: k,
+the direction nodes and the lattice).  Each is built by the expression
+that would build it per call, then held read-only, bit for bit, in one
+process-wide LRU of _HELD_MAX entries (`_held`, which counts its builds
+per thread).  A phase matrix or a lattice's factors are held when they
+fit in _HELD_BYTES, whichever driver asks, and built for each call
+otherwise: held, dsm's 60^3 factors raised its peak memory by 6%.  The
+phase matrix is sized before it is built, so one over the cap is still
+built per chunk; each lattice factor is exponentiated in place.  The 2D
+presets' phase matrices (256 x 200, 0.78 MiB) are held, so a warm 2D
+R(d) forms no exponential.
 
 The circulant sums over the azimuth spectrum are one batched matmul over
 its n_phi frequencies, on strided views of the held spectrum; holding a
@@ -110,11 +112,14 @@ _RING_BLOCK = 1 << 15
 _RULE_TOL = 1e-12
 
 # Entries of the process-wide memo of setup-only tables (see `_held`); the
-# most a preset mix holds is six, a coarse and a fine lattice per 2D preset.
-_HELD_MAX = 8
+# most a preset mix holds is nine, the R(d) phases and a coarse and a fine
+# lattice per 2D preset.
+_HELD_MAX = 9
 _held_tables: OrderedDict = OrderedDict()
 _held_lock = threading.Lock()
-_HELD_LATTICE_BYTES = 2 << 20  # 30^3 factors on the 42 x 43 rule (1.67 MiB) fit, 60^3 (3.35 MiB) not
+# Most bytes one held entry takes: 30^3 factors on the 42 x 43 rule (1.67 MiB)
+# and 2D phase matrices of 256 x 200 (0.78 MiB) fit, 60^3 factors (3.35 MiB) not
+_HELD_BYTES = 2 << 20
 
 # Indicator-integral direction defaults (2D count; 3D product factors).
 DEFAULT_CIRCLE_DIRECTIONS = 256
@@ -286,10 +291,17 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
     if circulant is not None:
         parts, exps = circulant
     else:
-        parts = _chunked(
-            len(directions), len(rows), lambda s: np.exp(1j * k * (nodes[s] @ surf.points.T)) @ rows.T
-        )
         exps = len(surf) * len(directions)
+
+        def phases(s: slice) -> np.ndarray:
+            return np.exp(1j * k * (nodes[s] @ surf.points.T))
+
+        if 16 * exps <= _HELD_BYTES:  # complex128 bytes, known before the build: a larger matrix is never whole
+            key = ("phases", k, nodes.shape, nodes.tobytes(), surf.points.shape, surf.points.tobytes())
+            (held,) = _held(key, lambda: (_chunked(len(directions), len(surf), phases),))
+            parts = _chunked(len(directions), len(rows), lambda s: held[s] @ rows.T)
+        else:
+            parts = _chunked(len(directions), len(rows), lambda s: phases(s) @ rows.T)
     out = parts[:, 0]
     for c in range(surf.dims):
         out = out - 1j * k * nodes[:, c] * parts[:, c + 1]
@@ -382,9 +394,9 @@ def _axis_factors(directions: DirectionSet, k: float, axes) -> tuple[np.ndarray,
 
 def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
     """`_axis_factors` of the grid, held (see `_held`) when they take at most
-    _HELD_LATTICE_BYTES and built for the call otherwise."""
+    _HELD_BYTES and built for the call otherwise."""
     key = ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
-    return _held(key, lambda: _axis_factors(directions, k, grid.axes()), _HELD_LATTICE_BYTES)
+    return _held(key, lambda: _axis_factors(directions, k, grid.axes()), _HELD_BYTES)
 
 
 def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:

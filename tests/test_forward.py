@@ -17,7 +17,7 @@ from heliodsm.forward import (
     monopole,
     synthesize_cauchy,
 )
-from heliodsm.forward import _traces
+from heliodsm.forward import _radial, _traces
 from heliodsm.geometry import circle_surface, sphere_surface
 from heliodsm.presets import preset_config
 from heliodsm.specfun import hankel1
@@ -145,6 +145,35 @@ def test_traces_match_per_point_closed_forms(name):
     ref_u, ref_du = np.array(ref).T
     assert np.max(np.abs(u - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
     assert np.max(np.abs(du - ref_du)) <= 1e-14 * np.max(np.abs(ref_du))
+
+
+def _per_source_traces(ens, k, points, normals):
+    """`_traces` with one radial-profile call per source, summed in source order."""
+    u = np.zeros(len(points), dtype=complex)
+    du = np.zeros(len(points), dtype=complex)
+    for s in ens.sources:
+        t = points - s.location
+        r = np.sqrt(np.matmul(t[:, None, :], t[:, :, None])[:, 0, 0])
+        phi, dphi = _radial(ens.dims, k, r)
+        g = dphi / r
+        nu_t = np.einsum("md,md->m", normals, t)
+        eta_t = t @ s.vector_intensity
+        u -= s.scalar_intensity * phi + g * eta_t
+        du -= (s.scalar_intensity * nu_t + normals @ s.vector_intensity) * g
+        du += eta_t * nu_t * (ens.dims * g + k * k * phi) / (r * r)
+    return u, du
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+def test_one_radial_call_gives_the_per_source_bits(name):
+    # `_traces` evaluates the radial profile for all sources in one call;
+    # each element takes a lone argument's operations, so the traces are
+    # those of one call per source, bit for bit
+    cfg = preset_config(name)
+    surf = cfg.surface()
+    got = _traces(cfg.ensemble(), cfg.wavenumber, surf.points, surf.normals)
+    want = _per_source_traces(cfg.ensemble(), cfg.wavenumber, surf.points, surf.normals)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # ----------------------------------------------------------------------

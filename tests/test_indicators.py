@@ -587,6 +587,30 @@ def test_held_tables_are_read_only(example1, example4):
             a.flat[0] = 0.0
 
 
+def test_held_2d_phases_give_the_per_chunk_bits(example1, cold_tables, monkeypatch):
+    # the 256 x 200 phase matrix (0.78 MiB) is held by the first call, read
+    # by the second, and read-only; a cap one byte below it builds it per
+    # chunk, as every matrix over the cap is, and holds nothing: all three
+    # give the same bytes
+    cfg, _, _, noisy = example1
+    dirs, k = cfg.direction_set(), cfg.wavenumber
+    cold, cold_built = _builds(lambda: reduced_data(noisy, k, dirs))
+    warm, warm_built = _builds(lambda: reduced_data(noisy, k, dirs))
+    assert (cold_built, warm_built) == (1, 0)
+    assert [key[0] for key in ind._held_tables] == ["phases"]
+    (phases,) = ind._held_tables[next(iter(ind._held_tables))]
+    assert phases.shape == (256, 200) and phases.nbytes <= ind._HELD_BYTES
+    assert not phases.flags.writeable
+    with pytest.raises(ValueError):
+        phases[0, 0] = 0.0
+    ind._held_tables.clear()
+    monkeypatch.setattr(ind, "_HELD_BYTES", phases.nbytes - 1)
+    unheld, unheld_built = _builds(lambda: reduced_data(noisy, k, dirs))
+    assert unheld_built == 0 and not ind._held_tables
+    assert cold.phase_exps == warm.phase_exps == unheld.phase_exps == 256 * 200
+    assert cold.values.tobytes() == warm.values.tobytes() == unheld.values.tobytes()
+
+
 def test_each_table_input_gets_its_own_entry(cold_tables):
     dirs = sphere_directions(42, 43)
     box = make_grid([0, 0, 0], [0.6, 0.6, 0.6], [5, 5, 5])
@@ -597,24 +621,31 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
         (dirs, 10.0, make_grid([0, 0, 0], [0.6, 0.3, 0.6], [5, 5, 5])),  # box clamp
         (sphere_directions(40, 43), 10.0, box),  # direction rule
     ]
-    for i, args in enumerate(lattices):
-        assert _builds(lambda: ind._lattice_factors(*args))[1] == 1
-        assert len(ind._held_tables) == i + 1
     cfg = preset_config("example4")
     noisy, narrow = _noisy(cfg, cfg.surface()), _noisy(cfg, sphere_surface(cfg.measurement_radius, 30, 43))
     spectra = [(noisy, 10.0), (noisy, 10.5), (narrow, 10.0)]  # base, k, measurement rule
-    for i, (data, k) in enumerate(spectra):
-        assert _builds(lambda: reduced_data(data, k, dirs))[1] == 1
-        assert len(ind._held_tables) == len(lattices) + i + 1 == ind._HELD_MAX - len(spectra) + i + 1
-    for args in lattices:
-        assert _builds(lambda: ind._lattice_factors(*args))[1] == 0
-    for data, k in spectra:
-        assert _builds(lambda: reduced_data(data, k, dirs))[1] == 0
-    # beyond the bound, the least recently used entry goes
-    for i in range(ind._HELD_MAX):
-        ind._lattice_factors(dirs, 20.0 + i, box)
-        assert len(ind._held_tables) == ind._HELD_MAX
-    assert _builds(lambda: reduced_data(*spectra[-1], dirs))[1] == 1
+    cfg2 = preset_config("example1")
+    circle = _noisy(cfg2, circle_surface(cfg2.measurement_radius, 40))
+    phases = [  # base, k, direction count, measurement count
+        (circle, 10.0, circle_directions(32)),
+        (circle, 10.5, circle_directions(32)),
+        (circle, 10.0, circle_directions(48)),
+        (_noisy(cfg2, circle_surface(cfg2.measurement_radius, 41)), 10.0, circle_directions(32)),
+    ]
+    calls = ([lambda args=args: ind._lattice_factors(*args) for args in lattices]
+             + [lambda data=data, k=k: reduced_data(data, k, dirs) for data, k in spectra]
+             + [lambda args=args: reduced_data(*args) for args in phases])
+    assert len(calls) > ind._HELD_MAX
+    # each call builds its own entry; beyond the bound the least recently used one goes
+    for i, call in enumerate(calls):
+        assert _builds(call)[1] == 1
+        assert len(ind._held_tables) == min(i + 1, ind._HELD_MAX)
+    assert sorted(key[0] for key in ind._held_tables) == ["lattice"] * 2 + ["phases"] * 4 + ["spectrum"] * 3
+    evicted = len(calls) - ind._HELD_MAX
+    for call in calls[evicted:]:
+        assert _builds(call)[1] == 0
+    for call in calls[:evicted]:
+        assert _builds(call)[1] == 1
 
 
 # ----------------------------------------------------------------------

@@ -666,7 +666,7 @@ def test_counts_record_the_work_done(example1, example4, cold_tables):
         "grid_points": [100 * 100, fine * 40 * 40],
         "fine_grids": fine,
         "phase_exps": 200 * 256,
-        "phase_tables_built": 2,  # the coarse and the fine lattice
+        "phase_tables_built": 3,  # the R(d) phase matrix, the coarse and the fine lattice
     }
     cfg, _, _, noisy = example4
     recon = dsm(noisy, cfg.wavenumber, cfg.grid(), components=cfg.components, directions=cfg.direction_set())

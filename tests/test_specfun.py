@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from heliodsm.specfun import (
+    _HANKEL_PHASE,
     EULER_GAMMA,
     T_MAX,
+    _hankel_expansion,
     bessel_j,
     bessel_y,
     hankel1,
@@ -253,3 +255,31 @@ def test_one_invalid_element_rejects_the_array(bad):
             bessel_j(0, ts)
     else:
         assert bessel_j(0, ts)[2] == 1.0
+
+
+def _complex_hankel_expansion(n: int, t: np.ndarray) -> np.ndarray:
+    """Hankel's expansion as a complex recurrence on i^k a_k(n) / t^k, the
+    form `_hankel_expansion` carries in real arithmetic."""
+    term = np.ones(t.shape, dtype=complex)
+    total = term
+    live = np.ones(t.shape, dtype=bool)
+    for k in range(1, 64):
+        following = term * (1j * (4 * n * n - (2 * k - 1) ** 2) / (8 * k)) / t
+        live &= (abs(following) < abs(term)) & (abs(term) >= 1e-17)
+        total = np.where(live, total + following, total)
+        term = following
+        if not live.any():
+            break
+    return np.sqrt(2.0 / (np.pi * t)) * (np.cos(t) + 1j * np.sin(t)) * _HANKEL_PHASE[n] * total
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_real_hankel_recurrence_is_the_complex_one_bitwise(n):
+    rng = np.random.default_rng(n)
+    ts = np.concatenate([
+        [16.0, np.nextafter(16.0, 17.0), T_MAX],
+        np.linspace(16.0, T_MAX, 20001),
+        16.0 + 84.0 * rng.random(20000),  # the slow-converging end, where most terms are kept
+        np.exp(rng.uniform(math.log(16.0), math.log(T_MAX), 20000)),
+    ])
+    assert _hankel_expansion(n, ts).tobytes() == _complex_hankel_expansion(n, ts).tobytes()
