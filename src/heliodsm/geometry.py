@@ -144,10 +144,13 @@ class SamplingGrid:
         return int(np.prod(self.counts))
 
 
+@lru_cache(maxsize=8)
 def circle_directions(count: int) -> DirectionSet:
     """Uniform angular nodes on S^1 with trapezoid weights 2*pi/count.
 
     Exact for trigonometric polynomials e^{i m theta} with |m| < count.
+    Memoized, as the other rules here are: a 2D run asks for it to build its
+    measurement circle and to integrate. The returned arrays are read-only.
     """
     if count < 4:
         raise ValueError(f"need at least 4 directions, got {count}")
@@ -186,8 +189,9 @@ def sphere_directions(n_theta: int, n_phi: int) -> DirectionSet:
     return DirectionSet(dims=3, nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=8)
 def circle_surface(radius: float, count: int) -> MeasurementSurface:
-    """Measurement circle of given radius: count equally spaced points."""
+    """Measurement circle of given radius: count equally spaced points (memoized)."""
     if count < 8:
         raise ValueError(f"need at least 8 measurement points, got {count}")
     directions = circle_directions(count)
@@ -200,8 +204,9 @@ def circle_surface(radius: float, count: int) -> MeasurementSurface:
     )
 
 
+@lru_cache(maxsize=8)
 def sphere_surface(radius: float, n_theta: int, n_phi: int) -> MeasurementSurface:
-    """Measurement sphere of given radius on the product direction grid."""
+    """Measurement sphere of given radius on the product direction grid (memoized)."""
     directions = sphere_directions(n_theta, n_phi)
     return MeasurementSurface(
         dims=3,

@@ -54,17 +54,31 @@ chunked path.
 Some tables never depend on the Cauchy data and recur from run to run:
 the inverse DFT of that phase table (key: k, the radius, both polar
 rules and n_phi), the chunked path's phase matrix (key: k, the direction
-nodes and the measurement points) and a lattice's axis factors (key: k,
-the direction nodes and the lattice).  Each is built by the expression
-that would build it per call, then held read-only, bit for bit, in one
-process-wide LRU of _HELD_MAX entries (`_held`, which counts its builds
-per thread).  A phase matrix or a lattice's factors are held when they
-fit in _HELD_BYTES, whichever driver asks, and built for each call
-otherwise: held, dsm's 60^3 factors raised its peak memory by 6%.  The
+nodes and the measurement points), a lattice's axis factors and a 2D
+lattice's mode tables (key: k, the direction nodes and the lattice).
+Each is built by the expression that would build it per call, then held
+read-only, bit for bit, in one process-wide LRU of _HELD_MAX entries
+(`_held`, which counts its builds per thread).  A phase matrix or a
+lattice's factors are held when they fit in _HELD_BYTES, whichever
+driver asks, and built for each call otherwise: held, dsm's 60^3
+factors raised its peak memory by 6%.  The
 phase matrix is sized before it is built, so one over the cap is still
 built per chunk; each lattice factor is exponentiated in place.  The 2D
 presets' phase matrices (256 x 200, 0.78 MiB) are held, so a warm 2D
 R(d) forms no exponential.
+
+The 2D fine lattices of dsm2 take mode tables in place of axis factors
+(`_mode_tables`, `_mode_kernel`).  On an axis that spans at most one
+wavelength, k|x| <= pi about the lattice centre, so by the Jacobi-Anger
+expansion e^{-ik x cos t} = sum_m (-i)^m J_m(kx) e^{imt} the DFT of an
+axis factor over the 256 directions keeps 44-51 columns on the 2D
+presets, those at or above 2^-53 of its largest entry.  A lattice
+point's value is then a double sum over the kept modes of the two axes
+against the weights' spectrum, about 40 x 45 x 50 + 40 x 40 x 50
+complex multiply-adds per fine grid instead of 40 x 256 x 40.  The cut comes
+from the table itself, so any direction set is served (an irregular one
+keeps more modes).  3D keeps the ring kernel: an equatorial ring needs
+about 45 modes over one wavelength, more than its 43 azimuths.
 
 The circulant sums over the azimuth spectrum are one batched matmul over
 its n_phi frequencies, on strided views of the held spectrum; holding a
@@ -112,8 +126,8 @@ _RING_BLOCK = 1 << 15
 _RULE_TOL = 1e-12
 
 # Entries of the process-wide memo of setup-only tables (see `_held`); the
-# most a preset mix holds is nine, the R(d) phases and a coarse and a fine
-# lattice per 2D preset.
+# most a preset mix holds is nine, the R(d) phases, the coarse lattice's
+# factors and the fine lattice's mode tables per 2D preset.
 _HELD_MAX = 9
 _held_tables: OrderedDict = OrderedDict()
 _held_lock = threading.Lock()
@@ -170,7 +184,13 @@ class IndicatorField:
         object.__setattr__(self, "values", v)
 
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
+        """|values|, computed on the first call and then held read-only, so
+        the driver's component maximum and its peak search share one."""
+        if "_magnitude" not in self.__dict__:
+            m = np.abs(self.values)
+            m.flags.writeable = False
+            object.__setattr__(self, "_magnitude", m)
+        return self.__dict__["_magnitude"]
 
 
 def default_directions(dims: int) -> DirectionSet:
@@ -431,6 +451,41 @@ def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
     # out[x, (y, p, z)] -> flat grid order: x + n_x * (y + n_y * z)
     n_cols = weights.shape[1]
     return out.reshape(n_x, -1, n_cols, last.shape[1]).transpose(3, 1, 0, 2).reshape(-1, n_cols)
+
+
+def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
+    """`_mode_kernel`'s tables of a 2D lattice, held (see `_held`): per axis i,
+    A_i[x, m], the DFT over the n directions of e^{-ik x d_i} divided by n,
+    without the columns m below 2^-53 of its largest entry, then the
+    (M2, M1) Hankel index (m1 + m2) mod n of the kept modes."""
+
+    def build():
+        tables, modes = [], []
+        for axis, d in zip(grid.axes(), directions.nodes.T):
+            table = np.fft.fft(np.exp(-1j * k * np.outer(axis, d)), axis=1, norm="forward")
+            size = np.abs(table).max(axis=0)
+            modes.append(np.flatnonzero(size >= 2.0**-53 * size.max()))
+            tables.append(table[:, modes[-1]])
+        return (*tables, (modes[1][:, None] + modes[0]) % len(directions))
+
+    return _held(("modes", k, directions.nodes.shape, directions.nodes.tobytes(), grid), build)
+
+
+def _mode_kernel(weights: np.ndarray, tables) -> np.ndarray:
+    """sum_d weights[d, p] e^{-ik d.z} on a 2D lattice, as (n_points, P), from
+    the lattice's `_mode_tables`: with F the weight columns' inverse DFT over
+    the directions times n,
+
+        I(x1, x2) = sum_{m1, m2} A_1[x1, m1] A_2[x2, m2] F[(m1 + m2) mod n].
+
+    The sum over m2 is one product with the Hankel gather of F, the sum over
+    m1 one batched product per second-axis point.
+    """
+    first, second, hankel = tables
+    spectrum = np.fft.ifft(weights, axis=0, norm="forward")
+    inner = second @ spectrum[hankel].reshape(len(hankel), -1)  # (n2, M1 * P)
+    out = np.matmul(first, inner.reshape(len(second), first.shape[1], -1))  # (n2, n1, P)
+    return out.reshape(-1, weights.shape[1])
 
 
 def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:

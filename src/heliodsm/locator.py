@@ -39,10 +39,14 @@ A fine grid is a resolution per wavelength, not a setting: FINE_COUNTS_2D
 shifted, never shrunk, to stay inside the probe box so every reported
 location remains inside it.  Every fine grid is the same local lattice x
 shifted to its corner c_p, and e^{-ik d.(c_p + x)} = e^{-ik d.c_p}
-e^{-ik d.x}, so all of them are one grid-kernel call on x with one weight
-column per peak.  The local lattice depends only on k, the dimension and
-the box clamp.  Both drivers take a lattice's factors from `indicators`,
-which holds per process those that fit (dsm's 60^3 ones do not).
+e^{-ik d.x}, so all of them are one kernel call on x with one weight
+column per peak.  In 3D that is the grid kernel on the lattice's axis
+factors; in 2D it is the mode kernel on the lattice's per-axis mode
+tables, with x centred on 0 and c_p the fine grid's centre (see
+`indicators`).  The local lattice depends only on k, the dimension and
+the box clamp.  Both drivers take a lattice's factors or mode tables
+from `indicators`, which holds per process those that fit (dsm's 60^3
+factors do not).
 The driver's warnings go to the caller and into `Reconstruction.warnings`.
 
 The driver holds numpy's bundled OpenBLAS to one thread for the whole
@@ -94,6 +98,8 @@ from .indicators import (
     _grid_kernel,
     _held_builds,
     _lattice_factors,
+    _mode_kernel,
+    _mode_tables,
     default_directions,
     indicator_grid_values,
     reduced_data,
@@ -166,10 +172,11 @@ class Reconstruction:
     the work done: directions, boundary_points, grid_points (per level:
     the collection grid, then all fine grids together), fine_grids,
     phase_exps (entries of the phase table R(d) used) and
-    phase_tables_built (how many held tables, the R(d) spectrum or phase
-    matrix and the lattice factors small enough to hold, the run built on
-    its thread rather than reused; see `indicators`).  warnings holds the
-    messages of the UserWarnings the run raised, in order.
+    phase_tables_built (how many held tables the run built on its thread
+    rather than reused: the R(d) spectrum or phase matrix, the lattice
+    factors small enough to hold and a 2D fine lattice's mode tables; see
+    `indicators`).  warnings holds the messages of the UserWarnings the
+    run raised, in order.
     """
 
     estimated_count: int
@@ -212,21 +219,22 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     threshold = significance * float(magnitude.max())
     idx = np.nonzero((magnitude >= threshold) & (magnitude > 0.0))[0]
 
-    padded = np.full(tuple(n + 2 for n in grid.counts), -np.inf)
-    padded[tuple(slice(1, 1 + n) for n in grid.counts)] = magnitude.reshape(grid.counts, order="F")
-    at = np.array(np.unravel_index(idx, grid.counts, order="F")) + 1  # (dims, n) in padded
+    at = np.array(np.unravel_index(idx, grid.counts, order="F"))  # (dims, n)
+    offsets = np.array(list(np.ndindex(*[3] * grid.dims))) - 1
+    offsets = offsets[np.any(offsets, axis=1)]  # the 3^N - 1 neighbour steps
+    near = at + offsets[:, :, None]  # (3^N - 1, dims, n)
+    inside = np.all((near >= 0) & (near < np.array(grid.counts)[:, None]), axis=1)
+    # one gather of the neighbours' flat indices; a missing neighbour reads point 0 and is passed over
+    flat = idx + (offsets @ np.cumprod((1, *grid.counts[:-1])))[:, None]
     level = magnitude[idx]
-    is_max = np.ones(idx.size, dtype=bool)
-    for off in np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims):
-        if np.any(off):
-            is_max &= level > padded[tuple(at + off[:, None])]
+    is_max = np.all((level > magnitude[np.where(inside, flat, 0)]) | ~inside, axis=0)
     idx, mags, at = idx[is_max], level[is_max], at[:, is_max]
     if idx.size == 0:
         return []
     order = np.lexsort((idx, -mags))
     idx = idx[order]
     mags = mags[order]
-    locations = np.stack([axis[i - 1] for axis, i in zip(grid.axes(), at[:, order])], axis=1)
+    locations = np.stack([axis[i] for axis, i in zip(grid.axes(), at[:, order])], axis=1)
 
     kept: list[Peak] = []
     alive = np.ones(idx.size, dtype=bool)
@@ -385,7 +393,7 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
     comp_max: dict[int, float] = {}
     comp_counts: dict[int, int] = {}
     for fld in fields:
-        comp_max[fld.component] = float(np.max(np.abs(fld.values)))
+        comp_max[fld.component] = float(fld.magnitude().max())  # held: find_peaks reads it again
         found = find_peaks(fld, PEAK_SIGNIFICANCE, merge)
         comp_counts[fld.component] = len(found)
         peaks.extend(found)
@@ -453,8 +461,10 @@ def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, *, components=None, di
 
 def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> list[Peak]:
     """Argmax of |I_ell| over a one-wavelength fine grid around each peak (the
-    box span on a narrower axis); one grid-kernel call on the local lattice x
-    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}."""
+    box span on a narrower axis); one kernel call on the local lattice x
+    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}: the
+    mode kernel on x centred on 0 in 2D, the grid kernel on x with its
+    corner at 0 in 3D."""
     if not peaks:
         return []
     lower, upper = np.array(grid.lower), np.array(grid.upper)
@@ -463,9 +473,14 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
     over = lo + side > upper  # shift down; max() as upper - span may round below lower
     lo, hi = np.where(over, np.maximum(lower, upper - side), lo), np.where(over, upper, lo + side)
     dirs = reduced.directions
-    weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ lo.T))
-    local = SamplingGrid(grid.dims, (0.0,) * grid.dims, tuple(side), tuple(fine_counts))
-    magnitudes = np.abs(_grid_kernel(weights, _lattice_factors(dirs, k, local)))
+    if grid.dims == 2:  # c_p is the fine grid's centre
+        c, local = lo + side / 2.0, SamplingGrid(2, tuple(-side / 2.0), tuple(side / 2.0), tuple(fine_counts))
+        kernel, tables = _mode_kernel, _mode_tables(dirs, k, local)
+    else:  # c_p is the fine grid's corner
+        c, local = lo, SamplingGrid(3, (0.0,) * 3, tuple(side), tuple(fine_counts))
+        kernel, tables = _grid_kernel, _lattice_factors(dirs, k, local)
+    weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ c.T))
+    magnitudes = np.abs(kernel(weights, tables))
     best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
     index = np.unravel_index(best, fine_counts, order="F")
     # report the fine grids' own points, np.linspace(lo, hi, n) on each axis

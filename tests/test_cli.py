@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -114,6 +115,23 @@ def test_indicator_csv_roundtrip(tmp_path, example1):
     assert np.array_equal(back.values, fld.values)
 
 
+def test_indicator_csv_read_refuses_another_grid(tmp_path):
+    grid3 = make_grid([-3, -3, -3], [3, 3, 3], [4, 5, 3])
+    grid2 = make_grid([-4, -4], [4, 4], [12, 5])  # as many points as grid3
+    path = tmp_path / "indicator_0.csv"
+    write_indicator_csv(path, IndicatorField(grid=grid3, component=0, values=np.arange(60) * (1 + 2j)))
+    assert np.array_equal(read_indicator_csv(path, grid3, 0).values, np.arange(60) * (1 + 2j))
+    others = [
+        grid2,  # other dims: the columns would be read as abs + i re
+        make_grid([-3, -3, -3], [3, 3, 3.5], [4, 5, 3]),  # other bounds
+        make_grid([-3, -3, -3], [3, 3, 3], [5, 4, 3]),  # other counts, as many points
+        make_grid([-3, -3, -3], [3, 3, 3], [4, 5, 4]),  # more points
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_indicator_csv(path, other, 0)
+
+
 def _fmt(x):
     return repr(float(x))
 
@@ -168,16 +186,25 @@ def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts
 
 
 def _counted_leads(monkeypatch):
-    """Record the grid of every `io._grid_lead` call."""
+    """Start from no held grid leads and record the grid of every lead `io` renders."""
     calls = []
 
     def counted(grid):
         calls.append(grid)
-        return grid_lead(grid)
+        return render(grid)
 
-    grid_lead = heliodsm.io._grid_lead
-    monkeypatch.setattr(heliodsm.io, "_grid_lead", counted)
+    render = heliodsm.io._grid_lead.__wrapped__
+    monkeypatch.setattr(heliodsm.io, "_grid_lead", functools.lru_cache(maxsize=8)(counted))
     return calls
+
+
+def test_grid_leads_are_held_read_only():
+    grid = make_grid([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])
+    lead = heliodsm.io._grid_lead(grid)
+    assert heliodsm.io._grid_lead(make_grid(grid.lower, grid.upper, grid.counts)) is lead
+    for held, fresh in zip(lead, heliodsm.io._grid_lead.__wrapped__(grid)):
+        assert held.tobytes() == fresh.tobytes() and held.shape == fresh.shape
+        assert not held.flags.writeable
 
 
 def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
@@ -304,8 +331,9 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
 
 
 def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
-    # each 2D preset holds its R(d) phase matrix and its coarse and fine
-    # lattice factors: nine entries, which all fit, so a second round builds none
+    # each 2D preset holds its R(d) phase matrix, its coarse lattice factors
+    # and its fine lattice's mode tables: nine entries, which all fit, so a
+    # second round builds none
     presets = ["example1", "example2", "example3"]
     built = []
     for run in ("cold", "warm"):
@@ -315,7 +343,7 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
             built.append(json.loads((out / "run.json").read_text())["counts"]["phase_tables_built"])
     assert built == [3, 3, 3, 0, 0, 0]
     kinds = [key[0] for key in heliodsm.indicators._held_tables]
-    assert kinds == ["phases", "lattice", "lattice"] * 3
+    assert kinds == ["phases", "lattice", "modes"] * 3
 
 
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):

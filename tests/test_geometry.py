@@ -60,6 +60,20 @@ def test_sphere_directions_built_once_and_bitwise_equal_to_a_fresh_build():
     assert not d.nodes.flags.writeable and not d.weights.flags.writeable
 
 
+@pytest.mark.parametrize("build, args", [(circle_directions, (256,)), (circle_surface, (5.0, 200)),
+                                         (sphere_surface, (5.0, 42, 43))])
+def test_circle_rules_and_surfaces_are_built_once(build, args):
+    # a request asks for its rules several times; all get one read-only build
+    held = build(*args)
+    fresh = build.__wrapped__(*args)
+    assert build(*args) is held
+    arrays = [(name, getattr(held, name)) for name in ("nodes", "weights", "points", "normals") if hasattr(held, name)]
+    assert arrays
+    for name, a in arrays:
+        assert a.tobytes() == getattr(fresh, name).tobytes()
+        assert not a.flags.writeable
+
+
 def test_sphere_monomial_quadrature_matches_closed_forms():
     d = sphere_directions(6, 8)
     z0 = [0.0, 0.0, 0.0]

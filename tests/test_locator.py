@@ -8,12 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import heliodsm._threads
 import heliodsm.indicators
 import heliodsm.locator
-from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, monopole, synthesize_cauchy
+from heliodsm.forward import CauchyData, NoiseSpec, SourceEnsemble, add_noise, monopole, synthesize_cauchy
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
 from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
 from heliodsm.io import write_reconstruction_csv
@@ -158,6 +158,62 @@ def test_find_peaks_matches_the_shift_rule(counts):
                 assert got == _peaks_by_shifts(fld, significance, merge)
                 checked += len(got)
     assert checked > 0
+
+
+def _peaks_by_padding(fld, significance, merge_radius):
+    # reference: the neighbour test on the above-threshold points by one
+    # gather per neighbour step from a copy padded with -inf on every side
+    grid = fld.grid
+    magnitude = fld.magnitude()
+    idx = np.nonzero((magnitude >= significance * float(magnitude.max())) & (magnitude > 0.0))[0]
+    padded = np.full(tuple(n + 2 for n in grid.counts), -np.inf)
+    padded[tuple(slice(1, 1 + n) for n in grid.counts)] = magnitude.reshape(grid.counts, order="F")
+    at = np.array(np.unravel_index(idx, grid.counts, order="F")) + 1
+    level = magnitude[idx]
+    is_max = np.ones(idx.size, dtype=bool)
+    for off in np.stack(np.meshgrid(*([[-1, 0, 1]] * grid.dims), indexing="ij"), -1).reshape(-1, grid.dims):
+        if np.any(off):
+            is_max &= level > padded[tuple(at + off[:, None])]
+    idx, mags = idx[is_max], level[is_max]
+    order = np.lexsort((idx, -mags))
+    idx, mags = idx[order], mags[order]
+    points = grid.points[idx]
+    kept, alive = [], np.ones(idx.size, dtype=bool)
+    for i in range(idx.size):
+        if alive[i]:
+            kept.append((points[i].tobytes(), float(mags[i]), int(idx[i])))
+            alive &= np.linalg.norm(points - points[i], axis=1) > merge_radius
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(2, 6), min_size=2, max_size=3),
+    levels=st.sampled_from([(0.0, 1.0), (0.0, 1.0, 2.0, 3.0), None]),
+    significance=st.sampled_from([0.1, 0.5, 0.75, 1.0]),
+    merge=st.sampled_from([1e-9, 0.3, 2.0]),
+    data=st.data(),
+)
+def test_find_peaks_matches_the_padded_gather(counts, levels, significance, merge, data):
+    # few levels give ties and plateaus, and on these small grids most
+    # points lie on an edge or a corner
+    grid = make_grid([0.0] * len(counts), [1.0] * len(counts), counts)
+    value = st.floats(0.0, 3.0) if levels is None else st.sampled_from(levels)
+    values = np.array(data.draw(st.lists(value, min_size=len(grid), max_size=len(grid))))
+    fld = IndicatorField(grid=grid, component=0, values=values * (1 - 1j))
+    got = [(p.location.tobytes(), p.magnitude, p.grid_index) for p in find_peaks(fld, significance, merge)]
+    assert got == _peaks_by_padding(fld, significance, merge)
+
+
+def test_field_magnitude_is_held_read_only():
+    # the driver's component maximum and find_peaks read one |I|
+    values = np.array([3 + 4j, -1.0, 0.5j, 0.0] * 4)
+    fld = IndicatorField(grid=make_grid([0, 0], [1, 1], [4, 4]), component=0, values=values)
+    magnitude = fld.magnitude()
+    assert fld.magnitude() is magnitude
+    assert magnitude.tobytes() == np.abs(values).tobytes()
+    with pytest.raises(ValueError):
+        magnitude[0] = 1.0
 
 
 def test_find_peaks_validation():
@@ -531,6 +587,60 @@ def test_batched_refine_matches_per_peak_fine_grids(case, cold_tables):
         assert np.max(np.abs(got.location - location)) <= 1e-12
         assert abs(got.magnitude - magnitude) <= 1e-12 * magnitude
         assert np.all(got.location >= grid.lower) and np.all(got.location <= grid.upper)
+
+
+def _ring_refine(peaks, reduced, k, grid, fine_counts):
+    """Reference: `_refine` by the grid kernel on the fine lattice with its
+    corner at 0, as 3D runs it; the fine argmax indices, points and |I|."""
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
+    side = np.minimum(2.0 * math.pi / k, upper - lower)
+    lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
+    over = lo + side > upper
+    lo, hi = np.where(over, np.maximum(lower, upper - side), lo), np.where(over, upper, lo + side)
+    ind, dirs = heliodsm.indicators, reduced.directions
+    weights = ind._component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ lo.T))
+    local = make_grid([0.0] * grid.dims, side, fine_counts)
+    magnitudes = np.abs(ind._grid_kernel(weights, ind._axis_factors(dirs, k, local.axes())))
+    best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
+    index = np.unravel_index(best, fine_counts, order="F")
+    at = np.stack([np.linspace(lo[:, i], hi[:, i], n)[index[i], cols] for i, n in enumerate(fine_counts)], axis=1)
+    return best, at, magnitudes[best, cols]
+
+
+@pytest.mark.parametrize("preset", ["example1", "example2", "example3"])
+def test_2d_refine_matches_the_ring_kernel(preset, cold_tables):
+    # noise seeds 0-9 on the preset's grid and on the REFINE_CASES boxes:
+    # the mode tables give the ring kernel's fine argmax and points, and |I|
+    # to rounding; each fine lattice's tables are built once, held read-only
+    # and read by every later call, which gives the same bits
+    cfg = preset_config(preset)
+    k, dirs = cfg.wavenumber, cfg.direction_set()
+    clean = synthesize_cauchy(cfg.ensemble(), k, cfg.surface())
+    grids = [cfg.grid()] + [make_grid(*box) for name, box in REFINE_CASES.values() if name == preset and box]
+    built, checked, worst = 0, 0, 0.0
+    for seed in range(10):
+        reduced = reduced_data(add_noise(clean, NoiseSpec(cfg.noise_level, seed)), k, dirs)
+        for grid in grids:
+            values = indicator_grid_values(reduced, k, grid)
+            peaks = [p for ell in range(3) for p in find_peaks(
+                IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)]
+            before = heliodsm.indicators._held_builds.count
+            got = _refine(peaks, reduced, k, grid, FINE_COUNTS_2D)
+            built += heliodsm.indicators._held_builds.count - before
+            again = _refine(peaks, reduced, k, grid, FINE_COUNTS_2D)
+            assert [(p.location.tobytes(), p.magnitude, p.grid_index) for p in got] == [
+                (p.location.tobytes(), p.magnitude, p.grid_index) for p in again]
+            index, at, magnitude = _ring_refine(peaks, reduced, k, grid, FINE_COUNTS_2D)
+            assert [p.grid_index for p in got] == index.tolist()
+            assert np.array([p.location for p in got]).tobytes() == at.tobytes()
+            worst = max(worst, np.max(np.abs(np.array([p.magnitude for p in got]) / magnitude - 1.0)))
+            checked += len(got)
+    assert checked >= 50 * len(grids)
+    assert worst <= 4e-15
+    modes = [arrays for key, arrays in heliodsm.indicators._held_tables.items() if key[0] == "modes"]
+    assert built == len(modes) == len({tuple(min(2 * math.pi / k, hi - lo) for lo, hi in zip(g.lower, g.upper))
+                                       for g in grids})
+    assert all(not a.flags.writeable for arrays in modes for a in arrays)
 
 
 def test_example2_spurious_spike_suppression():

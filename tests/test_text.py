@@ -76,17 +76,20 @@ def _padded(texts):
 
 @pytest.mark.parametrize("extra", [0, 7])
 def test_lead_period_not_dividing_the_pass(extra):
-    # as on a 30^3 grid: P = 900 rows per last-axis slice, BLOCK // 3 rows per pass
-    p, rows = 900, 3 * (_text.BLOCK // 3) + extra
+    # as on a 30^3 grid (P = 900 rows per last-axis slice, so a pass starts
+    # on a multiple of P) and a 60^3 grid (P = 3600, more than the
+    # BLOCK // 3 rows of a pass)
+    rows = 3 * (_text.BLOCK // 3) + extra
     rng = np.random.default_rng(rows)
-    prefix = [b"%d,%d," % (r % 30, r // 30) for r in range(p)]
-    last = [b"%.1f," % (s / 3) for s in range(-(-rows // p))]
     columns = list(rng.standard_normal((3, rows)) * 10.0 ** rng.integers(-6, 6, (3, rows)))
-    fh = io.BytesIO()
-    _text.write_rows(fh, columns, lead=(_padded(prefix), _padded(last)))
-    want = b"".join(prefix[r % p] + last[r // p] + ",".join(repr(float(c[r])) for c in columns).encode() + b"\r\n"
-                    for r in range(rows))
-    assert fh.getvalue() == want
+    for p in (900, 3600):
+        prefix = [b"%d,%d," % (r % 30, r // 30) for r in range(p)]
+        last = [b"%.1f," % (s / 3) for s in range(-(-rows // p))]
+        fh = io.BytesIO()
+        _text.write_rows(fh, columns, lead=(_padded(prefix), _padded(last)))
+        want = b"".join(prefix[r % p] + last[r // p] + ",".join(repr(float(c[r])) for c in columns).encode()
+                        + b"\r\n" for r in range(rows))
+        assert fh.getvalue() == want
 
 
 @pytest.mark.parametrize("n", [0, 1])
