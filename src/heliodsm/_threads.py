@@ -2,8 +2,9 @@
 
 The worker count is the one `set_thread_count` pins (the CLI's
 `--threads`), else the CPU count.  Results never depend on it: work is
-split into fixed-size chunks whose internal summation order is fixed, and
-threads only decide which chunk runs where.  `map_chunks` is the one place that runs work in
+split into chunks fixed by the problem size, whose internal summation
+order is fixed, and threads only decide which chunk runs where; a call of
+one chunk runs it inline.  `map_chunks` is the one place that runs work in
 parallel.  While it runs, numpy's bundled OpenBLAS is held to one thread
 (through its `scipy_openblas_set_num_threads64_` export), so the BLAS
 products inside a chunk neither oversubscribe the workers nor change their

@@ -29,7 +29,11 @@ lambda term sits at its strongest component-0 maximizer (|I_0| peaks at
 monopoles) and its eta terms at its strongest maximizer of components 1..N
 (|I_ell| peaks at dipoles); a group without one kind uses the other's
 point.  Fitting all groups at once removes the cross-source terms that a
-single-point indicator read-off picks up.
+single-point indicator read-off picks up.  The fit is solved through its
+Gram matrix, (A^H A) c = A^H b: the preset designs have condition numbers
+of 9.3-29, so the normal equations stay within 1e-12 relative of an SVD
+least-squares solve; on a 3612 x 12 design (three 3D groups) they take
+0.15 ms against its 1.4 ms.
 
 `dsm2` runs the same collection on a coarse grid, then re-samples only
 the relevant component on a small fine grid (side one wavelength, 2*pi/k)
@@ -50,8 +54,9 @@ factors do not).
 The driver's warnings go to the caller and into `Reconstruction.warnings`.
 
 The driver holds numpy's bundled OpenBLAS to one thread for the whole
-run, as the CLI does: the least-squares read-off and the small products
-ran several times slower on two BLAS threads.
+run, as the CLI does, and `recover_intensities` holds it when called on
+its own: the read-off and the small products ran several times slower on
+two BLAS threads, and two threads move the read-off's last digits.
 
 Spurious-structure handling is layered, reflecting how the indicator
 fields actually look for multipolar ensembles.  Each rule has a fixed
@@ -298,14 +303,17 @@ def _readoff_points(group: PeakGroup) -> tuple[np.ndarray, np.ndarray]:
     return lam_at, eta_at
 
 
+@_threads._one_blas_thread()
 def recover_intensities(groups, cauchy: CauchyData, k: float) -> list[tuple[complex, np.ndarray]]:
     """Intensity read-offs (lambda, eta), one per group, fitted jointly.
 
     Fits the forward field U of sources at each group's read-off points to
-    u and d_nu u / k over the boundary nodes (see the module docstring).
-    Fitting the groups together keeps each source's terms out of the
-    others' read-offs; one group alone gives the single-group fit.  On
-    clean data at the exact source points the result is exact to rounding.
+    u and d_nu u / k over the boundary nodes (see the module docstring)
+    through the normal equations (A^H A) c = A^H b.  Fitting the groups
+    together keeps each source's terms out of the others' read-offs; one
+    group alone gives the single-group fit.  On clean data at the exact
+    source points the result is exact to rounding.  It holds OpenBLAS to
+    one thread itself: on two, the Gram product moves the last digits.
     """
     if not groups:
         return []
@@ -330,7 +338,9 @@ def recover_intensities(groups, cauchy: CauchyData, k: float) -> list[tuple[comp
     scale = np.sqrt(surf.weights) / np.array([[1.0], [k]])  # rows u and d_nu u / k
     design *= scale[:, :, None, None]
     data = -np.stack([cauchy.dirichlet, cauchy.neumann]) * scale
-    coef = np.linalg.lstsq(design.reshape(data.size, -1), data.reshape(-1), rcond=None)[0]
+    a = design.reshape(data.size, -1)
+    a_h = a.conj().T
+    coef = np.linalg.solve(a_h @ a, a_h @ data.reshape(-1))
     return [(complex(c[0]), c[1:]) for c in coef.reshape(len(groups), surf.dims + 1)]
 
 

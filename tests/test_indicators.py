@@ -311,7 +311,8 @@ def test_grid_kernel_matches_pointwise(example1, example4, rule, components):
 
 def test_grid_kernel_peak_allocation(example4):
     # the 60^3 product over all 1806 directions held a 104 MB phase table;
-    # the ring sums stay within a few MB besides the 3.5 MB result
+    # the ring sums stay within a few MB besides the 3.5 MB result (12.2 MB
+    # traced in all, the lattice one block of 2.4 MB ring sums)
     import tracemalloc
 
     cfg, _, _, noisy = example4
@@ -389,9 +390,9 @@ def test_thread_count_does_not_change_results(example4):
     cfg, _, _, noisy = example4
     k = cfg.wavenumber
     red = reduced_data(noisy, k, cfg.direction_set())
-    small = make_grid([-3, -3, -3], [3, 3, 3], [17, 16, 15])
+    small = make_grid([-3, -3, -3], [3, 3, 3], [41, 40, 7])
     dirs = sphere_directions(48, 48)
-    grid = make_grid([-3, -3, -3], [3, 3, 3], [48, 48, 3])
+    grid = make_grid([-3, -3, -3], [3, 3, 3], [64, 64, 3])
     probes = np.random.default_rng(5).uniform(-3, 3, size=(4100, 3))
     assert min(len(dirs), len(probes)) > ind._CHUNK
     # grid-kernel blocks: _RING_BLOCK entries of 42 rings x (n_y * L) columns
@@ -420,6 +421,40 @@ def test_thread_count_does_not_change_results(example4):
     assert np.max(np.abs(a[1][-4:] - reduced_data(noisy, k, tail_dirs).values)) < 1e-10
     assert np.max(np.abs(a[2][-4:] - indicator_at(red, k, grid.points[-4:], (3, 0)))) < 1e-12
     assert np.max(np.abs(a[3][-4:] - indicator_at(red, k, probes[-4:]))) < 1e-12
+
+
+def test_grid_kernel_blocks_over_the_cap_differ_by_at_most_one_row(example4, monkeypatch):
+    # 71 first-axis rows of 42 rings x 180 ring-sum columns exceed the cap:
+    # three blocks of 23-24 rows, where blocks of the cap's 34 rows would
+    # leave one of 3; the blocks fix the bits, not the worker count
+    from heliodsm import _threads
+
+    cfg, _, _, noisy = example4
+    k = cfg.wavenumber
+    red = reduced_data(noisy, k, cfg.direction_set())
+    grid = make_grid([-3, -2.5, -2], [3, 3, 3.5], [71, 45, 4])
+    assert 71 * 42 * 45 * 4 > ind._RING_BLOCK
+    rows, chunked = [], ind._chunked
+
+    def spy(n_rows, width, fill, max_rows):
+        def record(s, out):
+            rows.append(s.stop - s.start)
+            fill(s, out)
+
+        return chunked(n_rows, width, record, max_rows)
+
+    monkeypatch.setattr(ind, "_chunked", spy)
+    with _threads.pinned(1):
+        a = indicator_grid_values(red, k, grid)
+    with _threads.pinned(3):
+        b = indicator_grid_values(red, k, grid)
+    monkeypatch.undo()
+    assert sorted(rows) == [23, 23, 24, 24, 24, 24]
+    assert np.array_equal(a, b)
+    # every block's first and last first-axis rows, on all (y, z)
+    edge = np.isin(np.arange(len(grid)) % 71, [0, 22, 23, 46, 47, 70])
+    point_vals = indicator_at(red, k, grid.points[edge])
+    assert np.max(np.abs(a[edge] - point_vals)) <= 1e-12 * np.max(np.abs(point_vals))
 
 
 def test_thread_count_does_not_change_results_with_blas_threads_unset():

@@ -13,7 +13,16 @@ from hypothesis import assume, given, settings, strategies as st
 import heliodsm._threads
 import heliodsm.indicators
 import heliodsm.locator
-from heliodsm.forward import CauchyData, NoiseSpec, SourceEnsemble, add_noise, monopole, synthesize_cauchy
+from heliodsm.forward import (
+    CauchyData,
+    NoiseSpec,
+    SourceEnsemble,
+    _traces,
+    add_noise,
+    dipole,
+    monopole,
+    synthesize_cauchy,
+)
 from heliodsm.geometry import circle_directions, circle_surface, make_grid
 from heliodsm.indicators import IndicatorField, indicator_at, indicator_field, indicator_grid_values, reduced_data
 from heliodsm.io import write_reconstruction_csv
@@ -22,6 +31,7 @@ from heliodsm.locator import (
     FINE_COUNTS_3D,
     Peak,
     PeakGroup,
+    _classify,
     _refine,
     cluster_peaks,
     dsm,
@@ -422,29 +432,31 @@ def test_determinism_across_thread_counts(example1):
 
 
 def test_driver_holds_openblas_to_one_thread(example1, monkeypatch):
-    # the library driver holds it as the CLI does: the read-off's lstsq ran
-    # for over 100 ms on two OpenBLAS threads; the caller's count comes back
+    # the library driver holds it as the CLI does: the read-off ran for
+    # over 100 ms on two OpenBLAS threads; the caller's count comes back
     lib = heliodsm._threads.openblas()
     if lib is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
     cfg, _, _, noisy = example1
     seen = []
-    lstsq = np.linalg.lstsq
+    solve = np.linalg.solve
 
     def counted(*args, **kwargs):
         seen.append(lib.scipy_openblas_get_num_threads64_())
-        return lstsq(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted)
     old = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:
         before = lib.scipy_openblas_get_num_threads64_()
-        dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
+        recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
+        # the read-off holds it itself when called on its own
+        recover_intensities(recon.groups, noisy, cfg.wavenumber)
         after = lib.scipy_openblas_get_num_threads64_()
     finally:
         lib.scipy_openblas_set_num_threads64_(old)
-    assert seen == [1]
+    assert seen == [1, 1]
     assert after == before
 
 
@@ -825,6 +837,44 @@ def test_readoff_exact_on_clean_data(name):
     for s, (lam, eta) in zip(ens.sources, fits):
         truth = np.concatenate([[s.scalar_intensity], s.vector_intensity])
         assert np.linalg.norm(np.concatenate([[lam], eta]) - truth) <= 1e-10 * np.linalg.norm(truth)
+
+
+def _lstsq_readoff(groups, cauchy, k):
+    """`recover_intensities` by an SVD least-squares solve: column j(N+1) + c
+    holds the traces u, d_nu u / k of a unit monopole (c = 0) or unit dipole
+    e_c at group j's read-off point, as synthesis forms them, and each row is
+    weighted by the square root of its node's quadrature weight."""
+    surf = cauchy.surface
+    cols = []
+    for g in groups:
+        lam_at, eta_at = heliodsm.locator._readoff_points(g)
+        units = [monopole(lam_at, 1.0)] + [dipole(eta_at, e) for e in np.eye(surf.dims)]
+        for src in units:
+            u, du = _traces(SourceEnsemble(sources=(src,)), k, surf.points, surf.normals)
+            cols.append(np.concatenate([u, du / k]))
+    scale = np.tile(np.sqrt(surf.weights), 2)
+    data = np.concatenate([cauchy.dirichlet, cauchy.neumann / k]) * scale
+    coef = np.linalg.lstsq(np.stack(cols, axis=1) * scale[:, None], data, rcond=None)[0]
+    return [(complex(c[0]), c[1:]) for c in coef.reshape(len(groups), surf.dims + 1)]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5"])
+def test_gram_readoff_matches_lstsq(name):
+    # the normal equations of designs with condition numbers 9.3-29 lose
+    # nothing measurable against the SVD solve, on every preset's groups
+    cfg = preset_config(name)
+    k = cfg.wavenumber
+    clean = synthesize_cauchy(cfg.ensemble(), k, cfg.surface())
+    for seed in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # example5's noise level warns
+            noisy = add_noise(clean, NoiseSpec(cfg.noise_level, seed))
+        recon = dsm2(noisy, k, cfg.grid(), directions=cfg.direction_set())
+        for g, (lam, eta) in zip(recon.groups, _lstsq_readoff(recon.groups, noisy, k)):
+            want = np.concatenate([[lam], eta])
+            got = np.concatenate([[g.lambda_estimate], g.eta_estimate])
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert g.kind == _classify(lam, eta, k)
 
 
 def test_underresolved_boundary_reads_jointly(example1):
