@@ -397,10 +397,8 @@ def write_rows(fh, columns, lead=None) -> None:
     Row r is its lead bytes (NUL bytes dropped), then ``repr(float(c[r]))``
     of each column, joined by ',' and ended by "\r\n". `lead` is None or a
     pair (prefix, last) of uint8 matrices: row r's lead is row r % P of
-    `prefix`, P = len(prefix), then row r // P of `last`. When P rows fit
-    in a pass, every pass starts on a multiple of P, so the prefix columns
-    are laid in once per call and a pass copies one `last` row per P-row
-    slice; otherwise a pass copies both by slices, two per slice it meets.
+    `prefix`, P = len(prefix), then row r // P of `last`; a pass copies
+    both by slices, two per P-row slice it meets.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n, m = len(columns[0]), len(columns)
@@ -410,9 +408,6 @@ def write_rows(fh, columns, lead=None) -> None:
     p, mid = prefix.shape
     end = mid + last.shape[1]
     step = max(1, min(n, BLOCK // m))
-    tiled = 0 < p <= step
-    if tiled:
-        step -= step % p
     start = -(-end // 8) * 8  # the slots start on a word
     # One allocation serves every pass: the text block, the stacked columns,
     # the separators and the render rows, whose bytes take the compaction
@@ -423,8 +418,6 @@ def write_rows(fh, columns, lead=None) -> None:
     buf = np.empty(nt + 2 * nx + max(_WORK * size, nt), np.uint8)
     text = buf[:nt].reshape(step, width)
     text[:] = 0
-    if tiled:
-        text[:, :mid] = np.tile(prefix, (step // p, 1))
     x = buf[nt : nt + nx].view(np.float64).reshape(step, m)
     # one separator per slot: a length-m row broadcast over the pass would
     # run numpy's inner loop m values at a time
@@ -438,8 +431,7 @@ def write_rows(fh, columns, lead=None) -> None:
         rows = min(step, n - i)
         for s in range(i // p, (i + rows - 1) // p + 1):
             lo, hi = max(i, s * p), min(i + rows, (s + 1) * p)
-            if not tiled:
-                text[lo - i : hi - i, :mid] = prefix[lo - s * p : hi - s * p]
+            text[lo - i : hi - i, :mid] = prefix[lo - s * p : hi - s * p]
             text[lo - i : hi - i, mid:end] = last[s]
         np.stack([c[i : i + rows] for c in columns], axis=1, out=x[:rows])
         _render(x[:rows], words[:rows], sep[:rows], work)

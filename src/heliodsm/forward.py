@@ -6,10 +6,12 @@ measurement boundary) at a single wavenumber,
     u = -sum_j (lam_j Phi + eta_j . grad_x Phi)(x - z_j),
 
 with Phi the outgoing fundamental solution, (i/4) H0(k r) in 2D and
-e^{ikr}/(4 pi r) in 3D.  One private kernel, `_traces`, forms both traces
-for either dimension from the radial profile (Phi, Phi') alone, evaluated
-once for all sources and points (one H0 and one H1 call per synthesis in
-2D), then sums the sources' terms one source at a time.
+e^{ikr}/(4 pi r) in 3D.  One private kernel, `_unit_traces`, is the only
+code that knows Phi: it forms both traces of a unit monopole and of the
+unit dipoles e_1..e_N at given source points, in either dimension, with
+one radial-profile call (one H0 and one H1 call per 2D synthesis).
+Synthesis weighs them by -(lam_j, eta_j); the intensity read-off
+(`locator.recover_intensities`) fits them.
 The module also applies the multiplicative random noise model
 
     u_noisy = u + eps * r1 * |u| * exp(i pi r2),
@@ -232,38 +234,36 @@ def _radial(dims: int, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return phi, phi * (1j * k - 1.0 / r)
 
 
-def _traces(
-    ensemble: SourceEnsemble, k: float, points: np.ndarray, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """u and its derivative along `normals` at `points` (both (m, N)), as two (m,) arrays.
+def _unit_traces(k: float, points: np.ndarray, normals: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """u ([0]) and d_nu u ([1]) at `points` along `normals` (both (m, N)) of
+    unit sources at each row z of `at` (p, N), as one (2, m, p, N+1) array:
+    column 0 is Phi(x - z), column c >= 1 is e_c . grad_x Phi(x - z).
 
-    u = -sum_j (lam_j Phi + eta_j . grad_x Phi) with Phi = Phi(|x - z_j|).
-    With t = x - z_j, r = |t| and g = Phi'(r)/r, the identity
-    Phi'' = -(N-1) Phi'/r - k^2 Phi gives the Hessian term, so
+    With t = x - z, r = |t| and g = Phi'(r)/r, grad_x Phi = g t, and the
+    identity Phi'' = -(N-1) Phi'/r - k^2 Phi gives the Hessian term, so
 
-        u       = -sum_j [lam_j Phi + g (eta_j.t)]
-        d_nu u  = -sum_j [lam_j g (nu.t) + g (eta_j.nu) - (eta_j.t)(nu.t)(N g + k^2 Phi)/r^2]
+        d_nu Phi               = g (nu.t)
+        d_nu (e_c . grad_x Phi) = g nu_c - t_c (nu.t)(N g + k^2 Phi)/r^2
 
-    in any dimension N; only the radial profile (Phi, Phi') depends on N.
+    in any dimension N; only the radial profile (Phi, Phi') depends on N,
+    and one call evaluates it for all (point, source) pairs.
     """
-    # (n_sources, m) rows, one radial profile call for all of them
-    ts = points - ensemble.locations()[:, None, :]
+    dims = points.shape[1]
+    t = points[:, None, :] - at  # (m, p, N)
     # r enters the phase k r, so its last bit shows in u: take each row's
     # norm as np.linalg.norm takes one point's (a BLAS dot per row)
-    rs = np.sqrt(np.matmul(ts[..., None, :], ts[..., :, None])[..., 0, 0])
-    if not np.all(rs > 0.0):
+    r = np.sqrt(np.matmul(t[..., None, :], t[..., :, None])[..., 0, 0])
+    if not np.all(r > 0.0):
         raise ValueError("field evaluated at a source location")
-    phis, dphis = _radial(ensemble.dims, k, rs)
-    u = np.zeros(len(points), dtype=complex)
-    du = np.zeros(len(points), dtype=complex)
-    for s, t, r, phi, dphi in zip(ensemble.sources, ts, rs, phis, dphis):
-        g = dphi / r
-        nu_t = np.einsum("md,md->m", normals, t)
-        eta_t = t @ s.vector_intensity
-        u -= s.scalar_intensity * phi + g * eta_t
-        du -= (s.scalar_intensity * nu_t + normals @ s.vector_intensity) * g
-        du += eta_t * nu_t * (ensemble.dims * g + k * k * phi) / (r * r)
-    return u, du
+    phi, dphi = _radial(dims, k, r)
+    g = dphi / r
+    nu_t = np.einsum("md,mpd->mp", normals, t)
+    out = np.empty((2, *r.shape, dims + 1), dtype=complex)
+    out[0, ..., 0] = phi
+    out[1, ..., 0] = g * nu_t
+    out[0, ..., 1:] = g[..., None] * t
+    out[1, ..., 1:] = g[..., None] * normals[:, None] - (nu_t * (dims * g + k * k * phi) / (r * r))[..., None] * t
+    return out
 
 
 def check_inside(ensemble: SourceEnsemble, radius: float) -> None:
@@ -284,7 +284,10 @@ def synthesize_cauchy(ensemble: SourceEnsemble, k: float, surface: MeasurementSu
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
     check_inside(ensemble, surface.radius)
-    dirichlet, neumann = _traces(ensemble, k, surface.points, surface.normals)
+    units = _unit_traces(k, surface.points, surface.normals, ensemble.locations())
+    weights = [[s.scalar_intensity, *s.vector_intensity] for s in ensemble.sources]
+    # summed by numpy's own loop, not BLAS, so no BLAS thread count moves a bit
+    dirichlet, neumann = -np.einsum("tmpc,pc->tm", units, np.array(weights))
     return CauchyData(surface=surface, dirichlet=dirichlet, neumann=neumann)
 
 

@@ -323,7 +323,10 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
         def phases(s: slice, out=None) -> np.ndarray:
             return np.exp(1j * k * (nodes[s] @ surf.points.T), out=out)
 
-        if 16 * exps <= _HELD_BYTES:  # complex128 bytes, known before the build: a larger matrix is never whole
+        # the cap, in complex128 bytes known before the build, bounds what the
+        # LRU keeps; the unheld path builds _CHUNK directions per block, so the
+        # whole matrix up to _CHUNK (1848 on a 1806-point sphere: 53 MB)
+        if 16 * exps <= _HELD_BYTES:
             key = ("phases", k, nodes.shape, nodes.tobytes(), surf.points.shape, surf.points.tobytes())
             (held,) = _held(key, lambda: (_chunked(len(directions), len(surf), phases),))
             parts = _chunked(len(directions), len(rows), lambda s, out: np.matmul(held[s], rows.T, out=out))

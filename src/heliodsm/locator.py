@@ -18,10 +18,11 @@ forward model itself,
     u(x) = -sum_j [lambda_j Phi + eta_j . grad_x Phi](x - z_j),
 
 and its normal derivative to the boundary Cauchy data: one weighted
-least-squares problem with (N+1) unknowns per group.  Its rows are u and
-d_nu u / k at each boundary node, weighted by the square root of the node's
-quadrature weight, so the squared residual approximates the boundary
-integral of |u - U|^2 + |d_nu u - d_nu U|^2 / k^2.  Away from a source
+least-squares problem with (N+1) unknowns per group.  Its columns are the
+unit traces of `forward._unit_traces`, the kernel synthesis sums.  Its rows
+are u and d_nu u / k at each boundary node, weighted by the square root of
+the node's quadrature weight, so the squared residual approximates the
+boundary integral of |u - U|^2 + |d_nu u - d_nu U|^2 / k^2.  Away from a source
 d_nu Phi ~ ik Phi, so the division by k puts both traces on one scale and
 neither outweighs the other.  The fit forms no quadrature of the data, so
 it holds on a boundary rule too coarse to resolve R(d).  Each group's
@@ -93,7 +94,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _threads
-from .forward import CauchyData, _radial
+from .forward import CauchyData, _unit_traces
 from .geometry import SamplingGrid
 from .indicators import (
     IndicatorField,
@@ -320,21 +321,11 @@ def recover_intensities(groups, cauchy: CauchyData, k: float) -> list[tuple[comp
     surf = cauchy.surface
     at = np.array([z for g in groups for z in _readoff_points(g)])  # lambda point, eta point per group
     points, which = np.unique(at, axis=0, return_inverse=True)
-    t = surf.points[:, None] - points  # (m, p, N)
-    r = np.sqrt(np.einsum("mpd,mpd->mp", t, t))
-    phi, dphi = _radial(surf.dims, k, r)
-    g = dphi / r
-    nu_t = np.einsum("md,mpd->mp", surf.normals, t)
-    hess = nu_t * (surf.dims * g + k * k * phi) / (r * r)
+    units = _unit_traces(k, surf.points, surf.normals, points)
     # column j(N+1) + c holds group j's unit monopole (c = 0) or unit dipole
-    # e_c (c >= 1) traces, as forward._traces forms them; the sign of
-    # u = -sum_j [...] goes to the data
+    # e_c (c >= 1) traces; the sign of u = -sum_j [...] goes to the data
     lam, eta = which.reshape(len(groups), 2).T
-    design = np.empty((2, len(surf), len(groups), surf.dims + 1), dtype=complex)  # u rows, d_nu u rows
-    design[0, :, :, 0] = phi[:, lam]
-    design[1, :, :, 0] = (g * nu_t)[:, lam]
-    design[0, :, :, 1:] = g[:, eta, None] * t[:, eta]
-    design[1, :, :, 1:] = g[:, eta, None] * surf.normals[:, None] - hess[:, eta, None] * t[:, eta]
+    design = np.concatenate([units[:, :, lam, :1], units[:, :, eta, 1:]], axis=3)  # u rows, d_nu u rows
     scale = np.sqrt(surf.weights) / np.array([[1.0], [k]])  # rows u and d_nu u / k
     design *= scale[:, :, None, None]
     data = -np.stack([cauchy.dirichlet, cauchy.neumann]) * scale

@@ -293,13 +293,13 @@ def test_cli_holds_openblas_to_one_thread(tmp_path, monkeypatch):
     if lib is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
     seen = []
-    traces = heliodsm.forward._traces
+    traces = heliodsm.forward._unit_traces
 
     def counted(*args):
         seen.append(lib.scipy_openblas_get_num_threads64_())
         return traces(*args)
 
-    monkeypatch.setattr(heliodsm.forward, "_traces", counted)
+    monkeypatch.setattr(heliodsm.forward, "_unit_traces", counted)
     old = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(2)
     try:

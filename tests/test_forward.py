@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heliodsm._threads
 from heliodsm.forward import (
     CauchyData,
     NoiseSpec,
@@ -17,7 +18,7 @@ from heliodsm.forward import (
     monopole,
     synthesize_cauchy,
 )
-from heliodsm.forward import _radial, _traces
+from heliodsm.forward import _unit_traces
 from heliodsm.geometry import circle_surface, sphere_surface
 from heliodsm.presets import preset_config
 from heliodsm.specfun import hankel1
@@ -60,11 +61,18 @@ def test_ensemble_distinct_locations_and_separation():
 # closed-form field values
 # ----------------------------------------------------------------------
 
+def traces(ens, k, points, normals):
+    """u and du/dnu at each row of `points`: the unit traces weighed by
+    -(lam_j, eta_j), as synthesis weighs them."""
+    weights = np.array([[s.scalar_intensity, *s.vector_intensity] for s in ens.sources])
+    return -np.einsum("tmpc,pc->tm", _unit_traces(k, points, normals, ens.locations()), weights)
+
+
 def field(ens, k, points):
     """u at one point (a vector) or at each row of a point array."""
     points = np.asarray(points, dtype=float)
     rows = np.atleast_2d(points)
-    u, _ = _traces(ens, k, rows, np.zeros_like(rows))
+    u, _ = traces(ens, k, rows, np.zeros_like(rows))
     return u if points.ndim == 2 else u[0]
 
 
@@ -103,7 +111,7 @@ def test_radial_symmetry_of_central_monopole():
     k = 15.0
     ens = SourceEnsemble(sources=(monopole([0.0, 0.0], 2.0),))
     surf = circle_surface(6.0, 64)
-    _, values = _traces(ens, k, surf.points, surf.normals)
+    values = synthesize_cauchy(ens, k, surf).neumann
     assert np.max(np.abs(np.diff(values))) < 1e-12
 
 
@@ -135,45 +143,45 @@ def _reference_traces(ens, k, x, nu):
     return u, du
 
 
+def _unit_sources(z):
+    """A unit monopole and the unit dipoles e_1..e_N at z, in column order."""
+    return [monopole(z, 1.0)] + [dipole(z, e) for e in np.eye(len(z))]
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5"])
 def test_traces_match_per_point_closed_forms(name):
     cfg = preset_config(name)
     ens, k, radius = cfg.ensemble(), cfg.wavenumber, cfg.measurement_radius
     surf = circle_surface(radius, 48) if ens.dims == 2 else sphere_surface(radius, 6, 8)
-    u, du = _traces(ens, k, surf.points, surf.normals)
+    units = _unit_traces(k, surf.points, surf.normals, ens.locations())
+    # every unit column at every source, dipoles included; the unit traces
+    # carry no model sign, the reference's u = -sum_j [...] does
+    for j, s in enumerate(ens.sources):
+        for c, unit in enumerate(_unit_sources(s.location)):
+            one = SourceEnsemble(sources=(unit,))
+            ref = np.array([_reference_traces(one, k, x, nu) for x, nu in zip(surf.points, surf.normals)]).T
+            for got, want in zip(-units[:, :, j, c], ref):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (s.location, c)
+    cauchy = synthesize_cauchy(ens, k, surf)
     ref = [_reference_traces(ens, k, x, nu) for x, nu in zip(surf.points, surf.normals)]
     ref_u, ref_du = np.array(ref).T
-    assert np.max(np.abs(u - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
-    assert np.max(np.abs(du - ref_du)) <= 1e-14 * np.max(np.abs(ref_du))
-
-
-def _per_source_traces(ens, k, points, normals):
-    """`_traces` with one radial-profile call per source, summed in source order."""
-    u = np.zeros(len(points), dtype=complex)
-    du = np.zeros(len(points), dtype=complex)
-    for s in ens.sources:
-        t = points - s.location
-        r = np.sqrt(np.matmul(t[:, None, :], t[:, :, None])[:, 0, 0])
-        phi, dphi = _radial(ens.dims, k, r)
-        g = dphi / r
-        nu_t = np.einsum("md,md->m", normals, t)
-        eta_t = t @ s.vector_intensity
-        u -= s.scalar_intensity * phi + g * eta_t
-        du -= (s.scalar_intensity * nu_t + normals @ s.vector_intensity) * g
-        du += eta_t * nu_t * (ens.dims * g + k * k * phi) / (r * r)
-    return u, du
+    assert np.max(np.abs(cauchy.dirichlet - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
+    assert np.max(np.abs(cauchy.neumann - ref_du)) <= 1e-14 * np.max(np.abs(ref_du))
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
 def test_one_radial_call_gives_the_per_source_bits(name):
-    # `_traces` evaluates the radial profile for all sources in one call;
-    # each element takes a lone argument's operations, so the traces are
-    # those of one call per source, bit for bit
+    # `_unit_traces` evaluates the radial profile for every (point, source)
+    # pair in one call; each element takes a lone argument's operations, so
+    # its traces are those of one call per source and point, bit for bit
     cfg = preset_config(name)
     surf = cfg.surface()
-    got = _traces(cfg.ensemble(), cfg.wavenumber, surf.points, surf.normals)
-    want = _per_source_traces(cfg.ensemble(), cfg.wavenumber, surf.points, surf.normals)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    k, at = cfg.wavenumber, cfg.ensemble().locations()
+    got = _unit_traces(k, surf.points, surf.normals, at)
+    for i, (x, nu) in enumerate(zip(surf.points, surf.normals)):
+        for j, z in enumerate(at):
+            want = _unit_traces(k, x[None], nu[None], z[None])
+            assert got[:, i, j].tobytes() == want[:, 0, 0].tobytes(), (i, j)
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +192,7 @@ def _assert_neumann_matches_finite_difference(name, surf, h=1e-5):
     cfg = preset_config(name)
     ens, k = cfg.ensemble(), cfg.wavenumber
     x, nu = surf.points, surf.normals
-    _, exact = _traces(ens, k, x, nu)
+    _, exact = traces(ens, k, x, nu)
     fd = (field(ens, k, x + h * nu) - field(ens, k, x - h * nu)) / (2 * h)
     assert np.max(np.abs(exact - fd) / np.abs(exact)) < 1e-6
 
@@ -264,6 +272,26 @@ def test_synthesize_shapes_and_linearity(example1):
     assert np.max(np.abs(total_d - clean.dirichlet)) / scale < 1e-13
     scale_n = np.max(np.abs(clean.neumann))
     assert np.max(np.abs(total_n - clean.neumann)) / scale_n < 1e-13
+
+
+def test_synthesis_bits_do_not_depend_on_blas_threads():
+    # synthesis sums its unit traces in numpy's own loop, not in BLAS, so
+    # the caller's OpenBLAS thread count moves no bit of the data
+    lib = heliodsm._threads.openblas()
+    if lib is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
+    cfgs = [preset_config(f"example{n}") for n in range(1, 6)]
+    old = lib.scipy_openblas_get_num_threads64_()
+    runs = []
+    try:
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            runs.append([synthesize_cauchy(c.ensemble(), c.wavenumber, c.surface()) for c in cfgs])
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+    for one, two in zip(*runs):
+        assert one.dirichlet.tobytes() == two.dirichlet.tobytes()
+        assert one.neumann.tobytes() == two.neumann.tobytes()
 
 
 def test_source_on_surface_rejected():

@@ -17,7 +17,6 @@ from heliodsm.forward import (
     CauchyData,
     NoiseSpec,
     SourceEnsemble,
-    _traces,
     add_noise,
     dipole,
     monopole,
@@ -842,7 +841,7 @@ def test_readoff_exact_on_clean_data(name):
 def _lstsq_readoff(groups, cauchy, k):
     """`recover_intensities` by an SVD least-squares solve: column j(N+1) + c
     holds the traces u, d_nu u / k of a unit monopole (c = 0) or unit dipole
-    e_c at group j's read-off point, as synthesis forms them, and each row is
+    e_c at group j's read-off point, synthesized as data, and each row is
     weighted by the square root of its node's quadrature weight."""
     surf = cauchy.surface
     cols = []
@@ -850,8 +849,8 @@ def _lstsq_readoff(groups, cauchy, k):
         lam_at, eta_at = heliodsm.locator._readoff_points(g)
         units = [monopole(lam_at, 1.0)] + [dipole(eta_at, e) for e in np.eye(surf.dims)]
         for src in units:
-            u, du = _traces(SourceEnsemble(sources=(src,)), k, surf.points, surf.normals)
-            cols.append(np.concatenate([u, du / k]))
+            unit = synthesize_cauchy(SourceEnsemble(sources=(src,)), k, surf)
+            cols.append(np.concatenate([unit.dirichlet, unit.neumann / k]))
     scale = np.tile(np.sqrt(surf.weights), 2)
     data = np.concatenate([cauchy.dirichlet, cauchy.neumann / k]) * scale
     coef = np.linalg.lstsq(np.stack(cols, axis=1) * scale[:, None], data, rcond=None)[0]
