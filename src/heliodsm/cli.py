@@ -170,7 +170,8 @@ def _reconstruct(cfg: ExperimentConfig, algorithm: str, out: Path, args, tag: st
         recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), **settings)
     t0 = time.perf_counter()
     written = [out / f"indicator_{fld.component}{tag}.csv" for fld in recon.fields]
-    io.write_indicator_csvs(written, recon.fields)
+    for path, fld in zip(written, recon.fields):
+        io.write_indicator_csv(path, fld)
     written.append(out / f"reconstruction{tag}.csv")
     io.write_reconstruction_csv(written[-1], recon)
     write_seconds = time.perf_counter() - t0

@@ -30,17 +30,33 @@ own rows.  The blocks, not the worker count, fix every sum, and
 run, so results are bitwise independent of the worker count.
 
 On rectangular grids of any dimension the plane-wave factor separates per
-axis, and the grid kernel sees the directions as A rings of B directions
-that share their last coordinate d_N.  A ring-major product rule (see
+axis, and `_grid_kernel`, the one lattice contraction, sees the direction
+sum as A rings of B terms.  On axis factors the rings are directions that
+share their last coordinate d_N: a ring-major product rule (see
 `_product_rule`) gives n_theta rings of B = n_phi; any other set, and all
 of 2D, gives n_dir rings of B = 1.  The kernel folds its weight columns
-(the component weights, or one column per dsm2 fine grid) and the factors
-of the middle axes into (A, B, R) rows W_a, forms one per-ring product
+(the component weights, or one column per fine grid) and the factors of
+the middle axes into (A, B, R) rows W_a, forms one per-ring product
 H_a = X_a @ W_a with the first axis' factor X_a, and contracts the rings
-with the last axis' factor e^{-ik z d_N}, which is constant on every
-ring.  On the 42 x 43 rule and a 60^3 grid that is about 16 M complex
-multiply-adds per component instead of 390 M for one product over all
-directions.
+with the last axis' factor, which is constant on every ring.  On the
+42 x 43 rule and a 60^3 grid that is about 16 M complex multiply-adds per
+component instead of 390 M for one product over all directions.
+
+Every fine grid of dsm2 is one local lattice x centred on 0, shifted to
+its centre c; since e^{-ik d.(c + x)} = e^{-ik d.c} e^{-ik d.x}, all of
+them are one kernel call on x, one shifted weight column per grid
+(`_fine_values`, the only code that evaluates fine lattices).  In 3D the
+call reads x's axis factors.  In 2D it reads x's mode tables
+(`_mode_tables`): on an axis that spans at most one wavelength, k|x| <= pi,
+so by the Jacobi-Anger expansion e^{-ik x cos t} = sum_m (-i)^m J_m(kx)
+e^{imt} the DFT of an axis factor over the directions keeps only the
+columns at or above 2^-53 of its largest entry (44-51 of 256 on the 2D
+presets).  The double sum over the kept modes of the two axes is the ring
+sum with the second axis' modes as rings, so the tables are the kernel's
+factors and the weights' spectrum its weights.  The cut comes from the
+table itself, so any direction set is served (an irregular one keeps more
+modes).  3D keeps its axis factors: an equatorial ring needs about 45
+modes over one wavelength, more than its 43 azimuths.
 
 In 3D, when both the measurement sphere and the direction set are
 Gauss-Legendre x uniform-azimuth product rules with the same azimuth
@@ -49,41 +65,24 @@ x.d depends only on the two polar rings and on the azimuth difference
 phi_b - phi'_e mod n_phi.  R(d) then needs one n_theta x n'_theta x n_phi
 phase table instead of one exponential per (point, direction) pair, and
 its sums over the azimuth are circular correlations, done with numpy's
-FFT.  Any other point set, unequal azimuth counts and all of 2D take the
-chunked path.
+FFT: one batched matmul over the n_phi frequencies, on strided views of
+the held spectrum.  Any other point set, unequal azimuth counts and all of
+2D take the chunked path.
 
 Some tables never depend on the Cauchy data and recur from run to run:
 the inverse DFT of that phase table (key: k, the radius, both polar
 rules and n_phi), the chunked path's phase matrix (key: k, the direction
 nodes and the measurement points), a lattice's axis factors and a 2D
-lattice's mode tables (key: k, the direction nodes and the lattice).
+fine lattice's mode tables (key: k, the direction nodes and the lattice).
 Each is built by the expression that would build it per call, then held
 read-only, bit for bit, in one process-wide LRU of _HELD_MAX entries
 (`_held`, which counts its builds per thread).  A phase matrix or a
-lattice's factors are held when they fit in _HELD_BYTES, whichever
-driver asks, and built for each call otherwise: held, dsm's 60^3
-factors raised its peak memory by 6%.  The
-phase matrix is sized before it is built, so one over the cap is still
-built per chunk; each lattice factor is exponentiated in place.  The 2D
-presets' phase matrices (256 x 200, 0.78 MiB) are held, so a warm 2D
-R(d) forms no exponential.
-
-The 2D fine lattices of dsm2 take mode tables in place of axis factors
-(`_mode_tables`, `_mode_kernel`).  On an axis that spans at most one
-wavelength, k|x| <= pi about the lattice centre, so by the Jacobi-Anger
-expansion e^{-ik x cos t} = sum_m (-i)^m J_m(kx) e^{imt} the DFT of an
-axis factor over the 256 directions keeps 44-51 columns on the 2D
-presets, those at or above 2^-53 of its largest entry.  A lattice
-point's value is then a double sum over the kept modes of the two axes
-against the weights' spectrum, about 40 x 45 x 50 + 40 x 40 x 50
-complex multiply-adds per fine grid instead of 40 x 256 x 40.  The cut comes
-from the table itself, so any direction set is served (an irregular one
-keeps more modes).  3D keeps the ring kernel: an equatorial ring needs
-about 45 modes over one wavelength, more than its 43 azimuths.
-
-The circulant sums over the azimuth spectrum are one batched matmul over
-its n_phi frequencies, on strided views of the held spectrum; holding a
-q-major copy instead raised the dsm run's peak memory by 9%.
+lattice's factors are held when they fit in _HELD_BYTES, whichever driver
+asks, and built for each call otherwise, which bounds the memory they
+hold (dsm's 60^3 factors are not held).  The phase matrix is sized before
+it is built, so one over the cap is still built per chunk; each lattice
+factor is exponentiated in place.  The 2D presets' phase matrices
+(256 x 200, 0.78 MiB) are held, so a warm 2D R(d) forms no exponential.
 
 `moment` holds the closed form of the circle and sphere integrals of
 d_p d_q e^{ik d.z}, one expression for both dimensions; it is the
@@ -449,7 +448,8 @@ def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
 
 def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
     """sum_d weights[d, p] e^{-ik d.z} on a lattice, as (n_points, P), from
-    the lattice's `_axis_factors`.
+    the lattice's `_axis_factors`; a 2D lattice's `_mode_tables` serve as
+    factors too, with the weights' spectrum gathered as weights.
 
     Exploits the tensor-product structure of the lattice and the ring
     structure of the directions (see `_rings`): with x, y, z the first,
@@ -482,10 +482,21 @@ def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
 
 
 def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
-    """`_mode_kernel`'s tables of a 2D lattice, held (see `_held`): per axis i,
-    A_i[x, m], the DFT over the n directions of e^{-ik x d_i} divided by n,
-    without the columns m below 2^-53 of its largest entry, then the
-    (M2, M1) Hankel index (m1 + m2) mod n of the kept modes."""
+    """The ring factors of a 2D lattice's mode expansion, held (see `_held`),
+    and the Hankel index that gathers its weights.
+
+    Per axis i, A_i[x, m] is the DFT over the n directions of e^{-ik x d_i}
+    divided by n, without the columns m below 2^-53 of its largest entry.
+    With F the weight columns' inverse DFT over the directions times n,
+
+        I(x1, x2) = sum_{m2} A_2[x2, m2] sum_{m1} A_1[x1, m1] F[(m1 + m2) mod n],
+
+    which is `_grid_kernel`'s ring sum with the second axis' kept modes m2
+    as rings and the first axis' m1 within each: the first factor is A_1 on
+    every ring (a read-only broadcast view), the last A_2^T, and the
+    weights are F gathered at the (M2, M1) index (m1 + m2) mod n returned
+    third.
+    """
 
     def build():
         tables, modes = [], []
@@ -494,26 +505,30 @@ def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
             size = np.abs(table).max(axis=0)
             modes.append(np.flatnonzero(size >= 2.0**-53 * size.max()))
             tables.append(table[:, modes[-1]])
-        return (*tables, (modes[1][:, None] + modes[0]) % len(directions))
+        first = np.broadcast_to(tables[0], (len(modes[1]), *tables[0].shape))
+        return first, tables[1].T, (modes[1][:, None] + modes[0]) % len(directions)
 
     return _held(("modes", k, directions.nodes.shape, directions.nodes.tobytes(), grid), build)
 
 
-def _mode_kernel(weights: np.ndarray, tables) -> np.ndarray:
-    """sum_d weights[d, p] e^{-ik d.z} on a 2D lattice, as (n_points, P), from
-    the lattice's `_mode_tables`: with F the weight columns' inverse DFT over
-    the directions times n,
+def _fine_values(reduced: ReducedData, k: float, components, centres: np.ndarray, side, counts) -> np.ndarray:
+    """(prod(counts), P) values of I_{components[p]} on one lattice of counts
+    points over [-side/2, side/2] per axis, shifted to centres[p].
 
-        I(x1, x2) = sum_{m1, m2} A_1[x1, m1] A_2[x2, m2] F[(m1 + m2) mod n].
-
-    The sum over m2 is one product with the Hankel gather of F, the sum over
-    m1 one batched product per second-axis point.
+    e^{-ik d.(c + x)} = e^{-ik d.c} e^{-ik d.x}, so every shifted lattice is
+    the one lattice x centred on 0, with its weight column shifted to its
+    centre c: one `_grid_kernel` call on x's mode tables in 2D (see
+    `_mode_tables`) or its axis factors in 3D, each held as `_held` allows.
     """
-    first, second, hankel = tables
-    spectrum = np.fft.ifft(weights, axis=0, norm="forward")
-    inner = second @ spectrum[hankel].reshape(len(hankel), -1)  # (n2, M1 * P)
-    out = np.matmul(first, inner.reshape(len(second), first.shape[1], -1))  # (n2, n1, P)
-    return out.reshape(-1, weights.shape[1])
+    dirs = reduced.directions
+    lattice = SamplingGrid(reduced.dims, tuple(-side / 2.0), tuple(side / 2.0), tuple(counts))
+    weights = _component_weights(reduced, k, components) * np.exp(-1j * k * (dirs.nodes @ centres.T))
+    if reduced.dims == 2:
+        *factors, hankel = _mode_tables(dirs, k, lattice)
+        weights = np.fft.ifft(weights, axis=0, norm="forward")[hankel].reshape(hankel.size, -1)
+    else:
+        factors = _lattice_factors(dirs, k, lattice)
+    return _grid_kernel(weights, factors)
 
 
 def indicator_grid_values(reduced: ReducedData, k: float, grid: SamplingGrid, components=None) -> np.ndarray:

@@ -25,11 +25,10 @@ Floats are written with shortest round-trip precision, byte for byte the
 text of Python's repr (rendered for whole columns by `_text.write_rows`;
 grid axes and the short reconstruction table call repr itself), so a file
 read back reproduces the in-memory values exactly; rows end in "\r\n".
-`write_indicator_csvs` writes all of a run's indicator fields;
-`write_indicator_csv` is its one-field case.  The coordinate texts of a
-grid are rendered once per process and held read-only (`_grid_lead`, an
-LRU of 8 grids) for every later write on that grid: a 100^2 grid's take
-4.2 kB, a 30^3 grid's 38 kB and a 60^3 grid's 152 kB.
+`write_indicator_csv` writes one field; a run writes one file per field.
+The coordinate texts of a grid are rendered once per process and held
+read-only (`_grid_lead`, an LRU of 8 grids) for every later write on that
+grid, so a run's fields share one rendering of their grid.
 The indicator abs column is hypot(re, im), i.e. Python's abs(complex), which
 can differ by 1 ulp from IndicatorField.magnitude() (np.abs, used for peaks).
 """
@@ -53,7 +52,6 @@ __all__ = [
     "write_cauchy_csv",
     "read_cauchy_csv",
     "write_indicator_csv",
-    "write_indicator_csvs",
     "read_indicator_csv",
     "write_reconstruction_csv",
     "read_reconstruction_csv",
@@ -124,24 +122,17 @@ def read_cauchy_csv(path, radius: float) -> tuple[CauchyData, CauchyData]:
     return clean, noisy
 
 
-def write_indicator_csvs(paths, fields) -> None:
-    """Write each field to its path as an indicator CSV.
-
-    Each grid's coordinate texts are rendered once and held (see `_grid_lead`).
-    """
-    for path, field in zip(paths, fields, strict=True):
-        v = field.values
-        with open(path, "wb") as fh:
-            fh.write(_header(_indicator_header(field.grid.dims)))
-            _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=_grid_lead(field.grid))
-
-
 def _indicator_header(dims: int) -> list[str]:
     return [f"z{i+1}" for i in range(dims)] + ["abs", "re", "im"]
 
 
 def write_indicator_csv(path, field: IndicatorField) -> None:
-    write_indicator_csvs([path], [field])
+    """Write one field as an indicator CSV; its grid's coordinate texts are
+    rendered once per process and held (see `_grid_lead`)."""
+    v = field.values
+    with open(path, "wb") as fh:
+        fh.write(_header(_indicator_header(field.grid.dims)))
+        _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=_grid_lead(field.grid))
 
 
 @lru_cache(maxsize=8)

@@ -42,16 +42,13 @@ around each coarse maximizer and keeps the fine argmax before clustering.
 A fine grid is a resolution per wavelength, not a setting: FINE_COUNTS_2D
 (40 x 40) or FINE_COUNTS_3D (20 x 20 x 20) points.  Fine grids are
 shifted, never shrunk, to stay inside the probe box so every reported
-location remains inside it.  Every fine grid is the same local lattice x
-shifted to its corner c_p, and e^{-ik d.(c_p + x)} = e^{-ik d.c_p}
-e^{-ik d.x}, so all of them are one kernel call on x with one weight
-column per peak.  In 3D that is the grid kernel on the lattice's axis
-factors; in 2D it is the mode kernel on the lattice's per-axis mode
-tables, with x centred on 0 and c_p the fine grid's centre (see
-`indicators`).  The local lattice depends only on k, the dimension and
-the box clamp.  Both drivers take a lattice's factors or mode tables
-from `indicators`, which holds per process those that fit (dsm's 60^3
-factors do not).
+location remains inside it, and each reports its own points,
+np.linspace(lo, hi, n) on each axis.  That clamp and the argmax are the
+refine's policy; `indicators._fine_values` evaluates all fine grids at
+once, in one kernel call on one lattice centred on 0 with one shifted
+weight column per peak, in both dimensions (see `indicators`).
+Both levels warn when the grid spacing exceeds half a wavelength, where a
+maximizer between grid points may be missed.
 The driver's warnings go to the caller and into `Reconstruction.warnings`.
 
 The driver holds numpy's bundled OpenBLAS to one thread for the whole
@@ -100,12 +97,8 @@ from .indicators import (
     IndicatorField,
     ReducedData,
     _check_components,
-    _component_weights,
-    _grid_kernel,
+    _fine_values,
     _held_builds,
-    _lattice_factors,
-    _mode_kernel,
-    _mode_tables,
     default_directions,
     indicator_grid_values,
     reduced_data,
@@ -361,8 +354,8 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
         raise ValueError("grid and Cauchy data have different dimensions")
     dirs = directions if directions is not None else default_directions(cauchy.dims)
     notes: list[str] = []
-    if refine and max(grid.spacing) > math.pi / k:
-        notes.append("coarse grid spacing exceeds half a wavelength; maximizers may be missed")
+    if max(grid.spacing) > math.pi / k:
+        notes.append("grid spacing exceeds half a wavelength; maximizers may be missed")
         # frames: _sample, its BLAS hold, dsm or dsm2, their caller
         warnings.warn(notes[-1], stacklevel=4)
     wavelength = 2.0 * math.pi / k
@@ -453,19 +446,19 @@ def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, comp
 def dsm(cauchy: CauchyData, k: float, grid: SamplingGrid, *, components=None, directions=None) -> Reconstruction:
     """Single-level direct sampling over the probe grid.
 
-    components are the indicator components to sample (distinct, in 0..N;
-    all N+1 when None, (0,) for sources known to be monopoles); directions
-    is the indicator-integral DirectionSet, `default_directions` when None.
+    A grid spacing above half a wavelength warns before any work, as for
+    `dsm2`: a maximizer between grid points may be missed.  components are
+    the indicator components to sample (distinct, in 0..N; all N+1 when
+    None, (0,) for sources known to be monopoles); directions is the
+    indicator-integral DirectionSet, `default_directions` when None.
     """
     return _sample(cauchy, k, grid, False, components, directions)
 
 
 def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_counts) -> list[Peak]:
     """Argmax of |I_ell| over a one-wavelength fine grid around each peak (the
-    box span on a narrower axis); one kernel call on the local lattice x
-    evaluates them all, peak p as weight column v_ell(d) e^{-ik d.c_p}: the
-    mode kernel on x centred on 0 in 2D, the grid kernel on x with its
-    corner at 0 in 3D."""
+    box span on a narrower axis), clamped into the probe box; one
+    `indicators._fine_values` call evaluates them all."""
     if not peaks:
         return []
     lower, upper = np.array(grid.lower), np.array(grid.upper)
@@ -473,15 +466,7 @@ def _refine(peaks, reduced: ReducedData, k: float, grid: SamplingGrid, fine_coun
     lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
     over = lo + side > upper  # shift down; max() as upper - span may round below lower
     lo, hi = np.where(over, np.maximum(lower, upper - side), lo), np.where(over, upper, lo + side)
-    dirs = reduced.directions
-    if grid.dims == 2:  # c_p is the fine grid's centre
-        c, local = lo + side / 2.0, SamplingGrid(2, tuple(-side / 2.0), tuple(side / 2.0), tuple(fine_counts))
-        kernel, tables = _mode_kernel, _mode_tables(dirs, k, local)
-    else:  # c_p is the fine grid's corner
-        c, local = lo, SamplingGrid(3, (0.0,) * 3, tuple(side), tuple(fine_counts))
-        kernel, tables = _grid_kernel, _lattice_factors(dirs, k, local)
-    weights = _component_weights(reduced, k, [p.component for p in peaks]) * np.exp(-1j * k * (dirs.nodes @ c.T))
-    magnitudes = np.abs(kernel(weights, tables))
+    magnitudes = np.abs(_fine_values(reduced, k, [p.component for p in peaks], lo + side / 2.0, side, fine_counts))
     best, cols = np.argmax(magnitudes, axis=0), np.arange(len(peaks))
     index = np.unravel_index(best, fine_counts, order="F")
     # report the fine grids' own points, np.linspace(lo, hi, n) on each axis
@@ -502,6 +487,7 @@ def dsm2(
     FINE_COUNTS_3D points; the refined maximizer is the argmax of |I_ell|
     over that fine grid.  One grid-kernel call evaluates all fine grids
     (see the module docstring).  A coarse spacing above half a wavelength
-    warns before any work.  components and directions are as for `dsm`.
+    warns before any work, as for `dsm`.  components and directions are as
+    for `dsm`.
     """
     return _sample(cauchy, k, coarse_grid, True, components, directions)

@@ -352,6 +352,7 @@ def test_criterion_9_intensity_readoff(example1_runs):
     )
 
 
+@pytest.mark.blas_unset
 def test_criterion_10_bitwise_determinism(tmp_path):
     outs = []
     for tag, threads in (("t1", 1), ("t2", 2)):

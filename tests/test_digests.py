@@ -26,6 +26,8 @@ import pytest
 from heliodsm import _threads
 from heliodsm.cli import main
 
+pytestmark = pytest.mark.blas_unset
+
 TABLE = Path(__file__).with_name("csv_digests.json")
 RUNS = {
     "example1 dsm2": ("example1", None),

@@ -274,6 +274,7 @@ def test_synthesize_shapes_and_linearity(example1):
     assert np.max(np.abs(total_n - clean.neumann)) / scale_n < 1e-13
 
 
+@pytest.mark.blas_unset
 def test_synthesis_bits_do_not_depend_on_blas_threads():
     # synthesis sums its unit traces in numpy's own loop, not in BLAS, so
     # the caller's OpenBLAS thread count moves no bit of the data

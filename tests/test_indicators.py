@@ -288,6 +288,7 @@ def _fibonacci_directions(count):
     return DirectionSet(3, _fibonacci_units(count), np.full(count, 4.0 * np.pi / count))
 
 
+@pytest.mark.blas_unset
 @pytest.mark.parametrize("components", [(2,), (0, 1, 2, 3)])
 @pytest.mark.parametrize("rule", ["product", "fibonacci", "circle"])
 def test_grid_kernel_matches_pointwise(example1, example4, rule, components):
@@ -309,6 +310,7 @@ def test_grid_kernel_matches_pointwise(example1, example4, rule, components):
     assert np.max(np.abs(grid_vals - point_vals)) <= 1e-12 * np.max(np.abs(point_vals))
 
 
+@pytest.mark.blas_unset
 def test_grid_kernel_peak_allocation(example4):
     # the 60^3 product over all 1806 directions held a 104 MB phase table;
     # the ring sums stay within a few MB besides the 3.5 MB result (12.2 MB
@@ -382,6 +384,7 @@ def test_component_out_of_range(example1):
         indicator_field(red, cfg.wavenumber, grid, 3)
 
 
+@pytest.mark.blas_unset
 def test_thread_count_does_not_change_results(example4):
     # every input spans more than one block of its kernel, so the chunks
     # of each kernel really are spread over the workers
@@ -423,6 +426,7 @@ def test_thread_count_does_not_change_results(example4):
     assert np.max(np.abs(a[3][-4:] - indicator_at(red, k, probes[-4:]))) < 1e-12
 
 
+@pytest.mark.blas_unset
 def test_grid_kernel_blocks_over_the_cap_differ_by_at_most_one_row(example4, monkeypatch):
     # 71 first-axis rows of 42 rings x 180 ring-sum columns exceed the cap:
     # three blocks of 23-24 rows, where blocks of the cap's 34 rows would
@@ -622,6 +626,7 @@ def test_held_tables_are_read_only(example1, example4):
             a.flat[0] = 0.0
 
 
+@pytest.mark.blas_unset
 def test_held_2d_phases_give_the_per_chunk_bits(example1, cold_tables, monkeypatch):
     # the 256 x 200 phase matrix (0.78 MiB) is held by the first call, read
     # by the second, and read-only; a cap one byte below it builds it per

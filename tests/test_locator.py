@@ -411,6 +411,7 @@ def test_scaling_equivariance(example1):
     assert np.array_equal(scaled.centroids(), base.centroids())
 
 
+@pytest.mark.blas_unset
 def test_determinism_across_thread_counts(example1):
     from heliodsm import _threads
 
@@ -430,6 +431,7 @@ def test_determinism_across_thread_counts(example1):
         assert np.array_equal(ga.eta_estimate, gb.eta_estimate)
 
 
+@pytest.mark.blas_unset
 def test_driver_holds_openblas_to_one_thread(example1, monkeypatch):
     # the library driver holds it as the CLI does: the read-off ran for
     # over 100 ms on two OpenBLAS threads; the caller's count comes back
@@ -488,6 +490,7 @@ def test_overlapping_blas_holds_keep_one_thread_until_the_last_leaves():
     assert after == 2
 
 
+@pytest.mark.blas_unset
 def test_cold_dsm2_runs_on_two_threads_count_their_own_builds(cold_tables):
     # each run, at a wavenumber no other test uses, builds its own R(d)
     # spectrum, coarse and fine lattice while the other builds its three;
@@ -602,7 +605,8 @@ def test_batched_refine_matches_per_peak_fine_grids(case, cold_tables):
 
 def _ring_refine(peaks, reduced, k, grid, fine_counts):
     """Reference: `_refine` by the grid kernel on the fine lattice with its
-    corner at 0, as 3D runs it; the fine argmax indices, points and |I|."""
+    corner at 0, on its axis factors in either dimension; the fine argmax
+    indices, points and |I|."""
     lower, upper = np.array(grid.lower), np.array(grid.upper)
     side = np.minimum(2.0 * math.pi / k, upper - lower)
     lo = np.maximum(lower, np.array([p.location for p in peaks]) - side / 2.0)
@@ -618,40 +622,46 @@ def _ring_refine(peaks, reduced, k, grid, fine_counts):
     return best, at, magnitudes[best, cols]
 
 
-@pytest.mark.parametrize("preset", ["example1", "example2", "example3"])
-def test_2d_refine_matches_the_ring_kernel(preset, cold_tables):
-    # noise seeds 0-9 on the preset's grid and on the REFINE_CASES boxes:
-    # the mode tables give the ring kernel's fine argmax and points, and |I|
-    # to rounding; each fine lattice's tables are built once, held read-only
-    # and read by every later call, which gives the same bits
+@pytest.mark.blas_unset
+@pytest.mark.parametrize("preset", ["example1", "example2", "example3", "example4", "example5"])
+def test_refine_matches_the_ring_kernel(preset, cold_tables):
+    # noise seeds 0-9 on the preset's grid and on the REFINE_CASES boxes: the
+    # centred fine lattice (mode tables in 2D, axis factors in 3D) gives the
+    # corner-anchored ring kernel's fine argmax and points, and |I| to
+    # rounding; each fine lattice's tables are built once, held read-only and
+    # read by every later call, which gives the same bits
     cfg = preset_config(preset)
     k, dirs = cfg.wavenumber, cfg.direction_set()
+    comps = cfg.components or tuple(range(cfg.dims + 1))
+    fine_counts = FINE_COUNTS_2D if cfg.dims == 2 else FINE_COUNTS_3D
+    kind = "modes" if cfg.dims == 2 else "lattice"
     clean = synthesize_cauchy(cfg.ensemble(), k, cfg.surface())
     grids = [cfg.grid()] + [make_grid(*box) for name, box in REFINE_CASES.values() if name == preset and box]
     built, checked, worst = 0, 0, 0.0
     for seed in range(10):
         reduced = reduced_data(add_noise(clean, NoiseSpec(cfg.noise_level, seed)), k, dirs)
         for grid in grids:
-            values = indicator_grid_values(reduced, k, grid)
-            peaks = [p for ell in range(3) for p in find_peaks(
-                IndicatorField(grid=grid, component=ell, values=values[:, ell]), 0.5, 4 * math.pi / k)]
+            values = indicator_grid_values(reduced, k, grid, comps)
+            peaks = [p for i, ell in enumerate(comps) for p in find_peaks(
+                IndicatorField(grid=grid, component=ell, values=values[:, i]), 0.5, 4 * math.pi / k)]
             before = heliodsm.indicators._held_builds.count
-            got = _refine(peaks, reduced, k, grid, FINE_COUNTS_2D)
+            got = _refine(peaks, reduced, k, grid, fine_counts)
             built += heliodsm.indicators._held_builds.count - before
-            again = _refine(peaks, reduced, k, grid, FINE_COUNTS_2D)
+            again = _refine(peaks, reduced, k, grid, fine_counts)
             assert [(p.location.tobytes(), p.magnitude, p.grid_index) for p in got] == [
                 (p.location.tobytes(), p.magnitude, p.grid_index) for p in again]
-            index, at, magnitude = _ring_refine(peaks, reduced, k, grid, FINE_COUNTS_2D)
+            index, at, magnitude = _ring_refine(peaks, reduced, k, grid, fine_counts)
             assert [p.grid_index for p in got] == index.tolist()
             assert np.array([p.location for p in got]).tobytes() == at.tobytes()
             worst = max(worst, np.max(np.abs(np.array([p.magnitude for p in got]) / magnitude - 1.0)))
             checked += len(got)
-    assert checked >= 50 * len(grids)
+    assert checked >= (50 if cfg.dims == 2 else 30) * len(grids)
     assert worst <= 4e-15
-    modes = [arrays for key, arrays in heliodsm.indicators._held_tables.items() if key[0] == "modes"]
-    assert built == len(modes) == len({tuple(min(2 * math.pi / k, hi - lo) for lo, hi in zip(g.lower, g.upper))
-                                       for g in grids})
-    assert all(not a.flags.writeable for arrays in modes for a in arrays)
+    fine = [arrays for key, arrays in heliodsm.indicators._held_tables.items()
+            if key[0] == kind and key[-1].counts == fine_counts]
+    assert built == len(fine) == len({tuple(min(2 * math.pi / k, hi - lo) for lo, hi in zip(g.lower, g.upper))
+                                      for g in grids})
+    assert all(not a.flags.writeable for arrays in fine for a in arrays)
 
 
 def test_example2_spurious_spike_suppression():
@@ -743,6 +753,7 @@ def test_drivers_take_numpy_integer_components(example1):
     assert np.array_equal(indexed.centroids(), plain.centroids())
 
 
+@pytest.mark.blas_unset
 def test_recover_intensities_matches_readoff(example1):
     cfg, ens, _, noisy = example1
     k = cfg.wavenumber
@@ -857,6 +868,7 @@ def _lstsq_readoff(groups, cauchy, k):
     return [(complex(c[0]), c[1:]) for c in coef.reshape(len(groups), surf.dims + 1)]
 
 
+@pytest.mark.blas_unset
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example5"])
 def test_gram_readoff_matches_lstsq(name):
     # the normal equations of designs with condition numbers 9.3-29 lose
@@ -917,6 +929,7 @@ def test_driver_warnings_point_at_the_caller(example1):
     )
     calls = [
         ("spacing", lambda: dsm2(noisy, k, coarse, directions=cfg.direction_set())),
+        ("spacing", lambda: dsm(noisy, k, coarse, directions=cfg.direction_set())),
         ("no significant", lambda: dsm(silent, k, cfg.grid(), directions=cfg.direction_set())),
         ("no significant", lambda: dsm2(silent, k, cfg.grid(), directions=cfg.direction_set())),
     ]
