@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MeasurementSurface
+from .geometry import MeasurementSurface, _hold
 from .specfun import hankel1
 
 __all__ = [
@@ -81,23 +81,13 @@ class PointSource:
         return hash((bytes(self.location), self.scalar_intensity, bytes(self.vector_intensity)))
 
     def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float)
+        loc = _hold(self, "location", float, "location")
         if loc.ndim != 1 or loc.shape[0] not in (2, 3):
             raise ValueError("location must be a 2- or 3-vector")
-        if not np.all(np.isfinite(loc)):
-            raise ValueError(f"location must be finite, got {loc.tolist()}")
-        loc = loc.copy()
-        loc.flags.writeable = False
-        object.__setattr__(self, "location", loc)
         object.__setattr__(self, "scalar_intensity", complex(self.scalar_intensity))
-        eta = self.vector_intensity
-        if eta is None:
-            eta = np.zeros(loc.shape[0], dtype=complex)
-        eta = np.asarray(eta, dtype=complex).copy()
+        eta = _hold(self, "vector_intensity", complex, default=np.zeros(loc.shape))
         if eta.shape != loc.shape:
             raise ValueError("vector intensity must match the location dimension")
-        eta.flags.writeable = False
-        object.__setattr__(self, "vector_intensity", eta)
         lam_abs = abs(self.scalar_intensity)
         eta_abs = float(np.linalg.norm(eta))
         if lam_abs + eta_abs == 0.0:
@@ -179,19 +169,11 @@ class CauchyData:
     neumann: np.ndarray  # (m,) complex, du/dnu on Gamma
 
     def __post_init__(self):
-        d = np.asarray(self.dirichlet, dtype=complex)
-        n = np.asarray(self.neumann, dtype=complex)
+        d = _hold(self, "dirichlet", complex, "Cauchy data")
+        n = _hold(self, "neumann", complex, "Cauchy data")
         m = len(self.surface)
         if d.shape != (m,) or n.shape != (m,):
             raise ValueError("trace arrays must match the surface point count")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(n))):
-            raise ValueError("Cauchy data must be finite")
-        d = d.copy()
-        n = n.copy()
-        d.flags.writeable = False
-        n.flags.writeable = False
-        object.__setattr__(self, "dirichlet", d)
-        object.__setattr__(self, "neumann", n)
 
     @property
     def dims(self) -> int:
@@ -206,8 +188,13 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a fractional seed would run the Philox key of its integer part
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"noise seed must lie in [0, 2**128), got {self.seed}")
+        if not math.isfinite(self.level):
+            raise ValueError(f"noise level must be finite, got {self.level}")
         if self.level < 0:
             raise ValueError(f"noise level must be >= 0, got {self.level}")
         if self.level > NOISE_MAX_LEVEL:
@@ -266,6 +253,12 @@ def _unit_traces(k: float, points: np.ndarray, normals: np.ndarray, at: np.ndarr
     return out
 
 
+def _check_wavenumber(k: float) -> None:
+    """Raise ValueError unless k is a finite positive number."""
+    if not 0 < k < math.inf:
+        raise ValueError(f"wavenumber must be positive, got {k}")
+
+
 def check_inside(ensemble: SourceEnsemble, radius: float) -> None:
     """Raise ValueError unless every source lies strictly inside the
     measurement radius, |z| < radius (1 - BOUNDARY_GUARD)."""
@@ -279,10 +272,9 @@ def check_inside(ensemble: SourceEnsemble, radius: float) -> None:
 
 def synthesize_cauchy(ensemble: SourceEnsemble, k: float, surface: MeasurementSurface) -> CauchyData:
     """Evaluate the closed-form traces at every surface point."""
+    _check_wavenumber(k)
     if ensemble.dims != surface.dims:
         raise ValueError("ensemble and surface dimensions differ")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
     check_inside(ensemble, surface.radius)
     units = _unit_traces(k, surface.points, surface.normals, ensemble.locations())
     weights = [[s.scalar_intensity, *s.vector_intensity] for s in ensemble.sources]
@@ -335,8 +327,7 @@ INTENSITY_RATIO_BAND = (0.2, 5.0)
 
 def check_assumptions(ensemble: SourceEnsemble, k: float) -> AssumptionReport:
     """Report whether the ensemble sits in the regime the indicators assume."""
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
+    _check_wavenumber(k)
     separation = ensemble.min_separation
     wavelength = 2.0 * np.pi / k
     ratio = separation / wavelength

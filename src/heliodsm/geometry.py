@@ -12,10 +12,19 @@ layout of the built-in presets.
 
 Sampling-grid point ordering is deterministic: the first axis varies
 fastest, then the second, then the third.
+
+Every value object of the library (DirectionSet, MeasurementSurface and the
+point sources, Cauchy data, reduced data, indicator fields and peaks built
+on them) holds each array it is given as a private read-only copy, made
+and, where the class promises finite values, checked once by `_hold`: the
+caller's array stays writable and no later write to it reaches the object.
+Arrays the library has just built itself, such as `SamplingGrid.points`,
+are frozen in place without a copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,9 +42,19 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _hold(obj, name: str, dtype=float, what: str | None = None, default=None) -> np.ndarray | None:
+    """Replace the array field `name` of the frozen dataclass obj (default
+    when None; None stays None without one) with a private read-only
+    C-ordered dtype copy, and return it.  With what given, a non-finite
+    entry raises ValueError("<what> must be finite")."""
+    value = getattr(obj, name)
+    if value is None and default is None:
+        return None
+    a = np.array(default if value is None else value, dtype=dtype, order="C")
+    if what is not None and not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
     a.flags.writeable = False
+    object.__setattr__(obj, name, a)
     return a
 
 
@@ -48,8 +67,8 @@ class DirectionSet:
     weights: np.ndarray  # (n,), sums to |S^(dims-1)|
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(np.asarray(self.nodes, dtype=float)))
-        object.__setattr__(self, "weights", _readonly(np.asarray(self.weights, dtype=float)))
+        _hold(self, "nodes", float, "direction nodes")
+        _hold(self, "weights", float, "quadrature weights")
         if self.dims not in (2, 3):
             raise ValueError(f"dims must be 2 or 3, got {self.dims}")
         if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dims:
@@ -77,11 +96,11 @@ class MeasurementSurface:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(np.asarray(self.points, dtype=float)))
-        object.__setattr__(self, "normals", _readonly(np.asarray(self.normals, dtype=float)))
-        object.__setattr__(self, "weights", _readonly(np.asarray(self.weights, dtype=float)))
-        if self.radius <= 0:
+        if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        _hold(self, "points", float, "surface points")
+        _hold(self, "normals", float, "normals")
+        _hold(self, "weights", float, "surface weights")
         m = self.points.shape[0]
         if self.normals.shape != (m, self.dims) or self.weights.shape != (m,):
             raise ValueError("points, normals and weights must be consistent")
@@ -118,14 +137,16 @@ class SamplingGrid:
             raise ValueError("lower/upper/counts must all have length dims")
         if any(not isinstance(c, (int, np.integer)) or c < 2 for c in self.counts):
             raise ValueError(f"counts must be integers >= 2, got {self.counts}")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
+        if not all(-math.inf < lo < hi < math.inf for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("lower corner must be strictly below upper corner")
 
     @property
     def points(self) -> np.ndarray:
         """The (n, dims) read-only array of every probe point, in grid order."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return _readonly(np.stack([m.ravel(order="F") for m in mesh], axis=1))
+        points = np.stack([m.ravel(order="F") for m in mesh], axis=1)
+        points.flags.writeable = False
+        return points
 
     def axes(self) -> list[np.ndarray]:
         return [

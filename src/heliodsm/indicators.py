@@ -100,8 +100,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _threads
-from .forward import CauchyData, SourceEnsemble
-from .geometry import DirectionSet, SamplingGrid, circle_directions, sphere_directions
+from .forward import CauchyData, SourceEnsemble, _check_wavenumber
+from .geometry import DirectionSet, SamplingGrid, _hold, circle_directions, sphere_directions
 from .specfun import bessel_j, spherical_j
 
 __all__ = [
@@ -150,14 +150,8 @@ class ReducedData:
     phase_exps: int = 0  # entries of the phase table R(d) used
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (len(self.directions),):
+        if _hold(self, "values", complex, "reduced data").shape != (len(self.directions),):
             raise ValueError("values must match the direction count")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("reduced data must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     @property
     def dims(self) -> int:
@@ -173,16 +167,10 @@ class IndicatorField:
     values: np.ndarray  # (len(grid),) complex
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (len(self.grid),):
+        if _hold(self, "values", complex, "indicator values").shape != (len(self.grid),):
             raise ValueError("values must match the grid point count")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("indicator values must be finite")
         if not (0 <= self.component <= self.grid.dims):
             raise ValueError("component out of range")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
     def magnitude(self) -> np.ndarray:
         """|values|, computed on the first call and then held read-only, so
@@ -302,10 +290,9 @@ def _circulant_product(rows_spectrum: np.ndarray, table_spectrum: np.ndarray) ->
 
 def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> ReducedData:
     """Quadrature of the reduced boundary functional over Gamma."""
+    _check_wavenumber(k)
     if cauchy.dims != directions.dims:
         raise ValueError("Cauchy data and directions have different dimensions")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
     surf = cauchy.surface
     nodes = directions.nodes
     # rows w du/dnu, then w u nu_c for each axis c

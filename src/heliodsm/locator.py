@@ -91,8 +91,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _threads
-from .forward import CauchyData, _unit_traces
-from .geometry import SamplingGrid
+from .forward import CauchyData, _check_wavenumber, _unit_traces
+from .geometry import SamplingGrid, _hold
 from .indicators import (
     IndicatorField,
     ReducedData,
@@ -133,10 +133,8 @@ class Peak:
     grid_index: int
 
     def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float).copy()
-        loc.flags.writeable = False
-        object.__setattr__(self, "location", loc)
-        if self.magnitude <= 0:
+        _hold(self, "location")
+        if not 0 < self.magnitude < math.inf:
             raise ValueError("peak magnitude must be positive")
 
 
@@ -151,9 +149,8 @@ class PeakGroup:
     kind: str | None = None  # "monopole" | "dipole", from read-off magnitudes
 
     def __post_init__(self):
-        c = np.asarray(self.centroid, dtype=float).copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "centroid", c)
+        _hold(self, "centroid")
+        _hold(self, "eta_estimate", complex)
 
     @property
     def components(self) -> tuple[int, ...]:
@@ -309,6 +306,7 @@ def recover_intensities(groups, cauchy: CauchyData, k: float) -> list[tuple[comp
     source points the result is exact to rounding.  It holds OpenBLAS to
     one thread itself: on two, the Gram product moves the last digits.
     """
+    _check_wavenumber(k)
     if not groups:
         return []
     surf = cauchy.surface
@@ -348,6 +346,7 @@ class _Stopwatch:
 @_threads._one_blas_thread()
 def _sample(cauchy: CauchyData, k: float, grid: SamplingGrid, refine: bool, components, directions) -> Reconstruction:
     """The sampling pipeline behind `dsm` (refine False) and `dsm2`."""
+    _check_wavenumber(k)
     watch = _Stopwatch()
     comps = _check_components(cauchy.dims, components)
     if grid.dims != cauchy.dims:

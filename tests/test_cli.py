@@ -156,6 +156,7 @@ def _edge_values(n, seed):
     return values
 
 
+@pytest.mark.byte_contract
 @pytest.mark.parametrize(
     "lower, upper, counts",
     [([-4.0, -4.0], [4.0, 4.0], [12, 11]), ([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5]),
@@ -206,6 +207,7 @@ def test_grid_leads_are_held_read_only():
         assert not held.flags.writeable
 
 
+@pytest.mark.byte_contract
 def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
     grid = make_grid([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])
     other = make_grid([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [5, 4, 3])
@@ -227,6 +229,7 @@ def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
         assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.byte_contract
 def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
     peak = Peak(location=[0.0, 0.0], component=0, magnitude=3.0000000000000004, grid_index=0)
     dipole = Peak(location=[0.0, 0.0], component=2, magnitude=5e-324, grid_index=3)
@@ -256,6 +259,7 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
     assert calls == []  # the table has no grid lead
 
 
+@pytest.mark.byte_contract
 def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypatch):
     # the grid coordinates of all fields take one row lead; config check,
     # sphere and directions share one Gauss-Legendre rule
@@ -347,6 +351,7 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
     assert kinds == ["phases", "lattice", "modes"] * 3
 
 
+@pytest.mark.byte_contract
 @pytest.mark.blas_unset
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
     # one process runs each request twice, the second time from held phase
@@ -382,6 +387,7 @@ def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
                 assert (run / name).read_bytes() == (fresh / name).read_bytes(), (preset, algorithm, run.name, name)
 
 
+@pytest.mark.byte_contract
 @pytest.mark.parametrize("preset", ["example1", "example4"])  # 200 and 1806 rows
 def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, preset):
     _, _, clean, noisy = request.getfixturevalue(preset)

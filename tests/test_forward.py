@@ -350,6 +350,13 @@ def test_noise_spec_validation():
     for seed in (-1, 2**128):  # outside the Philox key range
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(level=0.05, seed=seed)
+    for seed in (1.5, True, 2.0):  # a float would run its integer part's key
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseSpec(level=0.05, seed=seed)
+    with pytest.raises(ValueError, match="level must be finite"):
+        NoiseSpec(level=math.nan, seed=0)
+    for seed in (np.int64(7), np.uint64(2**64 - 1)):
+        assert NoiseSpec(level=0.05, seed=seed).seed == seed
     with pytest.warns(UserWarning):
         NoiseSpec(level=0.3, seed=0)
 

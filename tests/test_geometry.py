@@ -5,14 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heliodsm.forward import CauchyData, PointSource
 from heliodsm.geometry import (
+    DirectionSet,
+    MeasurementSurface,
     circle_directions,
     circle_surface,
     make_grid,
     sphere_directions,
     sphere_surface,
 )
-from heliodsm.indicators import moment
+from heliodsm.indicators import IndicatorField, ReducedData, moment
+from heliodsm.locator import Peak, PeakGroup
 
 
 def test_circle_directions_small():
@@ -198,6 +202,13 @@ def test_validation_errors():
         make_grid([0, 0], [1, 1], [1, 5])
     with pytest.raises(ValueError):
         make_grid([0, 0], [0, 1], [5, 5])
+    arrays, rest = _value_object_arrays(MeasurementSurface)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            MeasurementSurface(**arrays, **{**rest, "radius": radius})
+    for lower, upper in (([math.nan, 0], [1, 1]), ([0, 0], [math.inf, 1]), ([-math.inf, 0], [1, 1])):
+        with pytest.raises(ValueError, match="strictly below"):
+            make_grid(lower, upper, [4, 4])
 
 
 def test_immutability():
@@ -207,3 +218,51 @@ def test_immutability():
     g = make_grid([0, 0], [1, 1], [4, 4])
     with pytest.raises(ValueError):
         g.points[0, 0] = 9.0
+
+
+def _value_object_arrays(cls):
+    """Fresh writable arguments for one value object: (array kwargs, other kwargs)."""
+    nodes = np.array(circle_directions(8).nodes)
+    z = np.array([0.25, 0.5])
+    peak = Peak(location=z.copy(), component=0, magnitude=1.0, grid_index=0)
+    return {
+        DirectionSet: ({"nodes": nodes, "weights": np.full(8, math.pi / 4)}, {"dims": 2}),
+        MeasurementSurface: (
+            {"points": 2.0 * nodes, "normals": nodes, "weights": np.full(8, math.pi / 2)},
+            {"dims": 2, "radius": 2.0},
+        ),
+        PointSource: ({"location": z, "vector_intensity": np.array([1.0 + 0j, 2j])}, {}),
+        CauchyData: (
+            {"dirichlet": np.ones(8, complex), "neumann": np.full(8, 1j)},
+            {"surface": circle_surface(2.0, 8)},
+        ),
+        ReducedData: ({"values": np.ones(8, complex)}, {"directions": circle_directions(8)}),
+        IndicatorField: ({"values": np.ones(4, complex)}, {"grid": make_grid([0, 0], [1, 1], [2, 2]), "component": 0}),
+        Peak: ({"location": z}, {"component": 0, "magnitude": 1.0, "grid_index": 0}),
+        PeakGroup: ({"centroid": z, "eta_estimate": np.array([1.0 + 0j, 2j])}, {"members": (peak,)}),
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", [DirectionSet, MeasurementSurface, PointSource, CauchyData,
+                                 ReducedData, IndicatorField, Peak, PeakGroup], ids=lambda c: c.__name__)
+def test_value_objects_hold_private_copies_of_their_arrays(cls):
+    arrays, rest = _value_object_arrays(cls)
+    obj = cls(**arrays, **rest)
+    for name, given in arrays.items():
+        held = getattr(obj, name)
+        before = held.copy()
+        assert given.flags.writeable
+        assert not held.flags.writeable
+        assert not np.shares_memory(given, held)
+        given *= -1.0
+        assert np.array_equal(getattr(obj, name), before)
+
+
+@pytest.mark.parametrize("cls, name", [(DirectionSet, "nodes"), (DirectionSet, "weights"),
+                                       (MeasurementSurface, "points"), (MeasurementSurface, "normals"),
+                                       (MeasurementSurface, "weights")])
+def test_rules_and_surfaces_reject_nan_entries(cls, name):
+    arrays, rest = _value_object_arrays(cls)
+    arrays[name][..., 0] = math.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        cls(**arrays, **rest)

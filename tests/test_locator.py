@@ -18,6 +18,7 @@ from heliodsm.forward import (
     NoiseSpec,
     SourceEnsemble,
     add_noise,
+    check_assumptions,
     dipole,
     monopole,
     synthesize_cauchy,
@@ -236,6 +237,12 @@ def test_find_peaks_validation():
 
 def _peak(x, y, mag, comp=0, idx=0):
     return Peak(location=np.array([x, y]), component=comp, magnitude=mag, grid_index=idx)
+
+
+@pytest.mark.parametrize("magnitude", [0.0, -1.0, math.nan, math.inf])
+def test_peak_magnitude_must_be_finite_and_positive(magnitude):
+    with pytest.raises(ValueError, match="peak magnitude must be positive"):
+        _peak(0.0, 0.0, magnitude)
 
 
 def test_cluster_triplet_and_isolated():
@@ -744,6 +751,25 @@ def test_drivers_reject_bad_components_before_any_work(example1, monkeypatch, co
             run(noisy, cfg.wavenumber, cfg.grid(), components=components)
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+def test_entry_points_reject_a_bad_wavenumber_first(example1, k):
+    cfg, ens, _, noisy = example1
+    z = ens.sources[0].location
+    calls = [
+        lambda: synthesize_cauchy(ens, k, noisy.surface),
+        lambda: check_assumptions(ens, k),
+        lambda: reduced_data(noisy, k, cfg.direction_set()),
+        lambda: recover_intensities([_point_group(z)], noisy, k),
+        lambda: dsm(noisy, k, cfg.grid()),
+        lambda: dsm2(noisy, k, cfg.grid()),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="wavenumber must be positive"):
+                call()
+
+
 def test_drivers_take_numpy_integer_components(example1):
     cfg, _, _, noisy = example1
     grid = make_grid([-4, -4], [4, 4], [50, 50])
@@ -763,6 +789,16 @@ def test_recover_intensities_matches_readoff(example1):
     assert lam == g.lambda_estimate
     assert np.array_equal(eta, g.eta_estimate)
     assert g.kind == "monopole"
+
+
+def test_dsm2_groups_hold_read_only_arrays(example1):
+    cfg, _, _, noisy = example1
+    recon = dsm2(noisy, cfg.wavenumber, cfg.grid(), directions=cfg.direction_set())
+    assert recon.groups
+    for g in recon.groups:
+        for a in (g.centroid, g.eta_estimate):
+            assert not a.flags.writeable
+            assert a.flags.owndata
 
 
 def test_reconstruction_provenance(example1):

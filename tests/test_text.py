@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from heliodsm import _text
 
+pytestmark = pytest.mark.byte_contract
+
 
 def _mismatches(values, columns=1):
     """(value, rendered, repr) for each value whose CSV text is not its repr."""
