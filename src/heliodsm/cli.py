@@ -34,6 +34,7 @@ import numpy as np
 
 from . import _threads, io, verify
 from .forward import add_noise, check_assumptions, synthesize_cauchy
+from .geometry import _held_builds
 from .locator import dsm, dsm2
 from .presets import PRESETS, ConfigError, ExperimentConfig, exact_table, preset_config
 
@@ -89,6 +90,7 @@ def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
     report = check_assumptions(ensemble, cfg.wavenumber)
     for note in report.warnings:
         _say(args, note)
+    built_before = _held_builds.count
     t0 = time.perf_counter()
     clean = synthesize_cauchy(ensemble, cfg.wavenumber, cfg.surface())
     noisy = add_noise(clean, cfg.noise_spec())
@@ -111,6 +113,7 @@ def _synthesize(cfg: ExperimentConfig, out: Path, args) -> tuple:
             "synthesize_seconds": elapsed,
             "write_seconds": write_seconds,
             "bytes_written": (out / "cauchy.csv").stat().st_size,
+            "held_tables_built": _held_builds.count - built_before,
         },
     )
     _say(args, f"wrote {out / 'cauchy.csv'} ({len(clean.surface)} points)")

@@ -27,13 +27,14 @@ linear in them and nothing in the indicator theory needs them real.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MeasurementSurface, _hold
+from .geometry import MeasurementSurface, _held, _hold
 from .specfun import hankel1
 
 __all__ = [
@@ -85,7 +86,9 @@ class PointSource:
         if loc.ndim != 1 or loc.shape[0] not in (2, 3):
             raise ValueError("location must be a 2- or 3-vector")
         object.__setattr__(self, "scalar_intensity", complex(self.scalar_intensity))
-        eta = _hold(self, "vector_intensity", complex, default=np.zeros(loc.shape))
+        if not cmath.isfinite(self.scalar_intensity):
+            raise ValueError("scalar intensity must be finite")
+        eta = _hold(self, "vector_intensity", complex, "vector intensity", default=np.zeros(loc.shape))
         if eta.shape != loc.shape:
             raise ValueError("vector intensity must match the location dimension")
         lam_abs = abs(self.scalar_intensity)
@@ -271,15 +274,28 @@ def check_inside(ensemble: SourceEnsemble, radius: float) -> None:
 
 
 def synthesize_cauchy(ensemble: SourceEnsemble, k: float, surface: MeasurementSurface) -> CauchyData:
-    """Evaluate the closed-form traces at every surface point."""
+    """Evaluate the closed-form traces at every surface point.
+
+    The traces are held per process (`geometry._held`), keyed by k, the
+    surface points and normals and the sources' locations and intensities,
+    bit for bit, so rerunning a configuration under another noise seed
+    evaluates nothing: 2 x 1806 complex values (58 kB) on a 3D preset
+    sphere, 2 x 200 (6.4 kB) on a 2D preset circle.
+    """
     _check_wavenumber(k)
     if ensemble.dims != surface.dims:
         raise ValueError("ensemble and surface dimensions differ")
     check_inside(ensemble, surface.radius)
-    units = _unit_traces(k, surface.points, surface.normals, ensemble.locations())
-    weights = [[s.scalar_intensity, *s.vector_intensity] for s in ensemble.sources]
-    # summed by numpy's own loop, not BLAS, so no BLAS thread count moves a bit
-    dirichlet, neumann = -np.einsum("tmpc,pc->tm", units, np.array(weights))
+    at = ensemble.locations()
+    weights = np.array([[s.scalar_intensity, *s.vector_intensity] for s in ensemble.sources])
+
+    def build():
+        units = _unit_traces(k, surface.points, surface.normals, at)
+        # summed by numpy's own loop, not BLAS, so no BLAS thread count moves a bit
+        return tuple(-np.einsum("tmpc,pc->tm", units, weights))
+
+    key = ("traces", k, surface.points.shape, *surface._bytes[:2], weights.shape, at.tobytes(), weights.tobytes())
+    dirichlet, neumann = _held(key, build)
     return CauchyData(surface=surface, dirichlet=dirichlet, neumann=neumann)
 
 

@@ -20,13 +20,21 @@ and, where the class promises finite values, checked once by `_hold`: the
 caller's array stays writable and no later write to it reaches the object.
 Arrays the library has just built itself, such as `SamplingGrid.points`,
 are frozen in place without a copy.
+
+Tables that never depend on the noisy data and recur from request to
+request (the R(d) phase tables and lattice factors of `indicators`, the
+clean traces of `forward.synthesize_cauchy` and their `cauchy.csv` text in
+`io`) are held by one rule, `_held`: a process-wide LRU of _HELD_MAX
+read-only entries, each keyed by every input of its build, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +48,50 @@ __all__ = [
     "sphere_surface",
     "make_grid",
 ]
+
+
+# Entries of the process-wide memo of setup-only tables (see `_held`); the
+# most a preset mix holds is fifteen: per 2D preset, the clean traces, their
+# cauchy.csv text, the R(d) phases, the coarse lattice's factors and the fine
+# lattice's mode tables.
+_HELD_MAX = 15
+_held_tables: OrderedDict = OrderedDict()
+_held_lock = threading.Lock()
+# Most bytes one held entry takes, so held memory stays under _HELD_MAX times
+# it: 30^3 factors on the 42 x 43 rule (1.67 MiB), the circulant spectrum
+# (1.16 MiB), 2D phase matrices of 256 x 200 (0.78 MiB), a 1806-point
+# cauchy.csv lead (0.41 MB) and its clean traces (58 kB) fit, 60^3 factors
+# (3.35 MiB) not
+_HELD_BYTES = 2 << 20
+
+
+class _Builds(threading.local):
+    count = 0  # the tables `_held` built on this thread
+
+
+_held_builds = _Builds()
+
+
+def _held(key, build):
+    """build()'s tuple of arrays, held read-only under key in a process-wide
+    LRU of _HELD_MAX entries when they take at most _HELD_BYTES (a held
+    build counts in `_held_builds`), else built for the call.  key must hold
+    every input of build, bit for bit."""
+    with _held_lock:
+        if key in _held_tables:
+            _held_tables.move_to_end(key)
+            return _held_tables[key]
+    arrays = build()
+    if sum(a.nbytes for a in arrays) > _HELD_BYTES:
+        return arrays
+    _held_builds.count += 1
+    for a in arrays:
+        a.flags.writeable = False
+    with _held_lock:
+        _held_tables[key] = arrays
+        while len(_held_tables) > _HELD_MAX:
+            _held_tables.popitem(last=False)
+    return arrays
 
 
 def _hold(obj, name: str, dtype=float, what: str | None = None, default=None) -> np.ndarray | None:
@@ -85,6 +137,11 @@ class DirectionSet:
         return self.nodes.shape[0]
 
 
+# Largest relative gap between a surface point's norm and the radius: rounding
+# only (the preset surfaces sit within 2.2e-16).
+_RADIUS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class MeasurementSurface:
     """Points on the measurement boundary with outward normals and weights."""
@@ -104,11 +161,23 @@ class MeasurementSurface:
         m = self.points.shape[0]
         if self.normals.shape != (m, self.dims) or self.weights.shape != (m,):
             raise ValueError("points, normals and weights must be consistent")
+        if np.any(self.weights <= 0):
+            raise ValueError("surface weights must be positive")
+        # every consumer (`forward.check_inside`, the circulant R(d)) trusts radius
+        radii = np.linalg.norm(self.points, axis=1)
+        if np.max(np.abs(radii - self.radius)) > _RADIUS_TOL * self.radius:
+            raise ValueError(f"surface points must lie at the radius {self.radius}")
         norms = np.linalg.norm(self.normals, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-14:
             raise ValueError("normals must be unit vectors")
         if np.any(np.einsum("ij,ij->i", self.points, self.normals) <= 0):
             raise ValueError("normals must point radially outward")
+
+    @cached_property
+    def _bytes(self) -> tuple[bytes, bytes, bytes]:
+        """The bytes of points, normals and weights, made on first use: the
+        keys of the tables held on this surface (see `_held`) share them."""
+        return self.points.tobytes(), self.normals.tobytes(), self.weights.tobytes()
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -75,11 +75,11 @@ rules and n_phi), the chunked path's phase matrix (key: k, the direction
 nodes and the measurement points), a lattice's axis factors and a 2D
 fine lattice's mode tables (key: k, the direction nodes and the lattice).
 Each is built by the expression that would build it per call, then held
-read-only, bit for bit, in one process-wide LRU of _HELD_MAX entries
-(`_held`, which counts its builds per thread).  A phase matrix or a
-lattice's factors are held when they fit in _HELD_BYTES, whichever driver
-asks, and built for each call otherwise, which bounds the memory they
-hold (dsm's 60^3 factors are not held).  The phase matrix is sized before
+read-only, bit for bit, in the process-wide LRU that also holds the clean
+Cauchy traces and their CSV text (`geometry._held`, which counts its builds
+per thread).  A table is held when it fits in _HELD_BYTES, whichever
+driver asks, and built for each call otherwise, which bounds the memory
+held (dsm's 60^3 factors are not held).  The phase matrix is sized before
 it is built, so one over the cap is still built per chunk; each lattice
 factor is exponentiated in place.  The 2D presets' phase matrices
 (256 x 200, 0.78 MiB) are held, so a warm 2D R(d) forms no exponential.
@@ -93,15 +93,13 @@ decay-rate checks.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads
+from . import _threads, geometry
 from .forward import CauchyData, SourceEnsemble, _check_wavenumber
-from .geometry import DirectionSet, SamplingGrid, _hold, circle_directions, sphere_directions
+from .geometry import DirectionSet, SamplingGrid, _held, _hold, circle_directions, sphere_directions
 from .specfun import bessel_j, spherical_j
 
 __all__ = [
@@ -125,16 +123,6 @@ _RING_BLOCK = 1 << 18
 
 # Largest coordinate gap at which unit vectors still count as a product rule.
 _RULE_TOL = 1e-12
-
-# Entries of the process-wide memo of setup-only tables (see `_held`); the
-# most a preset mix holds is nine, the R(d) phases, the coarse lattice's
-# factors and the fine lattice's mode tables per 2D preset.
-_HELD_MAX = 9
-_held_tables: OrderedDict = OrderedDict()
-_held_lock = threading.Lock()
-# Most bytes one held entry takes: 30^3 factors on the 42 x 43 rule (1.67 MiB)
-# and 2D phase matrices of 256 x 200 (0.78 MiB) fit, 60^3 factors (3.35 MiB) not
-_HELD_BYTES = 2 << 20
 
 # Indicator-integral direction defaults (2D count; 3D product factors).
 DEFAULT_CIRCLE_DIRECTIONS = 256
@@ -230,35 +218,6 @@ def _product_rule(unit: np.ndarray):
     return cos_t, sin_t, n_phi
 
 
-class _Builds(threading.local):
-    count = 0  # the tables `_held` built on this thread
-
-
-_held_builds = _Builds()
-
-
-def _held(key, build, max_bytes=math.inf):
-    """build()'s tuple of arrays, held read-only under key in a process-wide
-    LRU of _HELD_MAX entries when they take at most max_bytes (a held build
-    counts in `_held_builds`), else built for the call.  key must hold every
-    input of build, bit for bit."""
-    with _held_lock:
-        if key in _held_tables:
-            _held_tables.move_to_end(key)
-            return _held_tables[key]
-    arrays = build()
-    if sum(a.nbytes for a in arrays) > max_bytes:
-        return arrays
-    _held_builds.count += 1
-    for a in arrays:
-        a.flags.writeable = False
-    with _held_lock:
-        _held_tables[key] = arrays
-        while len(_held_tables) > _HELD_MAX:
-            _held_tables.popitem(last=False)
-    return arrays
-
-
 def _circulant_parts(surf, nodes: np.ndarray, rows: np.ndarray, k: float):
     """reduced_data's (n_dir, n_rows) contraction on two product rules with
     equal n_phi and the size of its phase table (its spectrum is held, see
@@ -312,7 +271,7 @@ def reduced_data(cauchy: CauchyData, k: float, directions: DirectionSet) -> Redu
         # the cap, in complex128 bytes known before the build, bounds what the
         # LRU keeps; the unheld path builds _CHUNK directions per block, so the
         # whole matrix up to _CHUNK (1848 on a 1806-point sphere: 53 MB)
-        if 16 * exps <= _HELD_BYTES:
+        if 16 * exps <= geometry._HELD_BYTES:
             key = ("phases", k, nodes.shape, nodes.tobytes(), surf.points.shape, surf.points.tobytes())
             (held,) = _held(key, lambda: (_chunked(len(directions), len(surf), phases),))
             parts = _chunked(len(directions), len(rows), lambda s, out: np.matmul(held[s], rows.T, out=out))
@@ -430,7 +389,7 @@ def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
     """`_axis_factors` of the grid, held (see `_held`) when they take at most
     _HELD_BYTES and built for the call otherwise."""
     key = ("lattice", k, directions.nodes.shape, directions.nodes.tobytes(), grid)
-    return _held(key, lambda: _axis_factors(directions, k, grid.axes()), _HELD_BYTES)
+    return _held(key, lambda: _axis_factors(directions, k, grid.axes()))
 
 
 def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
@@ -492,10 +451,11 @@ def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
             size = np.abs(table).max(axis=0)
             modes.append(np.flatnonzero(size >= 2.0**-53 * size.max()))
             tables.append(table[:, modes[-1]])
-        first = np.broadcast_to(tables[0], (len(modes[1]), *tables[0].shape))
-        return first, tables[1].T, (modes[1][:, None] + modes[0]) % len(directions)
+        return tables[0], tables[1].T, (modes[1][:, None] + modes[0]) % len(directions)
 
-    return _held(("modes", k, directions.nodes.shape, directions.nodes.tobytes(), grid), build)
+    # held before the broadcast, so the held-size cap counts A_1 once
+    a_1, last, index = _held(("modes", k, directions.nodes.shape, directions.nodes.tobytes(), grid), build)
+    return np.broadcast_to(a_1, (len(last), *a_1.shape)), last, index
 
 
 def _fine_values(reduced: ReducedData, k: float, components, centres: np.ndarray, side, counts) -> np.ndarray:

@@ -92,13 +92,12 @@ import numpy as np
 
 from . import _threads
 from .forward import CauchyData, _check_wavenumber, _unit_traces
-from .geometry import SamplingGrid, _hold
+from .geometry import SamplingGrid, _held_builds, _hold
 from .indicators import (
     IndicatorField,
     ReducedData,
     _check_components,
     _fine_values,
-    _held_builds,
     default_directions,
     indicator_grid_values,
     reduced_data,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-import heliodsm.indicators
+import heliodsm.geometry
 from heliodsm.forward import add_noise, synthesize_cauchy
 from heliodsm.presets import preset_config
 
@@ -35,9 +35,9 @@ def example4():
 
 @pytest.fixture
 def cold_tables():
-    """Empty the process-wide memo of phase tables, so the next calls build them."""
-    with heliodsm.indicators._held_lock:
-        heliodsm.indicators._held_tables.clear()
+    """Empty the process-wide memo of setup-only tables, so the next calls build them."""
+    with heliodsm.geometry._held_lock:
+        heliodsm.geometry._held_tables.clear()
 
 
 def nearest_errors(recon, exact: np.ndarray) -> list[float]:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from io import BytesIO
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import heliodsm
+import heliodsm._text
 import heliodsm._threads
 import heliodsm.cli
 import heliodsm.forward
@@ -292,8 +294,9 @@ def test_reconstruct_never_builds_grid_points(tmp_path, monkeypatch, preset, alg
 
 
 @pytest.mark.blas_unset
-def test_cli_holds_openblas_to_one_thread(tmp_path, monkeypatch):
-    # synthesis runs under the hold, and the caller's count comes back
+def test_cli_holds_openblas_to_one_thread(tmp_path, monkeypatch, cold_tables):
+    # synthesis (not held yet, so it evaluates the traces) runs under the
+    # hold, and the caller's count comes back
     lib = heliodsm._threads.openblas()
     if lib is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS that exports its thread count")
@@ -336,27 +339,31 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
 
 
 def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
-    # each 2D preset holds its R(d) phase matrix, its coarse lattice factors
-    # and its fine lattice's mode tables: nine entries, which all fit, so a
-    # second round builds none
+    # each 2D preset holds its clean traces and their cauchy.csv text, its
+    # R(d) phase matrix, its coarse lattice factors and its fine lattice's
+    # mode tables: fifteen entries, which all fit, so a second round, under
+    # other noise seeds, builds none
     presets = ["example1", "example2", "example3"]
-    built = []
-    for run in ("cold", "warm"):
+    synthesized, built = [], []
+    for run, seed in (("cold", "0"), ("warm", "1")):
         for preset in presets:
             out = tmp_path / run / preset
-            assert main(["reconstruct", "--preset", preset, "--out", str(out), "--quiet"]) == 0
+            assert main(["reconstruct", "--preset", preset, "--seed", seed, "--out", str(out), "--quiet"]) == 0
+            synthesized.append(json.loads((out / "meta.json").read_text())["held_tables_built"])
             built.append(json.loads((out / "run.json").read_text())["counts"]["phase_tables_built"])
+    assert synthesized == [2, 2, 2, 0, 0, 0]
     assert built == [3, 3, 3, 0, 0, 0]
-    kinds = [key[0] for key in heliodsm.indicators._held_tables]
-    assert kinds == ["phases", "lattice", "modes"] * 3
+    kinds = [key[0] for key in heliodsm.geometry._held_tables]
+    assert kinds == ["traces", "cauchy", "phases", "lattice", "modes"] * 3
 
 
 @pytest.mark.byte_contract
 @pytest.mark.blas_unset
 def test_warm_reconstructs_write_a_fresh_process_bytes(tmp_path):
-    # one process runs each request twice, the second time from held phase
-    # tables and lattice factors (example1's dsm reads the lattice its dsm2
-    # held); a fresh process per request writes the same CSV bytes
+    # one process runs each request twice, the second time from held clean
+    # traces and cauchy.csv text, phase tables and lattice factors
+    # (example1's dsm reads the lattice its dsm2 held); a fresh process per
+    # request writes the same CSV bytes
     env = dict(os.environ)
     src = str(Path(heliodsm.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -406,6 +413,121 @@ def test_cauchy_csv_bytes_match_per_row_writer(tmp_path, request, preset):
     _reference_csv(tmp_path / "want.csv", header, rows)
     write_cauchy_csv(tmp_path / "got.csv", clean, noisy)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _cauchy_body(clean, noisy) -> bytes:
+    """cauchy.csv's rows as one `_text.write_rows` call over every column writes them."""
+    surf = clean.surface
+    columns = [*surf.points.T, *surf.normals.T, surf.weights]
+    for z in (clean.dirichlet, clean.neumann, noisy.dirichlet, noisy.neumann):
+        columns += [z.real, z.imag]
+    buf = BytesIO()
+    heliodsm._text.write_rows(buf, columns)
+    return buf.getvalue()
+
+
+@pytest.mark.byte_contract
+@pytest.mark.blas_unset
+@pytest.mark.parametrize("level", [None, 0.0], ids=["preset_noise", "no_noise"])
+def test_warm_synthesis_writes_the_cold_bytes(tmp_path, cold_tables, level):
+    # the second synthesis of a config reads its clean traces and their
+    # cauchy.csv text from the hold and renders only the noisy columns; both
+    # write what one `_text.write_rows` call over every column writes for
+    # traces evaluated afresh
+    for name in PRESETS:
+        raw = preset_config(name).to_dict()
+        if level is not None:
+            raw["noise"]["level"] = level
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(raw))
+        files, built = [], []
+        for run in ("cold", "warm"):
+            out = tmp_path / run / name
+            assert main(["synthesize", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+            files.append((out / "cauchy.csv").read_bytes())
+            built.append(json.loads((out / "meta.json").read_text())["held_tables_built"])
+        assert built == [2, 0]
+        with heliodsm.geometry._held_lock:
+            heliodsm.geometry._held_tables.clear()
+        cfg = ExperimentConfig.from_dict(raw)
+        clean = heliodsm.forward.synthesize_cauchy(cfg.ensemble(), cfg.wavenumber, cfg.surface())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # example4's level draws a warning
+            noisy = heliodsm.forward.add_noise(clean, cfg.noise_spec())
+        header = files[0].split(b"\r\n", 1)[0] + b"\r\n"
+        assert files[0] == files[1] == header + _cauchy_body(clean, noisy), name
+
+
+# Variants of example1 that differ from it in one input of a hold each; run
+# in this process and, with the hold emptied before each, in a fresh one.
+_HOLD_VARIANTS = """
+import dataclasses, math, sys, warnings
+import numpy as np
+import heliodsm.geometry
+from heliodsm.forward import SourceEnsemble, add_noise, synthesize_cauchy
+from heliodsm.geometry import MeasurementSurface
+from heliodsm.io import write_cauchy_csv
+from heliodsm.presets import preset_config
+
+
+def variants():
+    cfg = preset_config("example1")
+    ens, k, surf = cfg.ensemble(), cfg.wavenumber, cfg.surface()
+    first, *rest = ens.sources
+    lam = first.scalar_intensity
+    louder = dataclasses.replace(first, scalar_intensity=complex(math.nextafter(lam.real, math.inf), lam.imag))
+    weights = np.array(surf.weights)
+    weights[0] = math.nextafter(weights[0], math.inf)
+    return cfg.noise_spec(), {
+        "base": (ens, k, surf),
+        "intensity": (SourceEnsemble((louder, *rest)), k, surf),
+        "wavenumber": (ens, math.nextafter(k, math.inf), surf),
+        "weights": (ens, k, MeasurementSurface(surf.dims, surf.points, surf.normals, weights, surf.radius)),
+    }
+
+
+def write(out, names, cold):
+    spec, table = variants()
+    for name in names:
+        if cold:
+            with heliodsm.geometry._held_lock:
+                heliodsm.geometry._held_tables.clear()
+        clean = synthesize_cauchy(*table[name])
+        write_cauchy_csv(f"{out}/{name}.csv", clean, add_noise(clean, spec))
+
+
+if __name__ == "__main__":
+    write(sys.argv[1], sys.argv[2:], cold=True)
+"""
+
+
+@pytest.mark.byte_contract
+@pytest.mark.blas_unset
+def test_holds_share_no_entry_across_one_input(tmp_path, cold_tables):
+    # a source intensity or k one ulp off builds its own traces and text; a
+    # surface weight one ulp off builds its own text and reads the traces,
+    # which do not depend on the weights; each file is a fresh process's
+    names = ["base", "intensity", "wavenumber", "weights"]
+    space = {}
+    exec(_HOLD_VARIANTS, space)
+    built = []
+    for name in names:
+        before = heliodsm.geometry._held_builds.count
+        space["write"](tmp_path, [name], cold=False)
+        built.append(heliodsm.geometry._held_builds.count - before)
+    assert built == [2, 2, 2, 1]
+    kinds = [key[0] for key in heliodsm.geometry._held_tables]
+    assert kinds.count("traces") == 3 and kinds.count("cauchy") == 4
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    env = dict(os.environ)
+    src = str(Path(heliodsm.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _HOLD_VARIANTS, str(fresh), *names], env=env, check=True, timeout=300)
+    texts = [(tmp_path / f"{name}.csv").read_bytes() for name in names]
+    assert len(set(texts)) == len(names)
+    for name, text in zip(names, texts):
+        assert text == (fresh / f"{name}.csv").read_bytes(), name
 
 
 def test_cli_synthesize_writes_expected_rows(tmp_path):
@@ -470,10 +592,22 @@ def _short_row(text):
     return "\r\n".join(lines)
 
 
+def _points_scaled(scale):
+    """A damage that moves every point of a 2D cauchy.csv off the radius by `scale`."""
+    def damage(text):
+        lines = text.split("\r\n")
+        for i in range(1, len(lines) - 1):
+            x1, x2, rest = lines[i].split(",", 2)
+            lines[i] = ",".join([repr(float(x1) * scale), repr(float(x2) * scale), rest])
+        return "\r\n".join(lines)
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
-    [lambda text: "", lambda text: text.split("\r\n")[0] + "\r\n", _short_row],
-    ids=["empty", "header_only", "row_width"],
+    [lambda text: "", lambda text: text.split("\r\n")[0] + "\r\n", _short_row, _points_scaled(1.5),
+     _points_scaled(1.0 + 1e-9)],
+    ids=["empty", "header_only", "row_width", "points_off_radius", "points_off_radius_by_1e-9"],
 )
 def test_reconstruct_rejects_malformed_cauchy_csv(tmp_path, capsys, damage):
     out = tmp_path / "run"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heliodsm._threads
+import heliodsm.geometry
 from heliodsm.forward import (
     CauchyData,
     NoiseSpec,
@@ -40,6 +41,10 @@ def test_source_must_be_pure():
     for location in ([math.nan, 0.0], [0.0, math.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             monopole(location, 1.0)
+    for make, intensity in ((monopole, math.nan), (monopole, math.inf), (monopole, complex(1.0, -math.inf)),
+                            (dipole, [math.nan, 0.0]), (dipole, [0.0, complex(math.inf, 0.0)])):
+        with pytest.raises(ValueError, match="intensity must be finite"):  # not as a mixed source
+            make([0.0, 0.0], intensity)
     src = monopole([1.0, 2.0], 3.0 + 1.0j)
     assert src.is_monopole
     with pytest.raises(ValueError):
@@ -287,6 +292,8 @@ def test_synthesis_bits_do_not_depend_on_blas_threads():
     try:
         for threads in (1, 2):
             lib.scipy_openblas_set_num_threads64_(threads)
+            with heliodsm.geometry._held_lock:  # so each round evaluates the traces
+                heliodsm.geometry._held_tables.clear()
             runs.append([synthesize_cauchy(c.ensemble(), c.wavenumber, c.surface()) for c in cfgs])
     finally:
         lib.scipy_openblas_set_num_threads64_(old)

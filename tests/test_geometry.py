@@ -211,6 +211,25 @@ def test_validation_errors():
             make_grid(lower, upper, [4, 4])
 
 
+def test_surface_refuses_bad_weights_and_points_off_the_radius():
+    d = circle_directions(8)
+    with pytest.raises(ValueError, match="weights must be positive"):
+        MeasurementSurface(2, 2 * d.nodes, d.nodes, -np.ones(8), 2.0)
+    for zero_at in (0, 7):
+        weights = np.ones(8)
+        weights[zero_at] = 0.0
+        with pytest.raises(ValueError, match="weights must be positive"):
+            MeasurementSurface(2, 2 * d.nodes, d.nodes, weights, 2.0)
+    with pytest.raises(ValueError, match="must lie at the radius"):
+        MeasurementSurface(2, 2 * d.nodes, d.nodes, np.ones(8), 5.0)
+    points = 2 * d.nodes
+    points[3] *= 1.0 + 1e-9  # one point off by more than rounding
+    with pytest.raises(ValueError, match="must lie at the radius"):
+        MeasurementSurface(2, points, d.nodes, np.ones(8), 2.0)
+    points[3] = 2 * d.nodes[3] * (1.0 + 2**-52)  # rounding is not refused
+    assert len(MeasurementSurface(2, points, d.nodes, np.ones(8), 2.0)) == 8
+
+
 def test_immutability():
     d = circle_directions(8)
     with pytest.raises(ValueError):

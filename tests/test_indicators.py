@@ -11,8 +11,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import heliodsm.geometry as geometry
 import heliodsm.indicators as ind
-from heliodsm.forward import SourceEnsemble, add_noise, dipole, monopole, synthesize_cauchy
+from heliodsm.forward import CauchyData, SourceEnsemble, add_noise, dipole, monopole, synthesize_cauchy
 from heliodsm.geometry import (
     DirectionSet,
     MeasurementSurface,
@@ -565,9 +566,9 @@ def test_surface_read_back_from_csv_takes_the_circulant_path(tmp_path, example4)
 
 def _builds(call):
     """call()'s result and how many held tables it built on this thread."""
-    before = ind._held_builds.count
+    before = geometry._held_builds.count
     out = call()
-    return out, ind._held_builds.count - before
+    return out, geometry._held_builds.count - before
 
 
 def test_held_spectrum_gives_the_built_bits(example4, cold_tables):
@@ -610,7 +611,7 @@ def test_grid_values_hold_the_lattice_factors_that_fit(example4, cold_tables):
         warm, warm_built = _builds(lambda: indicator_grid_values(red, k, grid, cfg.components))
         assert (cold_built, warm_built) == ((1, 0) if held else (0, 0))
         assert cold.tobytes() == warm.tobytes() == fresh.tobytes()
-        assert [key[-1] for key in ind._held_tables if key[0] == "lattice"] == ([grid] if held else [])
+        assert [key[-1] for key in geometry._held_tables if key[0] == "lattice"] == ([grid] if held else [])
 
 
 def test_held_tables_are_read_only(example1, example4):
@@ -618,7 +619,7 @@ def test_held_tables_are_read_only(example1, example4):
         red = reduced_data(noisy, cfg.wavenumber, cfg.direction_set())
         lattice = make_grid([0.0] * cfg.dims, [0.4] * cfg.dims, FINE_COUNTS_2D if cfg.dims == 2 else FINE_COUNTS_3D)
         ind._lattice_factors(red.directions, cfg.wavenumber, lattice)
-    held = [a for arrays in ind._held_tables.values() for a in arrays]
+    held = [a for arrays in geometry._held_tables.values() for a in arrays]
     assert len(held) >= 3 + 2 + 1  # 3D lattice, 2D lattice, spectrum
     for a in held:
         assert not a.flags.writeable
@@ -637,21 +638,21 @@ def test_held_2d_phases_give_the_per_chunk_bits(example1, cold_tables, monkeypat
     cold, cold_built = _builds(lambda: reduced_data(noisy, k, dirs))
     warm, warm_built = _builds(lambda: reduced_data(noisy, k, dirs))
     assert (cold_built, warm_built) == (1, 0)
-    assert [key[0] for key in ind._held_tables] == ["phases"]
-    (phases,) = ind._held_tables[next(iter(ind._held_tables))]
-    assert phases.shape == (256, 200) and phases.nbytes <= ind._HELD_BYTES
+    assert [key[0] for key in geometry._held_tables] == ["phases"]
+    (phases,) = geometry._held_tables[next(iter(geometry._held_tables))]
+    assert phases.shape == (256, 200) and phases.nbytes <= geometry._HELD_BYTES
     assert not phases.flags.writeable
     with pytest.raises(ValueError):
         phases[0, 0] = 0.0
-    ind._held_tables.clear()
-    monkeypatch.setattr(ind, "_HELD_BYTES", phases.nbytes - 1)
+    geometry._held_tables.clear()
+    monkeypatch.setattr(geometry, "_HELD_BYTES", phases.nbytes - 1)
     unheld, unheld_built = _builds(lambda: reduced_data(noisy, k, dirs))
-    assert unheld_built == 0 and not ind._held_tables
+    assert unheld_built == 0 and not geometry._held_tables
     assert cold.phase_exps == warm.phase_exps == unheld.phase_exps == 256 * 200
     assert cold.values.tobytes() == warm.values.tobytes() == unheld.values.tobytes()
 
 
-def test_each_table_input_gets_its_own_entry(cold_tables):
+def test_each_table_input_gets_its_own_entry(cold_tables, tmp_path):
     dirs = sphere_directions(42, 43)
     box = make_grid([0, 0, 0], [0.6, 0.6, 0.6], [5, 5, 5])
     lattices = [
@@ -672,16 +673,33 @@ def test_each_table_input_gets_its_own_entry(cold_tables):
         (circle, 10.0, circle_directions(48)),
         (_noisy(cfg2, circle_surface(cfg2.measurement_radius, 41)), 10.0, circle_directions(32)),
     ]
+    pair = SourceEnsemble((monopole([0.5, 0.0], 1.0), dipole([-0.5, 0.2], [0.3, 0.1])))
+    louder = SourceEnsemble((monopole([0.5, 0.0], math.nextafter(1.0, 2.0)), pair.sources[1]))
+    ring = circle_surface(2.0, 40)
+    traces = [  # base, k by one ulp, one intensity by one ulp, measurement count
+        (pair, 10.0, ring),
+        (pair, math.nextafter(10.0, 11.0), ring),
+        (louder, 10.0, ring),
+        (pair, 10.0, circle_surface(2.0, 41)),
+    ]
+    clean = synthesize_cauchy(pair, 10.0, ring)
+    reweighted = MeasurementSurface(2, ring.points, ring.normals, 2.0 * ring.weights, ring.radius)
+    leads = [clean, CauchyData(reweighted, clean.dirichlet, clean.neumann)]  # base, surface weights
+    with geometry._held_lock:  # the inputs' own synthesis held traces
+        geometry._held_tables.clear()
     calls = ([lambda args=args: ind._lattice_factors(*args) for args in lattices]
              + [lambda data=data, k=k: reduced_data(data, k, dirs) for data, k in spectra]
-             + [lambda args=args: reduced_data(*args) for args in phases])
-    assert len(calls) > ind._HELD_MAX
+             + [lambda args=args: reduced_data(*args) for args in phases]
+             + [lambda args=args: synthesize_cauchy(*args) for args in traces]
+             + [lambda data=data: write_cauchy_csv(tmp_path / "cauchy.csv", data) for data in leads])
+    assert len(calls) > geometry._HELD_MAX
     # each call builds its own entry; beyond the bound the least recently used one goes
     for i, call in enumerate(calls):
         assert _builds(call)[1] == 1
-        assert len(ind._held_tables) == min(i + 1, ind._HELD_MAX)
-    assert sorted(key[0] for key in ind._held_tables) == ["lattice"] * 2 + ["phases"] * 4 + ["spectrum"] * 3
-    evicted = len(calls) - ind._HELD_MAX
+        assert len(geometry._held_tables) == min(i + 1, geometry._HELD_MAX)
+    assert sorted(key[0] for key in geometry._held_tables) == (
+        ["cauchy"] * 2 + ["lattice"] * 2 + ["phases"] * 4 + ["spectrum"] * 3 + ["traces"] * 4)
+    evicted = len(calls) - geometry._HELD_MAX
     for call in calls[evicted:]:
         assert _builds(call)[1] == 0
     for call in calls[:evicted]:

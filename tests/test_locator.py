@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import heliodsm._threads
+import heliodsm.geometry
 import heliodsm.indicators
 import heliodsm.locator
 from heliodsm.forward import (
@@ -591,13 +592,13 @@ def test_batched_refine_matches_per_peak_fine_grids(case, cold_tables):
     ]
     assert len({p.component for p in peaks}) == grid.dims + 1
     fine_counts = FINE_COUNTS_2D if grid.dims == 2 else FINE_COUNTS_3D
-    before = heliodsm.indicators._held_builds.count
+    before = heliodsm.geometry._held_builds.count
     refined = _refine(peaks, reduced, k, grid, fine_counts)
     assert len(refined) == len(peaks)
     # the lattice factors are built once, then held: the warm call gives the same bits
-    built = heliodsm.indicators._held_builds.count
+    built = heliodsm.geometry._held_builds.count
     again = _refine(peaks, reduced, k, grid, fine_counts)
-    assert (built - before, heliodsm.indicators._held_builds.count - built) == (1, 0)
+    assert (built - before, heliodsm.geometry._held_builds.count - built) == (1, 0)
     for got, warm in zip(refined, again):
         assert (got.location.tobytes(), got.magnitude, got.grid_index) == (
             warm.location.tobytes(), warm.magnitude, warm.grid_index)
@@ -651,9 +652,9 @@ def test_refine_matches_the_ring_kernel(preset, cold_tables):
             values = indicator_grid_values(reduced, k, grid, comps)
             peaks = [p for i, ell in enumerate(comps) for p in find_peaks(
                 IndicatorField(grid=grid, component=ell, values=values[:, i]), 0.5, 4 * math.pi / k)]
-            before = heliodsm.indicators._held_builds.count
+            before = heliodsm.geometry._held_builds.count
             got = _refine(peaks, reduced, k, grid, fine_counts)
-            built += heliodsm.indicators._held_builds.count - before
+            built += heliodsm.geometry._held_builds.count - before
             again = _refine(peaks, reduced, k, grid, fine_counts)
             assert [(p.location.tobytes(), p.magnitude, p.grid_index) for p in got] == [
                 (p.location.tobytes(), p.magnitude, p.grid_index) for p in again]
@@ -664,7 +665,7 @@ def test_refine_matches_the_ring_kernel(preset, cold_tables):
             checked += len(got)
     assert checked >= (50 if cfg.dims == 2 else 30) * len(grids)
     assert worst <= 4e-15
-    fine = [arrays for key, arrays in heliodsm.indicators._held_tables.items()
+    fine = [arrays for key, arrays in heliodsm.geometry._held_tables.items()
             if key[0] == kind and key[-1].counts == fine_counts]
     assert built == len(fine) == len({tuple(min(2 * math.pi / k, hi - lo) for lo, hi in zip(g.lower, g.upper))
                                       for g in grids})
