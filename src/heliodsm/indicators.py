@@ -21,25 +21,29 @@ with a_0 = 1 and a_ell = N i / k otherwise.
 
 Both integrals are contractions of a phase table against a few weight
 rows.  The heavy ones (R(d) over direction chunks, indicators at probe
-points, indicators on grids) run through one private kernel, `_chunked`,
-which splits its result into the fewest blocks of rows under a size cap,
-with row counts that differ by at most one, and spreads them over the
-worker threads; each block writes its last BLAS product straight into its
-own rows.  The blocks, not the worker count, fix every sum, and
-`_threads.map_chunks` holds the bundled OpenBLAS to one thread while they
-run, so results are bitwise independent of the worker count.
+points, indicators on grids) fill their result through one private
+splitter, `_chunked`: the fewest blocks under a size cap, whose sizes
+differ by at most one, each written straight into its own part of the
+result, spread over the worker threads by `_threads.map_chunks`.  The
+blocks depend only on the problem size, and `map_chunks` holds the bundled
+OpenBLAS to one thread while they run, so results are bitwise independent
+of the worker count.
 
 On rectangular grids of any dimension the plane-wave factor separates per
 axis, and `_grid_kernel`, the one lattice contraction, sees the direction
 sum as A rings of B terms.  On axis factors the rings are directions that
 share their last coordinate d_N: a ring-major product rule (see
 `_product_rule`) gives n_theta rings of B = n_phi; any other set, and all
-of 2D, gives n_dir rings of B = 1.  The kernel folds its weight columns
-(the component weights, or one column per fine grid) and the factors of
-the middle axes into (A, B, R) rows W_a, forms one per-ring product
-H_a = X_a @ W_a with the first axis' factor X_a, and contracts the rings
-with the last axis' factor, which is constant on every ring.  On the
-42 x 43 rule and a 60^3 grid that is about 16 M complex multiply-adds per
+of 2D, gives n_dir rings of B = 1.  The kernel writes its (n_points, P)
+result in flat grid order, one slab of slices of the slowest axis but the
+last at a time (the middle axis in 3D, the first in 2D).  In 3D a slab
+folds its own slices of the middle axis' factor into the weight columns
+(the component weights, or one column per fine grid).  Each slab forms
+the per-ring products H_a = X_a @ W_a with the first axis' factor X_a,
+and contracts the rings with the last axis' factor, which is constant on
+every ring.  So besides its inputs and its result a call holds one slab's
+temporaries, at most _RING_BLOCK entries or one slice.  On the 42 x 43
+rule and a 60^3 grid that is about 16 M complex multiply-adds per
 component instead of 390 M for one product over all directions.
 
 Every fine grid of dsm2 is one local lattice x centred on 0, shifted to
@@ -50,10 +54,11 @@ call reads x's axis factors.  In 2D it reads x's mode tables
 (`_mode_tables`): on an axis that spans at most one wavelength, k|x| <= pi,
 so by the Jacobi-Anger expansion e^{-ik x cos t} = sum_m (-i)^m J_m(kx)
 e^{imt} the DFT of an axis factor over the directions keeps only the
-columns at or above 2^-53 of its largest entry (44-51 of 256 on the 2D
-presets).  The double sum over the kept modes of the two axes is the ring
-sum with the second axis' modes as rings, so the tables are the kernel's
-factors and the weights' spectrum its weights.  The cut comes from the
+columns at or above 2^-50 of its largest entry, a cut between the DFT's
+rounding noise and the expansion's tail (41 of 256 on the 2D presets).
+The double sum over the kept modes of the two axes is the ring sum with
+the second axis' modes as rings, so the tables are the kernel's factors
+and the weights' spectrum its weights.  The cut comes from the
 table itself, so any direction set is served (an irregular one keeps more
 modes).  3D keeps its axis factors: an equatorial ring needs about 45
 modes over one wavelength, more than its 43 azimuths.
@@ -117,9 +122,10 @@ __all__ = [
 
 _CHUNK = 2048
 
-# Entries of the per-ring sums H that one grid-kernel block holds at most
-# (4 MiB): every preset lattice, 60^3 included, is one block and runs inline.
-_RING_BLOCK = 1 << 18
+# Entries (512 KiB) of the temporaries one grid-kernel slab holds at most:
+# its folded weights, ring sums and last product.  Larger slabs ran a
+# little faster, but every worker thread keeps its largest slab's memory.
+_RING_BLOCK = 1 << 15
 
 # Largest coordinate gap at which unit vectors still count as a product rule.
 _RULE_TOL = 1e-12
@@ -177,19 +183,23 @@ def default_directions(dims: int) -> DirectionSet:
     return sphere_directions(*DEFAULT_SPHERE_DIRECTIONS)
 
 
-def _chunked(n_rows: int, width: int, fill, max_rows: int = _CHUNK) -> np.ndarray:
-    """(n_rows, width) complex array whose rows s fill(s, out) writes into
-    out, the view of them, for each block s.  The blocks are the fewest of
-    at most max_rows rows, with row counts that differ by at most one (a
-    lone remainder row would take BLAS's matrix-vector path and round
-    differently); they, not the worker count, fix every sum."""
-    out = np.empty((n_rows, width), dtype=complex)
+def _chunked(n_rows: int, width: int, fill, max_rows: int = _CHUNK, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """(*lead, n_rows, width) complex array filled block by block: for each
+    block s of rows, fill(s, out) writes all of out, the view [..., s, :].
+
+    The blocks are the fewest of at most max_rows rows whose row counts
+    differ by at most one (a lone remainder row would take BLAS's
+    matrix-vector path and round differently).  They depend on n_rows and
+    max_rows alone, and `_threads.map_chunks` runs them on the workers, so
+    every sum is fixed by the problem size, not by the worker count.
+    """
+    out = np.empty((*lead, n_rows, width), dtype=complex)
     n_blocks = max(1, -(-n_rows // max_rows))
     bounds = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
 
     def run(i: int) -> None:
         s = slice(bounds[i], bounds[i + 1])
-        fill(s, out[s])
+        fill(s, out[..., s, :])
 
     _threads.map_chunks(run, list(range(n_blocks)))
     return out
@@ -393,38 +403,52 @@ def _lattice_factors(directions: DirectionSet, k: float, grid: SamplingGrid):
 
 
 def _grid_kernel(weights: np.ndarray, factors) -> np.ndarray:
-    """sum_d weights[d, p] e^{-ik d.z} on a lattice, as (n_points, P), from
-    the lattice's `_axis_factors`; a 2D lattice's `_mode_tables` serve as
-    factors too, with the weights' spectrum gathered as weights.
+    """sum_d weights[d, p] e^{-ik d.z} on a lattice, as (n_points, P) in flat
+    grid order (first axis fastest), from the lattice's `_axis_factors`; a
+    2D lattice's `_mode_tables` serve as factors too, with the weights'
+    spectrum gathered as weights.
 
-    Exploits the tensor-product structure of the lattice and the ring
-    structure of the directions (see `_rings`): with x, y, z the first,
-    middle and last axes,
+    With x, y, z the first, middle and last axes and the directions as
+    rings (see `_rings`),
 
         I(x, y, z) = sum_a e^{-ik z c_a} sum_b e^{-ik x d_x} [v e^{-ik y d_y}](a, b),
 
-    where c_a is ring a's d_N and v the weight columns.  The bracket is
-    folded into (A, B, n_y * P) rows W; for each block of first-axis
-    points, one batched product forms the ring sums H_a = X_a @ W_a and one
-    product contracts them with the last axis' (A x n_z) factor.  Blocks
-    hold at most _RING_BLOCK entries of H (or one first-axis point), which
-    also bounds the memory when every ring has one direction.
+    where c_a is ring a's d_N and v the weight columns.  The result is
+    filled by `_chunked` in slabs of slices of the slowest axis but the
+    last: y in 3D, x in 2D.  In 3D a slab folds its slices of y's factor
+    into the bracket, (A, B, n_s * P) rows W_a, and one batched product
+    forms the ring sums H_a = X_a @ W_a; in 2D it forms them from its
+    slices of X_a and v.  One product contracts the rings with the last
+    axis' (A x n_z) factor into (rows, n_z), which is copied into the
+    slab's part of the result.  Formed the other way round, straight into
+    the result, that product's BLAS blocking would follow P, and on the 2D
+    collection grid a component's bits would depend on which other
+    components were asked for.  A slab's folded weights, ring sums and
+    product take at most _RING_BLOCK entries, or one slice.
     """
     first, *middle, last = factors
     n_ring, n_x, per_ring = first.shape
-    w = weights.reshape(n_ring, per_ring, -1)
-    for f in middle:  # a later axis varies slower
-        w = (f[:, :, :, None] * w[:, :, None, :]).reshape(n_ring, per_ring, -1)
-    width, n_z = w.shape[2], last.shape[1]
+    n_z, n_cols = last.shape[1], weights.shape[1]
+    w = weights.reshape(n_ring, per_ring, n_cols)
+    if middle:  # slabs of middle-axis slices y, each folded into its own weights
+        (mid,) = middle
+        n_slab, n_row, fold = mid.shape[2], n_x, n_ring * per_ring
+
+        def ring_sums(s: slice) -> np.ndarray:  # (A, n_x, n_s * P)
+            return np.matmul(first, (mid[:, :, s, None] * w[:, :, None]).reshape(n_ring, per_ring, -1))
+    else:  # slabs of first-axis slices x
+        n_slab, n_row, fold = n_x, 1, 0
+
+        def ring_sums(s: slice) -> np.ndarray:  # (A, n_s, P)
+            return np.matmul(first[:, s], w)
 
     def fill(s: slice, out: np.ndarray) -> None:
-        ring_sums = np.matmul(first[:, s], w).reshape(n_ring, -1)  # (A, n_s * width)
-        np.matmul(ring_sums.T, last, out=out.reshape(-1, n_z))
+        product = np.matmul(ring_sums(s).reshape(n_ring, -1).T, last)  # rows (x, y, p), columns z
+        out.reshape(n_z, -1, n_row, n_cols)[...] = product.reshape(n_row, -1, n_cols, n_z).transpose(3, 1, 0, 2)
 
-    out = _chunked(n_x, width * n_z, fill, max(1, _RING_BLOCK // (n_ring * width)))
-    # out[x, (y, p, z)] -> flat grid order: x + n_x * (y + n_y * z)
-    n_cols = weights.shape[1]
-    return out.reshape(n_x, -1, n_cols, n_z).transpose(3, 1, 0, 2).reshape(-1, n_cols)
+    # out[z, y, (x, p)] (2D: out[y, (x, p)]) is the flat grid order x + n_x * (y + n_y * z)
+    per_slice = n_cols * (fold + n_row * (n_ring + n_z))
+    return _chunked(n_slab, n_row * n_cols, fill, max(1, _RING_BLOCK // per_slice), lead=(n_z,)).reshape(-1, n_cols)
 
 
 def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
@@ -432,8 +456,12 @@ def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
     and the Hankel index that gathers its weights.
 
     Per axis i, A_i[x, m] is the DFT over the n directions of e^{-ik x d_i}
-    divided by n, without the columns m below 2^-53 of its largest entry.
-    With F the weight columns' inverse DFT over the directions times n,
+    divided by n, without the columns m below 2^-50 of its largest entry.
+    That cut sits in the gap between the DFT's rounding noise and the
+    Jacobi-Anger tail: on the 2D presets' fine lattices no noise column
+    reaches 2.6e-16 of the largest entry and no tail column falls below
+    3.0e-15, so each axis keeps 41 modes.  With F the weight columns'
+    inverse DFT over the directions times n,
 
         I(x1, x2) = sum_{m2} A_2[x2, m2] sum_{m1} A_1[x1, m1] F[(m1 + m2) mod n],
 
@@ -449,7 +477,7 @@ def _mode_tables(directions: DirectionSet, k: float, grid: SamplingGrid):
         for axis, d in zip(grid.axes(), directions.nodes.T):
             table = np.fft.fft(np.exp(-1j * k * np.outer(axis, d)), axis=1, norm="forward")
             size = np.abs(table).max(axis=0)
-            modes.append(np.flatnonzero(size >= 2.0**-53 * size.max()))
+            modes.append(np.flatnonzero(size >= 2.0**-50 * size.max()))
             tables.append(table[:, modes[-1]])
         return tables[0], tables[1].T, (modes[1][:, None] + modes[0]) % len(directions)
 

@@ -313,22 +313,37 @@ def test_grid_kernel_matches_pointwise(example1, example4, rule, components):
 
 @pytest.mark.blas_unset
 def test_grid_kernel_peak_allocation(example4):
-    # the 60^3 product over all 1806 directions held a 104 MB phase table;
-    # the ring sums stay within a few MB besides the 3.5 MB result (12.2 MB
-    # traced in all, the lattice one block of 2.4 MB ring sums)
+    # besides its inputs the kernel holds its result and one slab of at most
+    # _RING_BLOCK entries or one slice; holding all ring sums and then
+    # copying the result into grid order, it took 8.6, 7.6 and 11.7 MB here
     import tracemalloc
+
+    from heliodsm import _threads
 
     cfg, _, _, noisy = example4
     k = cfg.wavenumber
     red = reduced_data(noisy, k, cfg.direction_set())
-    grid = make_grid([-3, -3, -3], [3, 3, 3], [60, 60, 60])
-    tracemalloc.start()
-    try:
-        indicator_grid_values(red, k, grid, (0,))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    nodes, side = red.directions.nodes, 2.0 * math.pi / k
+    fine_centres = np.random.default_rng(3).uniform(-2, 2, size=(12, 3))
+    cases = (  # dsm's 60^3 x 1, example5's 30^3 x 4, 12 fine grids of 20^3
+        (make_grid([-3] * 3, [3] * 3, [60] * 3), ind._component_weights(red, k, (0,))),
+        (make_grid([-3] * 3, [3] * 3, [30] * 3), ind._component_weights(red, k, (0, 1, 2, 3))),
+        (make_grid([-side / 2] * 3, [side / 2] * 3, FINE_COUNTS_3D),
+         ind._component_weights(red, k, [c % 4 for c in range(12)]) * np.exp(-1j * k * (nodes @ fine_centres.T))),
+    )
+    for grid, weights in cases:
+        n_x, _, n_z = grid.counts
+        slab = max(ind._RING_BLOCK, weights.shape[1] * (42 * 43 + n_x * (42 + n_z)))  # entries, or one slice
+        factors = ind._axis_factors(red.directions, k, grid.axes())
+        with _threads.pinned(1):
+            tracemalloc.start()
+            try:
+                values = ind._grid_kernel(weights, factors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert values.shape == (len(grid), weights.shape[1])
+        assert peak <= values.nbytes + 16 * slab, (grid.counts, peak)
 
 
 def test_conjugation_symmetry_under_mirroring(example1):
@@ -399,9 +414,11 @@ def test_thread_count_does_not_change_results(example4):
     grid = make_grid([-3, -3, -3], [3, 3, 3], [64, 64, 3])
     probes = np.random.default_rng(5).uniform(-3, 3, size=(4100, 3))
     assert min(len(dirs), len(probes)) > ind._CHUNK
-    # grid-kernel blocks: _RING_BLOCK entries of 42 rings x (n_y * L) columns
+    # grid-kernel slabs: _RING_BLOCK entries of middle-axis slices that each
+    # take L * (42 * 43 + n_x * (42 + n_z))
     for g, n_comps in ((small, 4), (grid, 2)):
-        assert g.counts[0] * 42 * g.counts[1] * n_comps > ind._RING_BLOCK
+        n_x, n_y, n_z = g.counts
+        assert n_y * n_comps * (42 * 43 + n_x * (42 + n_z)) > ind._RING_BLOCK
 
     def evaluate():
         return (
@@ -428,38 +445,46 @@ def test_thread_count_does_not_change_results(example4):
 
 
 @pytest.mark.blas_unset
-def test_grid_kernel_blocks_over_the_cap_differ_by_at_most_one_row(example4, monkeypatch):
-    # 71 first-axis rows of 42 rings x 180 ring-sum columns exceed the cap:
-    # three blocks of 23-24 rows, where blocks of the cap's 34 rows would
-    # leave one of 3; the blocks fix the bits, not the worker count
+def test_grid_kernel_slabs_over_the_cap_differ_by_at_most_one_slice(example1, example4, monkeypatch):
+    # 3D slabs are middle-axis slices of L * (42 * 43 + n_x * (42 + n_z))
+    # entries, 2D slabs first-axis slices of L * (256 + n_y): 3 and 41 slices
+    # fit the cap, which would leave a last slab of one slice; the slabs,
+    # not the worker count, fix the bits
     from heliodsm import _threads
 
-    cfg, _, _, noisy = example4
-    k = cfg.wavenumber
-    red = reduced_data(noisy, k, cfg.direction_set())
-    grid = make_grid([-3, -2.5, -2], [3, 3, 3.5], [71, 45, 4])
-    assert 71 * 42 * 45 * 4 > ind._RING_BLOCK
-    rows, chunked = [], ind._chunked
+    cases = (
+        (example4, make_grid([-3, -2.5, -2], [3, 3, 3.5], [9, 22, 7]), [2, 3, 3, 3, 2, 3, 3, 3]),
+        (example1, make_grid([-4, -3], [4, 3.5], [83, 5]), [27, 28, 28]),
+    )
+    chunked = ind._chunked
+    for (cfg, _, _, noisy), grid, slabs in cases:
+        k = cfg.wavenumber
+        red = reduced_data(noisy, k, cfg.direction_set())
+        sizes = []
 
-    def spy(n_rows, width, fill, max_rows):
-        def record(s, out):
-            rows.append(s.stop - s.start)
-            fill(s, out)
+        def spy(n_rows, width, fill, max_rows=ind._CHUNK, lead=()):
+            def record(s, out):
+                sizes.append(s.stop - s.start)
+                fill(s, out)
 
-        return chunked(n_rows, width, record, max_rows)
+            return chunked(n_rows, width, record if lead else fill, max_rows, lead)
 
-    monkeypatch.setattr(ind, "_chunked", spy)
-    with _threads.pinned(1):
-        a = indicator_grid_values(red, k, grid)
-    with _threads.pinned(3):
-        b = indicator_grid_values(red, k, grid)
-    monkeypatch.undo()
-    assert sorted(rows) == [23, 23, 24, 24, 24, 24]
-    assert np.array_equal(a, b)
-    # every block's first and last first-axis rows, on all (y, z)
-    edge = np.isin(np.arange(len(grid)) % 71, [0, 22, 23, 46, 47, 70])
-    point_vals = indicator_at(red, k, grid.points[edge])
-    assert np.max(np.abs(a[edge] - point_vals)) <= 1e-12 * np.max(np.abs(point_vals))
+        monkeypatch.setattr(ind, "_chunked", spy)
+        with _threads.pinned(1):
+            a = indicator_grid_values(red, k, grid)
+        with _threads.pinned(3):
+            b = indicator_grid_values(red, k, grid)
+        monkeypatch.undo()
+        # one worker runs the slabs in order; three finish them in any order
+        assert sizes[: len(slabs)] == slabs and sorted(sizes[len(slabs):]) == sorted(slabs)
+        assert np.array_equal(a, b)
+        # every slab's first and last slice, at every point of the other axes
+        n_x = grid.counts[0]
+        sliced = np.arange(len(grid)) // n_x % grid.counts[1] if grid.dims == 3 else np.arange(len(grid)) % n_x
+        ends = np.cumsum(slabs)
+        edge = np.isin(sliced, np.concatenate([ends - slabs, ends - 1]))
+        point_vals = indicator_at(red, k, grid.points[edge])
+        assert np.max(np.abs(a[edge] - point_vals)) <= 1e-12 * np.max(np.abs(point_vals))
 
 
 def test_thread_count_does_not_change_results_with_blas_threads_unset():
