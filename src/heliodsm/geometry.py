@@ -23,9 +23,10 @@ are frozen in place without a copy.
 
 Tables that never depend on the noisy data and recur from request to
 request (the R(d) phase tables and lattice factors of `indicators`, the
-clean traces of `forward.synthesize_cauchy` and their `cauchy.csv` text in
-`io`) are held by one rule, `_held`: a process-wide LRU of _HELD_MAX
-read-only entries, each keyed by every input of its build, bit for bit.
+clean traces of `forward.synthesize_cauchy`, and in `io` their `cauchy.csv`
+text and the coordinate text of each grid written) are held by one rule,
+`_held`: a process-wide LRU of _HELD_MAX read-only entries, each keyed by
+every input of its build, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,17 +52,18 @@ __all__ = [
 
 
 # Entries of the process-wide memo of setup-only tables (see `_held`); the
-# most a preset mix holds is fifteen: per 2D preset, the clean traces, their
-# cauchy.csv text, the R(d) phases, the coarse lattice's factors and the fine
-# lattice's mode tables.
-_HELD_MAX = 15
+# most a preset mix holds is seventeen: per 2D preset, the clean traces,
+# their cauchy.csv text, the R(d) phases, the coarse lattice's factors and
+# the fine lattice's mode tables, and the coordinate text of the two grids
+# the 2D presets write on. At 16 the three presets rebuild 16 tables a round.
+_HELD_MAX = 17
 _held_tables: OrderedDict = OrderedDict()
 _held_lock = threading.Lock()
 # Most bytes one held entry takes, so held memory stays under _HELD_MAX times
 # it: 30^3 factors on the 42 x 43 rule (1.67 MiB), the circulant spectrum
 # (1.16 MiB), 2D phase matrices of 256 x 200 (0.78 MiB), a 1806-point
-# cauchy.csv lead (0.41 MB) and its clean traces (58 kB) fit, 60^3 factors
-# (3.35 MiB) not
+# cauchy.csv lead (0.41 MB), its clean traces (58 kB) and a 60^3 grid's
+# coordinate text (152 kB) fit, 60^3 factors (3.35 MiB) not
 _HELD_BYTES = 2 << 20
 
 

@@ -23,19 +23,22 @@ run.json
 
 Floats are written with shortest round-trip precision, byte for byte the
 text of Python's repr (rendered for whole columns by `_text.write_rows`;
-grid axes and the short reconstruction table call repr itself), so a file
-read back reproduces the in-memory values exactly; rows end in "\r\n".
+the short reconstruction table calls repr itself), so a file read back
+reproduces the in-memory values exactly; rows end in "\r\n".
 `write_indicator_csv` writes one field; a run writes one file per field.
-The coordinate texts of a grid are rendered once per process and held
-read-only (`_grid_lead`, an LRU of 8 grids) for every later write on that
-grid, so a run's fields share one rendering of their grid.
-The text of cauchy.csv's 2N+5 leading columns (points, normals, weights
-and the clean traces) is held too, as a row lead (`_row_lead`) in the
-process-wide LRU of setup-only tables (`geometry._held`), keyed by those
-columns' bytes: the first write of a configuration renders those columns
-into the lead, and every write, under any noise seed, renders only the four
-noisy columns after it.  The lead is NUL-padded to its longest row: about
-0.41 MB per 1806-point 3D file and 37 kB per 200-point 2D one.
+Text that recurs from write to write is rendered once per process into a
+row lead (`_lead_table`: the rows of `write_rows` text, each ended by ','
+and NUL-padded to the longest) and held read-only in the process-wide LRU
+of setup-only tables (`geometry._held`):
+* a grid's coordinates (`_grid_lead`), keyed by the grid and its bounds'
+  bytes, so a run's fields, and later runs on the grid, share one
+  rendering; a 60^3 grid's takes 152 kB;
+* cauchy.csv's 2N+5 leading columns (points, normals, weights and the
+  clean traces), keyed by those columns' bytes: the first write of a
+  configuration renders those columns into the lead, and every write,
+  under any noise seed, renders only the four noisy columns after it.
+  It takes about 0.41 MB per 1806-point 3D file and 37 kB per 200-point
+  2D one.
 The indicator abs column is hypot(re, im), i.e. Python's abs(complex), which
 can differ by 1 ulp from IndicatorField.magnitude() (np.abs, used for peaks).
 """
@@ -44,12 +47,10 @@ from __future__ import annotations
 
 import csv
 import json
-from functools import lru_cache
+from io import BytesIO
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _text
 from .forward import CauchyData
@@ -73,8 +74,12 @@ def _header(names) -> bytes:
 
 
 def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -> None:
+    """Write clean and noisy data on one measurement surface (the clean data
+    twice without noisy); noisy data on another surface raise ValueError."""
     noisy = noisy if noisy is not None else clean
     surf = clean.surface
+    if noisy.surface is not surf and (noisy.surface._bytes, noisy.surface.radius) != (surf._bytes, surf.radius):
+        raise ValueError("the noisy data lie on another measurement surface than the clean data")
     n = surf.dims
     header = (
         [f"x{i+1}" for i in range(n)]
@@ -84,7 +89,7 @@ def write_cauchy_csv(path, clean: CauchyData, noisy: CauchyData | None = None) -
     )
     lead_columns = [*surf.points.T, *surf.normals.T, surf.weights, *_parts(clean.dirichlet, clean.neumann)]
     key = ("cauchy", n, *surf._bytes, clean.dirichlet.tobytes(), clean.neumann.tobytes())
-    lead = _held(key, lambda: _row_lead(lead_columns))
+    lead = _held(key, lambda: (_lead_table(lead_columns), np.empty((1, 0), np.uint8)))
     with open(path, "wb") as fh:
         fh.write(_header(header))
         _text.write_rows(fh, _parts(noisy.dirichlet, noisy.neumann), lead=lead)
@@ -94,37 +99,14 @@ def _parts(*traces) -> list[np.ndarray]:
     return [part for z in traces for part in (z.real, z.imag)]
 
 
-def _row_lead(columns) -> tuple[np.ndarray, np.ndarray]:
-    """The `_text.write_rows` lead (prefix, last) that starts row r with the
-    CSV text of row r of the float `columns`, each field ended by ','.
-
-    `prefix` holds the rows NUL-padded to the longest; `last` is empty.
-    """
-    # One buffer takes every pass's text and then the row mask, since a
-    # first write in a fresh process faults in each page it allocates. A
-    # field and its separator fit a slot, so a row of slots more than the
-    # text lets the window of the longest row's width fit at every row.
-    text = np.empty(_text.SLOT * len(columns) * (len(columns[0]) + 1), np.uint8)
-    size, ends = 0, []
-
-    def append(chunk):  # a pass of whole rows
-        nonlocal size
-        ends.append(np.flatnonzero(chunk == ord("\n")) + size)
-        text[size : size + len(chunk)] = chunk
-        size += len(chunk)
-
-    _text.write_rows(SimpleNamespace(write=append), columns)
-    ends = np.concatenate(ends)
-    text[ends - 1] = ord(",")  # each row's "\r\n" becomes ",\0"; write_rows drops NUL bytes
-    text[ends] = 0
-    # int16 compares twice as fast as int64 here; a lead row of cauchy.csv is at most 11 x 26 bytes
-    lengths = np.diff(ends, prepend=-1).astype(np.int16)
-    width = int(lengths.max())
-    prefix = sliding_window_view(text, width)[ends + 1 - lengths]  # a copy
-    keep = text[: prefix.size].view(np.bool_).reshape(prefix.shape)  # the text is spent
-    np.less(np.arange(width, dtype=np.int16), lengths[:, None], out=keep)
-    prefix *= keep
-    return prefix, np.empty((1, 0), np.uint8)
+def _lead_table(columns) -> np.ndarray:
+    """The `write_rows` text of the float `columns` as a row-lead table: one
+    row per entry, its "\r\n" made ',', NUL-padded to the longest row."""
+    text = BytesIO()
+    _text.write_rows(text, columns)
+    rows = text.getvalue().replace(b"\r\n", b",\n").splitlines()
+    width = max(map(len, rows))
+    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in rows), np.uint8).reshape(len(rows), width)
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
@@ -178,35 +160,24 @@ def _indicator_header(dims: int) -> list[str]:
 def write_indicator_csv(path, field: IndicatorField) -> None:
     """Write one field as an indicator CSV; its grid's coordinate texts are
     rendered once per process and held (see `_grid_lead`)."""
-    v = field.values
+    v, grid = field.values, field.grid
+    # equal grids can differ in the sign of a zero bound, which the text shows
+    lead = _held(("grid", np.array([grid.lower, grid.upper]).tobytes(), grid), lambda: _grid_lead(grid))
     with open(path, "wb") as fh:
-        fh.write(_header(_indicator_header(field.grid.dims)))
-        _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=_grid_lead(field.grid))
+        fh.write(_header(_indicator_header(grid.dims)))
+        _text.write_rows(fh, [np.hypot(v.real, v.imag), v.real, v.imag], lead=lead)
 
 
-@lru_cache(maxsize=8)
 def _grid_lead(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
     """The `_text.write_rows` lead (prefix, last) that starts row r with grid point r's coordinates.
 
     Grid order is first axis fastest, so row r is prefix[r % P] then
-    last[r // P], P points per last-axis slice: `prefix` holds the joined
-    texts of the other axes, `last` those of the last axis, each
-    NUL-padded and ended by ','.  One read-only copy per grid is held.
+    last[r // P], P points per last-axis slice: `prefix` holds the texts
+    of the other axes' coordinates in grid order, `last` those of the last
+    axis.
     """
-    texts = [repr(x) + "," for x in np.concatenate(grid.axes()).tolist()]
-    ends = np.cumsum(grid.counts)
-    *lead_axes, last = (texts[lo:hi] for lo, hi in zip((0, *ends), ends))
-    prefixes = [""]
-    for axis in lead_axes:
-        prefixes = [p + x for x in axis for p in prefixes]
-    return _nul_padded(prefixes), _nul_padded(last)
-
-
-def _nul_padded(texts: list[str]) -> np.ndarray:
-    """The ASCII texts as the rows of a uint8 matrix, NUL-padded to the longest."""
-    width = max(map(len, texts))
-    data = "".join(t.ljust(width, "\0") for t in texts).encode()
-    return np.frombuffer(data, np.uint8).reshape(len(texts), width)
+    *lead_axes, last = grid.axes()
+    return _lead_table([m.ravel(order="F") for m in np.meshgrid(*lead_axes, indexing="ij")]), _lead_table([last])
 
 
 def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorField:

@@ -205,7 +205,7 @@ def find_peaks(field: IndicatorField, significance: float, merge_radius: float) 
     """
     if not (0.0 < significance <= 1.0):
         raise ValueError("significance must lie in (0, 1]")
-    if merge_radius <= 0:
+    if not 0 < merge_radius < math.inf:
         raise ValueError("merge radius must be positive")
     grid = field.grid
     magnitude = field.magnitude()
@@ -258,7 +258,7 @@ def cluster_peaks(peaks, radius: float) -> list[PeakGroup]:
     grouped transitively, so a group's diameter may exceed the radius; the
     centroid is the plain mean of the member locations.
     """
-    if radius <= 0:
+    if not 0 < radius < math.inf:
         raise ValueError("cluster radius must be positive")
     peaks = list(peaks)
     if not peaks:

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import os
@@ -28,7 +27,8 @@ import heliodsm.io
 import heliodsm.locator
 from heliodsm import verify
 from heliodsm.cli import main
-from heliodsm.geometry import make_grid
+from heliodsm.forward import CauchyData, add_noise, synthesize_cauchy
+from heliodsm.geometry import MeasurementSurface, make_grid
 from heliodsm.indicators import IndicatorField, reduced_data, indicator_field
 from heliodsm.io import (
     read_cauchy_csv,
@@ -103,6 +103,25 @@ def test_cauchy_csv_roundtrip(tmp_path, example1):
     assert np.array_equal(got_clean.neumann, clean.neumann)
     assert np.array_equal(got_noisy.dirichlet, noisy.dirichlet)
     assert np.array_equal(got_noisy.surface.points, clean.surface.points)
+
+
+def test_cauchy_csv_refuses_noisy_data_of_another_surface(tmp_path, example1, example4):
+    cfg2 = preset_config("example2")  # the circle of radius 5, not 6, with as many points
+    clean2 = synthesize_cauchy(cfg2.ensemble(), cfg2.wavenumber, cfg2.surface())
+    data = {"example1": example1[2:], "example2": (clean2, add_noise(clean2, cfg2.noise_spec())),
+            "example4": example4[2:]}
+    for clean, noisy in [("example1", "example2"), ("example4", "example1"), ("example1", "example4")]:
+        path = tmp_path / f"{clean}_{noisy}.csv"
+        with pytest.raises(ValueError, match="another measurement surface"):
+            write_cauchy_csv(path, data[clean][0], data[noisy][1])
+        assert not path.exists()
+    # an equal surface built anew is the same surface
+    clean, noisy = example1[2:]
+    surf = clean.surface
+    twin = MeasurementSurface(surf.dims, surf.points, surf.normals, surf.weights, surf.radius)
+    write_cauchy_csv(tmp_path / "twin.csv", clean, CauchyData(twin, noisy.dirichlet, noisy.neumann))
+    write_cauchy_csv(tmp_path / "same.csv", clean, noisy)
+    assert (tmp_path / "twin.csv").read_bytes() == (tmp_path / "same.csv").read_bytes()
 
 
 def test_indicator_csv_roundtrip(tmp_path, example1):
@@ -187,40 +206,55 @@ def test_indicator_csv_bytes_match_per_row_writer(tmp_path, lower, upper, counts
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def _counted_leads(monkeypatch):
-    """Start from no held grid leads and record the grid of every lead `io` renders."""
+def _grid_renders(monkeypatch):
+    """Record the grid of every lead `io` renders, that is of each held build
+    of kind "grid" (with `cold_tables`, from an empty hold)."""
     calls = []
-
-    def counted(grid):
-        calls.append(grid)
-        return render(grid)
-
-    render = heliodsm.io._grid_lead.__wrapped__
-    monkeypatch.setattr(heliodsm.io, "_grid_lead", functools.lru_cache(maxsize=8)(counted))
+    render = heliodsm.io._grid_lead
+    monkeypatch.setattr(heliodsm.io, "_grid_lead", lambda grid: calls.append(grid) or render(grid))
     return calls
 
 
-def test_grid_leads_are_held_read_only():
+def _grid_entries():
+    return [(key[-1], arrays) for key, arrays in heliodsm.geometry._held_tables.items() if key[0] == "grid"]
+
+
+def test_grid_leads_are_held_read_only(tmp_path, cold_tables):
     grid = make_grid([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])
-    lead = heliodsm.io._grid_lead(grid)
-    assert heliodsm.io._grid_lead(make_grid(grid.lower, grid.upper, grid.counts)) is lead
-    for held, fresh in zip(lead, heliodsm.io._grid_lead.__wrapped__(grid)):
+    for g in (grid, make_grid(grid.lower, grid.upper, grid.counts)):
+        write_indicator_csv(tmp_path / "got.csv", IndicatorField(grid=g, component=0, values=np.ones(len(g))))
+    ((held_grid, lead),) = _grid_entries()
+    assert held_grid == grid
+    for held, fresh in zip(lead, heliodsm.io._grid_lead(grid)):
         assert held.tobytes() == fresh.tobytes() and held.shape == fresh.shape
         assert not held.flags.writeable
 
 
 @pytest.mark.byte_contract
-def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
+def test_grid_leads_tell_signed_zero_bounds_apart(tmp_path, cold_tables):
+    # the grids compare and hash equal, but their last x1 is -0.0 and 0.0
+    grids = [make_grid([-1.0, -1.0], [upper, 1.0], [3, 2]) for upper in (-0.0, 0.0)]
+    assert grids[0] == grids[1]
+    for name, grid in zip("ab", grids):
+        write_indicator_csv(tmp_path / f"{name}.csv", IndicatorField(grid=grid, component=0, values=np.ones(6)))
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [_fmt(x) for x in grid.points[:, 0]]
+    assert len(_grid_entries()) == 2
+
+
+@pytest.mark.byte_contract
+def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch, cold_tables):
     grid = make_grid([-1.7, -2.0, -0.3], [1.1, 2.5, 3.9], [7, 6, 5])
     other = make_grid([-1e-5, 0.0, -3.0], [2e16, 1e-3, 7.0], [5, 4, 3])
     fields = [IndicatorField(grid=g, component=ell, values=_edge_values(len(g), ell))
               for ell, g in enumerate([grid, grid, other, grid])]
-    calls = _counted_leads(monkeypatch)
+    calls = _grid_renders(monkeypatch)
     paths = [tmp_path / f"got_{i}.csv" for i in range(len(fields))]
     with np.errstate(over="ignore"):
         for path, fld in zip(paths, fields):
             write_indicator_csv(path, fld)
     assert calls == [grid, other]  # one row lead per grid
+    assert [g for g, _ in _grid_entries()] == [other, grid]  # grid's last write was the latest use
     for path, fld in zip(paths, fields):
         g = fld.grid
         header = [f"z{i+1}" for i in range(g.dims)] + ["abs", "re", "im"]
@@ -232,7 +266,7 @@ def test_indicator_csvs_render_each_grid_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.byte_contract
-def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
+def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch, cold_tables):
     peak = Peak(location=[0.0, 0.0], component=0, magnitude=3.0000000000000004, grid_index=0)
     dipole = Peak(location=[0.0, 0.0], component=2, magnitude=5e-324, grid_index=3)
     groups = (
@@ -244,7 +278,7 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
     )
     header = ["group", "components", "z1", "z2", "lambda_re", "lambda_im",
               "eta1_re", "eta1_im", "eta2_re", "eta2_im", "magnitude", "kind"]
-    calls = _counted_leads(monkeypatch)
+    calls = _grid_renders(monkeypatch)
     for groups in (groups, ()):  # no groups: the same columns, no rows
         rows = []
         for gi, g in enumerate(groups):
@@ -258,22 +292,25 @@ def test_reconstruction_csv_bytes_match_per_row_writer(tmp_path, monkeypatch):
                                elapsed_seconds=0.0, parameters={"grid_counts": [4, 4]})
         write_reconstruction_csv(tmp_path / "got.csv", recon)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert calls == []  # the table has no grid lead
+    assert calls == [] and not _grid_entries()  # the table has no grid lead
 
 
 @pytest.mark.byte_contract
-def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypatch):
-    # the grid coordinates of all fields take one row lead; config check,
-    # sphere and directions share one Gauss-Legendre rule
-    calls = _counted_leads(monkeypatch)
+def test_reconstruct_renders_text_and_builds_sphere_rule_once(tmp_path, monkeypatch, cold_tables):
+    # the grid coordinates of all fields take one row lead, rendered once
+    # across two requests; config check, sphere and directions share one
+    # Gauss-Legendre rule
+    calls = _grid_renders(monkeypatch)
     rules = []
     leggauss = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: rules.append(n) or leggauss(n))
     heliodsm.geometry.sphere_directions.cache_clear()
-    out = tmp_path / "run"
-    assert main(["reconstruct", "--preset", "example5", "--out", str(out), "--quiet"]) == 0
-    assert len(list(out.glob("indicator_*.csv"))) == 4
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        assert main(["reconstruct", "--preset", "example5", "--seed", seed, "--out", str(out), "--quiet"]) == 0
+        assert len(list(out.glob("indicator_*.csv"))) == 4
     assert calls == [preset_config("example5").grid()]
+    assert [g for g, _ in _grid_entries()] == calls
     assert rules == [42]
 
 
@@ -341,8 +378,11 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
 def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
     # each 2D preset holds its clean traces and their cauchy.csv text, its
     # R(d) phase matrix, its coarse lattice factors and its fine lattice's
-    # mode tables: fifteen entries, which all fit, so a second round, under
-    # other noise seeds, builds none
+    # mode tables, and the row lead of its grid, which example2 and
+    # example3 share: seventeen entries, which all fit, so a second round,
+    # under other noise seeds, builds none; an LRU of 16 would cycle
+    # through them and build 16 tables every round (the last round's use
+    # orders them, so the shared lead comes after example3's tables)
     presets = ["example1", "example2", "example3"]
     synthesized, built = [], []
     for run, seed in (("cold", "0"), ("warm", "1")):
@@ -354,7 +394,9 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
     assert synthesized == [2, 2, 2, 0, 0, 0]
     assert built == [3, 3, 3, 0, 0, 0]
     kinds = [key[0] for key in heliodsm.geometry._held_tables]
-    assert kinds == ["traces", "cauchy", "phases", "lattice", "modes"] * 3
+    per_preset = ["traces", "cauchy", "phases", "lattice", "modes"]
+    assert kinds == per_preset + ["grid"] + per_preset * 2 + ["grid"]
+    assert len(kinds) == heliodsm.geometry._HELD_MAX
 
 
 @pytest.mark.byte_contract

@@ -23,8 +23,9 @@ from heliodsm.geometry import (
     sphere_directions,
     sphere_surface,
 )
-from heliodsm.io import read_cauchy_csv, write_cauchy_csv
+from heliodsm.io import read_cauchy_csv, write_cauchy_csv, write_indicator_csv
 from heliodsm.indicators import (
+    IndicatorField,
     ReducedData,
     decay_probe,
     indicator_at,
@@ -710,20 +711,24 @@ def test_each_table_input_gets_its_own_entry(cold_tables, tmp_path):
     clean = synthesize_cauchy(pair, 10.0, ring)
     reweighted = MeasurementSurface(2, ring.points, ring.normals, 2.0 * ring.weights, ring.radius)
     leads = [clean, CauchyData(reweighted, clean.dirichlet, clean.neumann)]  # base, surface weights
+    grids = [make_grid([-1.0, -1.0], [upper, 1.0], counts)  # base, counts, a bound's sign bit
+             for upper, counts in ((-0.0, [4, 3]), (-0.0, [4, 4]), (0.0, [4, 3]))]
     with geometry._held_lock:  # the inputs' own synthesis held traces
         geometry._held_tables.clear()
     calls = ([lambda args=args: ind._lattice_factors(*args) for args in lattices]
              + [lambda data=data, k=k: reduced_data(data, k, dirs) for data, k in spectra]
              + [lambda args=args: reduced_data(*args) for args in phases]
              + [lambda args=args: synthesize_cauchy(*args) for args in traces]
-             + [lambda data=data: write_cauchy_csv(tmp_path / "cauchy.csv", data) for data in leads])
+             + [lambda data=data: write_cauchy_csv(tmp_path / "cauchy.csv", data) for data in leads]
+             + [lambda g=g: write_indicator_csv(tmp_path / "indicator.csv", IndicatorField(g, 0, np.ones(len(g))))
+                for g in grids])
     assert len(calls) > geometry._HELD_MAX
     # each call builds its own entry; beyond the bound the least recently used one goes
     for i, call in enumerate(calls):
         assert _builds(call)[1] == 1
         assert len(geometry._held_tables) == min(i + 1, geometry._HELD_MAX)
     assert sorted(key[0] for key in geometry._held_tables) == (
-        ["cauchy"] * 2 + ["lattice"] * 2 + ["phases"] * 4 + ["spectrum"] * 3 + ["traces"] * 4)
+        ["cauchy"] * 2 + ["grid"] * 3 + ["lattice"] + ["phases"] * 4 + ["spectrum"] * 3 + ["traces"] * 4)
     evicted = len(calls) - geometry._HELD_MAX
     for call in calls[evicted:]:
         assert _builds(call)[1] == 0

@@ -232,8 +232,15 @@ def test_find_peaks_validation():
     fld = IndicatorField(grid=grid, component=0, values=np.ones(16, dtype=complex))
     with pytest.raises(ValueError):
         find_peaks(fld, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        find_peaks(fld, 0.5, 0.0)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="merge radius must be positive"):
+            find_peaks(fld, 0.5, radius)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_cluster_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="cluster radius must be positive"):
+        cluster_peaks([_peak(0.0, 0.0, 1.0), _peak(0.1, 0.0, 1.0, comp=1)], radius)
 
 
 def _peak(x, y, mag, comp=0, idx=0):
