@@ -15,32 +15,40 @@
   turn into text.
 * **Layout.** ``repr`` writes 1e16 and up, and below 1e-4, as
   ``d.ddde+XX``, and the rest positionally with a ``.0`` suffix on
-  integers. Every value's text sits in a 32-byte slot: the digits behind
-  seven ``0`` bytes, then the exponent suffix, then the value's separator
-  in bytes 30-31 (``,``, or ``\r\n`` after a row's last value), which the
-  last word of the slot takes in the same store. A per-layout table
-  (decimal point position x significant digits) gives the byte window
-  that is kept and where the point goes; uint64 shifts insert it. The
-  bytes left out are NUL, so one ``M[M != 0]`` compacts a whole block of
-  rows.
+  integers. Every value's text and separator sit in a 32-byte slot, four
+  uint64 words: the digits behind seven ``0`` bytes, the exponent suffix
+  in bytes 25-29. The layout table has one column per layout (decimal
+  point at -3..16 x 1..17 significant digits, or the exponent form x
+  1..17 digits), sign and row end, 357 x 2 x 2 = 1428 columns. Each gives
+  the byte window kept, the bytes that move up one place to make room for
+  the point, and the marks or-ed in: the point, ``-`` just before the
+  first character, and ``,`` (``\r\n`` after a row's last value) just
+  after the last, or after the suffix in bytes 30-31 for the exponent
+  form. Every other byte is NUL, so one ``M[M != 0]`` compacts a whole
+  block of rows.
+* **Runs.** The compaction's cost follows the runs of text between NUL
+  bytes, not the bytes. A positional value, and a fallback, is one run
+  from its sign to its separator; the exponent form is two, or three
+  when the NUL hundreds byte of an exponent below 100 splits its suffix.
 * **Row lead.** `write_rows` can start each row with NUL-padded text
   before its slots, such as a grid point's coordinates: a `prefix` table
   that repeats every P rows and a `last` table that advances every P
-  rows, so a block takes them by two slice copies per P-row run.
+  rows, so a block takes them by two slice copies per P-row run. With
+  `prefix` padded at the front and `last` at the back, a row's lead is
+  one run.
 * **Fallback.** Subnormals, infinities and nan take ``repr`` itself, one
-  value at a time; the slot is rewritten whole and gets its separator back.
+  value at a time, and rewrite their slot whole: the text, then the
+  separator.
 * **Workspace.** A call allocates one block for all its passes: the rows
   a pass computes in (15 uint64 and 6 bool rows of `BLOCK` values), the
-  text block, the stacked columns, one separator word per slot (a
-  length-m separator row broadcast over a pass ran the or-ing three times
-  slower) and the compaction mask, which reuses the render rows' bytes.
-  Every op of a pass writes into it (``out=``, in place, ``np.putmask``,
-  or ``np.take(..., out=, mode="clip")`` for the table lookups), so the
-  compacted text is the one array a pass allocates. Pass-length
-  temporaries would be handed back to the kernel by glibc when freed at
-  the top of the heap and faulted in again by the next pass, at about
-  2 us a page. Masked ufuncs (``where=``) are avoided: they ran 10-20
-  times slower than the plain op here.
+  text block, the stacked columns and the compaction mask, which reuses
+  the render rows' bytes. Every op of a pass writes into it (``out=``, in
+  place, ``np.putmask``, or ``np.take(..., out=, mode="clip")`` for the
+  table lookups), so the compacted text is the one array a pass
+  allocates. Pass-length temporaries would be handed back to the kernel
+  by glibc when freed at the top of the heap and faulted in again by the
+  next pass. Masked ufuncs (``where=``) are avoided: they run 10-20 times
+  slower than the plain op.
 
 Integer work runs in int64 where the values fit and otherwise in uint64
 with explicit ``np.uint64`` constants only: numpy 1.x promotes uint64 mixed
@@ -56,7 +64,7 @@ import numpy as np
 
 __all__ = ["write_rows"]
 
-SLOT = 32  # bytes per value: text (at most 24 bytes, in bytes 0-29), separator (bytes 30-31)
+SLOT = 32  # bytes per value: its text and separator, NUL-padded (see Layout)
 # Values rendered per pass. At 4096 values each numpy call's fixed cost is
 # about a third of its time; longer passes pay only because a pass
 # allocates nothing (see Workspace). 16384 wrote 3-5% faster than 8192 but
@@ -71,31 +79,18 @@ _M52 = np.int64((1 << 52) - 1)
 _HIDDEN = _U(1 << 52)
 _ZEROS = _U(0x3030303030303030)  # eight ASCII '0'
 _ONE = np.float64(1.0).view(np.int64)
-_COMMA = _U(ord(",") << 56)  # the last word of a slot with "," in byte 31
-_CRLF = _U(ord("\r") << 48 | ord("\n") << 56)  # "\r\n" in bytes 30-31
 _KMIN = -324  # the least k = floor(log10(2^q)) of a normal double
+_LAYOUTS = 357  # 20 point positions x 17 digit counts, then 17 exponent forms
 
 
-def _floor_log10(num: int, den: int) -> int:
-    k = len(str(num)) - len(str(den))
-    return k - (num * 10 ** max(-k, 0) < den * 10 ** max(k, 0))
+def _log2_pow10(e):
+    """floor(log2(10^e)) of an int or int64 array (Schubfach, exact for |e| <= 1838394)."""
+    return (e * 913124641741) >> 38
 
 
-def _floor_log2_pow10(e: int) -> int:
-    return (10**e).bit_length() - 1 if e >= 0 else -((10**-e).bit_length())
-
-
-def _words(mask: int) -> list[int]:
-    """A 32-byte slot given as an int (byte i at bits 8i) -> its four little-endian words."""
-    return [(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(4)]
-
-
-def _bytes_at(pos: int, text: bytes) -> int:
-    return sum(ch << (8 * (pos + i)) for i, ch in enumerate(text))
-
-
-def _span(lo: int, hi: int) -> int:
-    return _bytes_at(lo, b"\xff" * (hi - lo))
+def _as_words(slots) -> np.ndarray:
+    """uint8 slots (..., 32) -> their four little-endian words (..., 4) as uint64."""
+    return np.ascontiguousarray(slots).view("<u8").astype(np.uint64)
 
 
 @cache
@@ -105,51 +100,64 @@ def _tables():
     # below a power of two (zero significand bits) the interval is half as
     # wide, except at 2^-1022, where the subnormals keep the spacing regular
     scale = np.zeros((3, 4096), np.int64)
-    for i in range(2, 4094):
-        be, irregular = divmod(i, 2)
-        irregular &= be > 1
-        q = be - 1075
-        num, den = (3 if irregular else 1) << max(q, 0), (4 if irregular else 1) << max(-q, 0)
-        k = _floor_log10(num, den)
-        scale[:, i] = k, q + _floor_log2_pow10(-k) + 2, 2 - irregular
+    i = np.arange(2, 4094)
+    be = i >> 1
+    irregular = (i & 1) & (be > 1)
+    q = be - 1075
+    # floor(log10(2^q)), or floor(log10(3/4 2^q)) where irregular, by
+    # Schubfach's integer logarithm (exact for |q| <= 5456721)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    scale[:, 2:4094] = k, q + _log2_pow10(-k) + 2, 2 - irregular
     # powers[:, k - _KMIN]: g = floor(10^-k 2^r) + 1 in [2^125, 2^126), as
     # 32-bit limbs of its low and high 63-bit halves, then the high half
     powers = np.zeros((5, 617), np.uint64)
     for i in range(617):
         e = -(i + _KMIN)
-        shift = 125 - _floor_log2_pow10(e)
+        shift = 125 - _log2_pow10(e)
         if e >= 0:
             g = (10**e << shift if shift >= 0 else 10**e >> -shift) + 1
         else:
             g = (1 << shift) // 10**-e + 1
         lo, hi = g & ((1 << 63) - 1), g >> 63
         powers[:, i] = lo & 0xFFFFFFFF, lo >> 32, hi & 0xFFFFFFFF, hi >> 32, hi
-    # layouts[:, id]: the digit window kept, the bytes from the point on and
-    # the point itself, 3 words each. The digits z sit in bytes 7-23 of the
-    # slot behind seven '0's; a text is z[a:b] '.' z[b:c], and b < 24.
-    rows = []
-    for decpt in range(-3, 17):  # positional: 0.000ddd .. dddd.0
-        for n in range(1, 18):
-            if decpt <= 0:
-                rows.append((6 + decpt, 7 + decpt, 7 + n))
-            else:
-                rows.append((7, 7 + decpt, 7 + max(n, decpt + 1)))
-    for n in range(1, 18):  # exponent form: d.ddd, or d alone
-        rows.append((7, 8 if n > 1 else None, 7 + n))
-    layouts = []
-    for a, b, c in rows:
-        after = dot = 0
-        if b is not None:
-            after, dot = _span(b, SLOT), _bytes_at(b, b".")
-        layouts.append(_words(_span(a, c))[:3] + _words(after)[:3] + _words(dot)[:3])
-    layouts = np.array(layouts, np.uint64).T.copy()
+    # layouts[:, id]: the digit window kept (3 words), the bytes from the
+    # point on (3 words) and the marks or-ed in (4 words). The digits z sit
+    # in bytes 7-23 of the slot behind seven '0's; a text is z[a:b] '.'
+    # z[b:c] (b = 32: no point). The first 357 ids are the positional forms
+    # (0.000ddd .. dddd.0, id (decpt + 3) * 17 + n - 1) and the exponent
+    # forms (d.ddd or d, 340 + n - 1); id + 357 is the negative value and
+    # id + 714 the row's last, whose marks differ.
+    positional = np.arange(_LAYOUTS) < 340
+    decpt = np.repeat(np.arange(-3, 18), 17)
+    n = np.tile(np.arange(1, 18), 21)
+    a = np.where(positional, 6 + np.minimum(decpt, 1), 7)
+    b = np.where(positional, 7 + decpt, np.where(n > 1, 8, SLOT))
+    c = 7 + np.where(positional, np.maximum(n, decpt + 1), n)
+    sep = np.where(positional, c + 1, 30)  # an exponent form's follows its suffix
+    pos = np.arange(SLOT)
+
+    def at(where):
+        return pos == where[:, None]
+
+    window = ((a[:, None] <= pos) & (pos < c[:, None])) * np.uint8(0xFF)
+    after = (pos >= b[:, None]) * np.uint8(0xFF)
+    marks = np.zeros((2, 2, _LAYOUTS, SLOT), np.uint8)  # [ends a row, negative]
+    marks[...] = at(b) * np.uint8(ord("."))
+    marks[:, 1] += at(a - 1) * np.uint8(ord("-"))
+    marks[0] += at(sep) * np.uint8(ord(","))
+    marks[1] += at(sep) * np.uint8(ord("\r")) + at(sep + 1) * np.uint8(ord("\n"))
+    shapes = np.tile(np.concatenate([_as_words(window)[:, :3], _as_words(after)[:, :3]], axis=1), (4, 1))
+    layouts = np.concatenate([shapes, _as_words(marks).reshape(4 * _LAYOUTS, 4)], axis=1).T.copy()
     # suffixes[e + 309]: the top word of an exponent-form slot, 'e', sign
     # and digits in bytes 25-29 (the hundreds byte NUL below 100); [0] is empty
-    suffixes = [0]
-    for e in range(-308, 309):
-        digits = b"%03d" % abs(e) if abs(e) >= 100 else b"\0%02d" % abs(e)
-        suffixes.append(_words(_bytes_at(25, b"e" + (b"+" if e >= 0 else b"-") + digits))[3])
-    suffixes = np.array(suffixes, np.uint64)
+    e = np.arange(-308, 309)
+    top = np.zeros((618, 8), np.uint8)
+    top[1:, 1] = ord("e")
+    top[1:, 2] = np.where(e < 0, ord("-"), ord("+"))
+    top[1:, 3] = np.where(abs(e) >= 100, abs(e) // 100 + ord("0"), 0)
+    top[1:, 4] = abs(e) // 10 % 10 + ord("0")
+    top[1:, 5] = abs(e) % 10 + ord("0")
+    suffixes = _as_words(top)[:, 0]
     places = np.array([1000, 100, 10, 1], np.uint16)
     chars = (np.arange(10000, dtype=np.uint16)[:, None] // places % 10 + ord("0")).astype(np.uint8)
     ascii4 = chars.view("<u4")[:, 0].astype(np.uint64)
@@ -273,11 +281,11 @@ def _shortest(u, b, tables):
     return s, k
 
 
-def _render(x, out, sep, work) -> None:
-    """Write the repr text of each float64 in `x` into the uint64 words `out` (x.shape + (4,)).
+def _render(x, out, work) -> None:
+    """Write the CSV text of each float64 in `x` into the uint64 words `out` (x.shape + (4,)).
 
-    A slot holds the text NUL-padded in bytes 0-29 and the separator in
-    bytes 30-31: `sep` (broadcast against `x`) is or-ed into its last word.
+    A slot holds the value's repr, then "\r\n" if it is the last along
+    x's last axis (a row) and "," otherwise, NUL-padded (see Layout).
     `work` is a uint8 workspace of at least _WORK bytes per value, 8-byte
     aligned; every array of the pass is one of its rows, written in place.
     """
@@ -334,26 +342,26 @@ def _render(x, out, sep, work) -> None:
         i[top] >>= np.int64(52)
         i[top] -= np.int64(1023)
         i[top] >>= np.int64(3)
-    nsig = i[5]
-    nsig += np.int64(2)
-    i[6] += np.int64(10)
+    nsig = i[5]  # significant digits less one
+    nsig += np.int64(1)
+    i[6] += np.int64(9)
     np.maximum(nsig, i[6], out=nsig)
-    np.maximum(nsig, np.int64(1), out=nsig)  # eight '0's give top = -128
-    # layout (decpt + 3) * 17 + nsig - 1 when -3 <= decpt <= 16, else
-    # 340 + nsig - 1: decpt + 3 as uint64 is at least 20 otherwise
+    np.maximum(nsig, np.int64(0), out=nsig)  # eight '0's give top = -128
+    # layout (decpt + 3) * 17 + nsig when -3 <= decpt <= 16, else 340 +
+    # nsig (decpt + 3 as uint64 is at least 20 otherwise); then 357 more
+    # for a negative value and 714 more for a row's last
     layout, positional = i[4], b[3]
     np.add(decpt, np.int64(3), out=layout)
     np.less_equal(layout.view(_U), _U(19), out=positional)
     np.minimum(layout.view(_U), _U(20), out=layout.view(_U))
     layout *= np.int64(17)
     layout += nsig
-    layout -= np.int64(1)
-    suffix = u[5]
-    decpt += np.int64(308)
-    np.putmask(decpt, positional, np.int64(0))
-    np.take(suffixes, decpt, out=suffix, mode="clip")
-    w0, w1, w2, a0, a1, a2, p0, p1, p2 = u[6:15]
-    np.take(layouts, layout, axis=1, out=u[6:15], mode="clip")
+    np.right_shift(bits, np.int64(63), out=nsig)  # -1 where negative
+    nsig &= np.int64(_LAYOUTS)
+    layout += nsig
+    layout[..., -1] += np.int64(2 * _LAYOUTS)
+    w0, w1, w2, a0, a1, a2, p0, p1, p2, p3 = u[5:15]
+    np.take(layouts, layout, axis=1, out=u[5:15], mode="clip")
     z0 &= w0
     z1 &= w1
     z2 &= w2
@@ -363,12 +371,13 @@ def _render(x, out, sep, work) -> None:
     z0 ^= a0
     z1 ^= a1
     z2 ^= a2
-    # out[j] = (zj ^ aj) | (aj << 8) | (a(j-1) >> 56) | pj, the sign in word 0
+    suffix = layout.view(_U)
+    decpt += np.int64(308)
+    np.putmask(decpt, positional, np.int64(0))
+    np.take(suffixes, decpt, out=suffix, mode="clip")
+    # out[j] = (zj ^ aj) | (aj << 8) | (a(j-1) >> 56) | pj
     z0 |= p0
     np.left_shift(a0, _U(8), out=w0)
-    z0 |= w0
-    np.right_shift(bits.view(_U), _U(63), out=w0)
-    w0 *= _U(ord("-"))
     np.bitwise_or(z0, w0, out=out[..., 0])
     z1 |= p1
     np.left_shift(a1, _U(8), out=w1)
@@ -382,13 +391,13 @@ def _render(x, out, sep, work) -> None:
     np.bitwise_or(z2, w2, out=out[..., 2])
     a2 >>= _U(56)
     a2 |= suffix
-    np.bitwise_or(a2, sep, out=out[..., 3])
+    np.bitwise_or(a2, p3, out=out[..., 3])
     special ^= zero  # zero is a subset of special
     if not special.any():  # the common pass: np.nonzero would cost 15 times as much
         return
     for j in zip(*np.nonzero(special)):
-        out[j] = np.frombuffer(repr(float(x[j])).encode().ljust(SLOT, b"\0"), "<u8")
-        out[j + (3,)] |= np.broadcast_to(sep, x.shape)[j]
+        text = repr(float(x[j])) + ("\r\n" if j[-1] == x.shape[-1] - 1 else ",")
+        out[j] = np.frombuffer(text.encode().ljust(SLOT, b"\0"), "<u8")
 
 
 def write_rows(fh, columns, lead=None) -> None:
@@ -409,22 +418,17 @@ def write_rows(fh, columns, lead=None) -> None:
     end = mid + last.shape[1]
     step = max(1, min(n, BLOCK // m))
     start = -(-end // 8) * 8  # the slots start on a word
-    # One allocation serves every pass: the text block, the stacked columns,
-    # the separators and the render rows, whose bytes take the compaction
-    # mask once a pass is rendered. As the largest block the call frees, it
-    # also keeps glibc from trimming the heap under the next call's arrays.
+    # One allocation serves every pass: the text block, the stacked columns
+    # and the render rows, whose bytes take the compaction mask once a pass
+    # is rendered. As the largest block the call frees, it also keeps glibc
+    # from trimming the heap under the next call's arrays.
     size, width = step * m, start + m * SLOT
     nt, nx = step * width, 8 * size  # bytes of the text block and of the columns
-    buf = np.empty(nt + 2 * nx + max(_WORK * size, nt), np.uint8)
+    buf = np.empty(nt + nx + max(_WORK * size, nt), np.uint8)
     text = buf[:nt].reshape(step, width)
     text[:] = 0
     x = buf[nt : nt + nx].view(np.float64).reshape(step, m)
-    # one separator per slot: a length-m row broadcast over the pass would
-    # run numpy's inner loop m values at a time
-    sep = buf[nt + nx : nt + 2 * nx].view(np.uint64).reshape(step, m)
-    sep[:] = _COMMA
-    sep[:, -1] = _CRLF
-    work = buf[nt + 2 * nx :]
+    work = buf[nt + nx :]
     keep = work[:nt].view(np.bool_).reshape(step, width)
     words = text[:, start:].view("<u8").reshape(step, m, 4)
     for i in range(0, n, step):
@@ -434,6 +438,6 @@ def write_rows(fh, columns, lead=None) -> None:
             text[lo - i : hi - i, :mid] = prefix[lo - s * p : hi - s * p]
             text[lo - i : hi - i, mid:end] = last[s]
         np.stack([c[i : i + rows] for c in columns], axis=1, out=x[:rows])
-        _render(x[:rows], words[:rows], sep[:rows], work)
+        _render(x[:rows], words[:rows], work)
         np.not_equal(text[:rows], 0, out=keep[:rows])
         fh.write(text[:rows][keep[:rows]])

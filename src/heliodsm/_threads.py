@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -113,5 +112,7 @@ def map_chunks(fn, starts: list[int]) -> None:
             for s in starts:
                 fn(s)
             return
+        from concurrent.futures import ThreadPoolExecutor  # on first use, as `openblas` imports ctypes
+
         with ThreadPoolExecutor(max_workers=min(n, len(starts))) as pool:
             list(pool.map(fn, starts))

@@ -224,10 +224,13 @@ def _radial(dims: int, k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return phi, phi * (1j * k - 1.0 / r)
 
 
-def _unit_traces(k: float, points: np.ndarray, normals: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _unit_traces(k: float, points: np.ndarray, normals: np.ndarray, at: np.ndarray,
+                 mono=slice(None), dip=slice(None)) -> np.ndarray:
     """u ([0]) and d_nu u ([1]) at `points` along `normals` (both (m, N)) of
-    unit sources at each row z of `at` (p, N), as one (2, m, p, N+1) array:
-    column 0 is Phi(x - z), column c >= 1 is e_c . grad_x Phi(x - z).
+    unit sources at rows z of `at` (p, N), as one (2, m, q, N+1) array:
+    column 0 is Phi(x - z) for z = at[mono[j]], column c >= 1 is
+    e_c . grad_x Phi(x - z) for z = at[dip[j]], j < q (by default each row
+    of `at` gives all N+1 columns).
 
     With t = x - z, r = |t| and g = Phi'(r)/r, grad_x Phi = g t, and the
     identity Phi'' = -(N-1) Phi'/r - k^2 Phi gives the Hessian term, so
@@ -236,7 +239,9 @@ def _unit_traces(k: float, points: np.ndarray, normals: np.ndarray, at: np.ndarr
         d_nu (e_c . grad_x Phi) = g nu_c - t_c (nu.t)(N g + k^2 Phi)/r^2
 
     in any dimension N; only the radial profile (Phi, Phi') depends on N,
-    and one call evaluates it for all (point, source) pairs.
+    and one call evaluates it for all (point, source) pairs.  Each element
+    is a lone pair's operations, so a column's bits do not depend on which
+    others are formed.
     """
     dims = points.shape[1]
     t = points[:, None, :] - at  # (m, p, N)
@@ -248,9 +253,11 @@ def _unit_traces(k: float, points: np.ndarray, normals: np.ndarray, at: np.ndarr
     phi, dphi = _radial(dims, k, r)
     g = dphi / r
     nu_t = np.einsum("md,mpd->mp", normals, t)
-    out = np.empty((2, *r.shape, dims + 1), dtype=complex)
-    out[0, ..., 0] = phi
-    out[1, ..., 0] = g * nu_t
+    phi_mono = phi[:, mono]
+    out = np.empty((2, *phi_mono.shape, dims + 1), dtype=complex)
+    out[0, ..., 0] = phi_mono
+    out[1, ..., 0] = g[:, mono] * nu_t[:, mono]
+    t, r, phi, g, nu_t = (a[:, dip] for a in (t, r, phi, g, nu_t))
     out[0, ..., 1:] = g[..., None] * t
     out[1, ..., 1:] = g[..., None] * normals[:, None] - (nu_t * (dims * g + k * k * phi) / (r * r))[..., None] * t
     return out

@@ -26,19 +26,17 @@ text of Python's repr (rendered for whole columns by `_text.write_rows`;
 the short reconstruction table calls repr itself), so a file read back
 reproduces the in-memory values exactly; rows end in "\r\n".
 `write_indicator_csv` writes one field; a run writes one file per field.
-Text that recurs from write to write is rendered once per process into a
-row lead (`_lead_table`: the rows of `write_rows` text, each ended by ','
-and NUL-padded to the longest) and held read-only in the process-wide LRU
-of setup-only tables (`geometry._held`):
+Text that recurs from write to write is rendered once per process as a
+`_text.write_rows` row lead (`_lead_table`: one row of `write_rows` text
+per entry, each ended by ',' and NUL-padded to the longest) and held
+read-only in the process-wide LRU of setup-only tables (`geometry._held`):
 * a grid's coordinates (`_grid_lead`), keyed by the grid and its bounds'
-  bytes, so a run's fields, and later runs on the grid, share one
-  rendering; a 60^3 grid's takes 152 kB;
+  bytes: every axis but the last in grid order, padded at the front, and
+  the last axis, padded at the back, so each row's coordinates reach the
+  compaction as one run of text;
 * cauchy.csv's 2N+5 leading columns (points, normals, weights and the
-  clean traces), keyed by those columns' bytes: the first write of a
-  configuration renders those columns into the lead, and every write,
-  under any noise seed, renders only the four noisy columns after it.
-  It takes about 0.41 MB per 1806-point 3D file and 37 kB per 200-point
-  2D one.
+  clean traces), keyed by those columns' bytes, so a write under any
+  noise seed renders only the four noisy columns after it.
 The indicator abs column is hypot(re, im), i.e. Python's abs(complex), which
 can differ by 1 ulp from IndicatorField.magnitude() (np.abs, used for peaks).
 """
@@ -99,14 +97,16 @@ def _parts(*traces) -> list[np.ndarray]:
     return [part for z in traces for part in (z.real, z.imag)]
 
 
-def _lead_table(columns) -> np.ndarray:
+def _lead_table(columns, front: bool = False) -> np.ndarray:
     """The `write_rows` text of the float `columns` as a row-lead table: one
-    row per entry, its "\r\n" made ',', NUL-padded to the longest row."""
+    row per entry, its "\r\n" made ',', NUL-padded to the longest row at
+    the back, or at the `front`."""
     text = BytesIO()
     _text.write_rows(text, columns)
     rows = text.getvalue().replace(b"\r\n", b",\n").splitlines()
     width = max(map(len, rows))
-    return np.frombuffer(b"".join(r.ljust(width, b"\0") for r in rows), np.uint8).reshape(len(rows), width)
+    pad = bytes.rjust if front else bytes.ljust
+    return np.frombuffer(b"".join(pad(r, width, b"\0") for r in rows), np.uint8).reshape(len(rows), width)
 
 
 def _read_table(path) -> tuple[list[str], np.ndarray]:
@@ -173,11 +173,13 @@ def _grid_lead(grid: SamplingGrid) -> tuple[np.ndarray, np.ndarray]:
 
     Grid order is first axis fastest, so row r is prefix[r % P] then
     last[r // P], P points per last-axis slice: `prefix` holds the texts
-    of the other axes' coordinates in grid order, `last` those of the last
-    axis.
+    of the other axes' coordinates in grid order, padded at the front, and
+    `last` those of the last axis, padded at the back, so a row's
+    coordinates are one run of text between NUL bytes.
     """
     *lead_axes, last = grid.axes()
-    return _lead_table([m.ravel(order="F") for m in np.meshgrid(*lead_axes, indexing="ij")]), _lead_table([last])
+    prefix = _lead_table([m.ravel(order="F") for m in np.meshgrid(*lead_axes, indexing="ij")], front=True)
+    return prefix, _lead_table([last])
 
 
 def read_indicator_csv(path, grid: SamplingGrid, component: int) -> IndicatorField:

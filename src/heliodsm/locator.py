@@ -311,11 +311,11 @@ def recover_intensities(groups, cauchy: CauchyData, k: float) -> list[tuple[comp
     surf = cauchy.surface
     at = np.array([z for g in groups for z in _readoff_points(g)])  # lambda point, eta point per group
     points, which = np.unique(at, axis=0, return_inverse=True)
-    units = _unit_traces(k, surf.points, surf.normals, points)
-    # column j(N+1) + c holds group j's unit monopole (c = 0) or unit dipole
-    # e_c (c >= 1) traces; the sign of u = -sum_j [...] goes to the data
+    # column j(N+1) + c holds group j's unit monopole (c = 0) traces at its
+    # lambda point or unit dipole e_c (c >= 1) traces at its eta point; the
+    # sign of u = -sum_j [...] goes to the data
     lam, eta = which.reshape(len(groups), 2).T
-    design = np.concatenate([units[:, :, lam, :1], units[:, :, eta, 1:]], axis=3)  # u rows, d_nu u rows
+    design = _unit_traces(k, surf.points, surf.normals, points, lam, eta)  # u rows, d_nu u rows
     scale = np.sqrt(surf.weights) / np.array([[1.0], [k]])  # rows u and d_nu u / k
     design *= scale[:, :, None, None]
     data = -np.stack([cauchy.dirichlet, cauchy.neumann]) * scale

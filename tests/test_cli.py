@@ -230,6 +230,20 @@ def test_grid_leads_are_held_read_only(tmp_path, cold_tables):
         assert not held.flags.writeable
 
 
+@pytest.mark.parametrize("counts", [[4, 3], [3, 4, 5]])
+def test_grid_lead_rows_are_one_run(counts):
+    # the prefix is padded at the front and the last axis at the back, so a
+    # row's coordinates reach `write_rows` as one run of text
+    grid = make_grid([-1.5, -2.0, 1e-5][: len(counts)], [10.25, 3.0, 100.0][: len(counts)], counts)
+    prefix, last = heliodsm.io._grid_lead(grid)
+    p = len(prefix)
+    for r in range(len(grid)):
+        row = prefix[r % p].tobytes() + last[r // p].tobytes()
+        text = row.strip(b"\0")
+        assert b"\0" not in text
+        assert text.decode().split(",")[:-1] == [_fmt(x) for x in grid.points[r]]
+
+
 @pytest.mark.byte_contract
 def test_grid_leads_tell_signed_zero_bounds_apart(tmp_path, cold_tables):
     # the grids compare and hash equal, but their last x1 is -0.0 and 0.0
@@ -375,6 +389,26 @@ def test_run_json_counts_the_phase_tables_built(tmp_path):
     assert built == [3, 0]
 
 
+def test_a_fresh_process_reports_every_held_build(tmp_path):
+    # meta.json counts synthesis and the cauchy.csv write, run.json the
+    # driver's tables and the grid leads its field writes build
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, heliodsm.cli, heliodsm.geometry as g; "
+        "assert heliodsm.cli.main(['reconstruct', '--preset', 'example1', '--out', sys.argv[1], '--quiet']) == 0; "
+        "print(g._held_builds.count)"
+    )
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    result = json.loads((tmp_path / "run.json").read_text())
+    reported = [meta["held_tables_built"], result["counts"]["phase_tables_built"], result["held_tables_built"]]
+    assert reported == [2, 3, 1]
+    assert sum(reported) == int(run.stdout)
+
+
 def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
     # each 2D preset holds its clean traces and their cauchy.csv text, its
     # R(d) phase matrix, its coarse lattice factors and its fine lattice's
@@ -384,15 +418,18 @@ def test_the_2d_presets_hold_all_their_tables_at_once(tmp_path, cold_tables):
     # through them and build 16 tables every round (the last round's use
     # orders them, so the shared lead comes after example3's tables)
     presets = ["example1", "example2", "example3"]
-    synthesized, built = [], []
+    synthesized, built, leads = [], [], []
     for run, seed in (("cold", "0"), ("warm", "1")):
         for preset in presets:
             out = tmp_path / run / preset
             assert main(["reconstruct", "--preset", preset, "--seed", seed, "--out", str(out), "--quiet"]) == 0
             synthesized.append(json.loads((out / "meta.json").read_text())["held_tables_built"])
-            built.append(json.loads((out / "run.json").read_text())["counts"]["phase_tables_built"])
+            result = json.loads((out / "run.json").read_text())
+            built.append(result["counts"]["phase_tables_built"])
+            leads.append(result["held_tables_built"])
     assert synthesized == [2, 2, 2, 0, 0, 0]
     assert built == [3, 3, 3, 0, 0, 0]
+    assert leads == [1, 1, 0, 0, 0, 0]
     kinds = [key[0] for key in heliodsm.geometry._held_tables]
     per_preset = ["traces", "cauchy", "phases", "lattice", "modes"]
     assert kinds == per_preset + ["grid"] + per_preset * 2 + ["grid"]

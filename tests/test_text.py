@@ -112,6 +112,83 @@ def test_strings_split_at_separators(block):
     assert _mismatches(values, columns=12) == []
 
 
+def _significant(text):
+    """(decpt, digits) of a repr: the value is 0.digits x 10^decpt, digits without trailing zeros."""
+    mantissa, _, exp = text.lstrip("-").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    decpt = len(whole) + (int(exp) if exp else 0) - (len(whole + frac) - len(digits))
+    return decpt, digits.rstrip("0")
+
+
+def _value_in(decpt, n, rng):
+    """A positive double whose repr has n significant digits and its point at decpt."""
+    for _ in range(1000):
+        digits = "".join(map(str, [rng.integers(1, 10), *rng.integers(0, 10, max(n - 2, 0)), rng.integers(1, 10)]))[:n]
+        v = float(f"0.{digits}e{decpt}")
+        if _significant(repr(v)) == (decpt, digits):
+            return v
+    raise AssertionError(f"no {n}-digit double found at decpt {decpt}")
+
+
+def _every_layout():
+    """One value of every layout: the point at -3..16 x 1..17 digits, and
+    the exponent form x 1..17 digits with 2- and 3-digit exponents."""
+    rng = np.random.default_rng(36)
+    positional = [_value_in(decpt, n, rng) for decpt in range(-3, 17) for n in range(1, 18)]
+    exponent = [_value_in(decpt, n, rng) for decpt in (-99, -4, 17, 100, -306, 309) for n in range(1, 18)]
+    return np.array(positional), np.array(exponent)
+
+
+def test_every_layout_sign_and_column():
+    # each value with both signs, as the first, a middle and the last of
+    # three columns: the layout table's 1428 columns are every layout x
+    # sign x row end
+    values = np.concatenate(_every_layout())
+    layouts = {(decpt, len(digits)) for decpt, digits in (_significant(repr(float(v))) for v in values)}
+    assert len(layouts) == (20 + 6) * 17
+    values = np.concatenate([values, -values])
+    for column in range(3):
+        rows = np.full((len(values), 3), 0.5)
+        rows[:, column] = values
+        assert _mismatches(rows.ravel(), columns=3) == []
+
+
+def test_positional_values_are_one_run():
+    # the compaction's cost follows the runs of text between NUL bytes: a
+    # positional value's slot holds one, from its sign to its separator
+    positional = _every_layout()[0]
+    x = np.stack([positional, -positional, positional[::-1], -positional[::-1]], axis=1)
+    out = np.zeros(x.shape + (4,), np.uint64)
+    _text._render(x, out, np.empty(_text._WORK * x.size, np.uint8))
+    for row, slots in zip(x, out.view(np.uint8).reshape(x.shape + (_text.SLOT,))):
+        for column, (v, slot) in enumerate(zip(row, slots)):
+            text = slot.tobytes()
+            sep = b"\r\n" if column == x.shape[1] - 1 else b","
+            assert text.strip(b"\0") == repr(float(v)).encode() + sep, (v, text)
+
+
+def test_scale_table_matches_big_integer_logarithms():
+    # Schubfach's integer logarithms against exact big-integer ones, every entry
+    def floor_log10(num, den):
+        k = len(str(num)) - len(str(den))
+        return k - (num * 10 ** max(-k, 0) < den * 10 ** max(k, 0))
+
+    def floor_log2_pow10(e):
+        return (10**e).bit_length() - 1 if e >= 0 else -((10**-e).bit_length())
+
+    scale = _text._tables()[0]
+    want = np.zeros((3, 4096), np.int64)
+    for i in range(2, 4094):
+        be, irregular = divmod(i, 2)
+        irregular &= be > 1
+        q = be - 1075
+        num, den = (3 if irregular else 1) << max(q, 0), (4 if irregular else 1) << max(-q, 0)
+        k = floor_log10(num, den)
+        want[:, i] = k, q + floor_log2_pow10(-k) + 2, 2 - irregular
+    assert np.array_equal(scale, want)
+
+
 def test_scale_table_keeps_products_in_range():
     # (4c + 2) << h < 2^60 for every significand c < 2^53, which keeps the
     # 32-bit-limb partial sums of `_round_to_odd` below 2^64
@@ -130,6 +207,17 @@ def test_import_builds_no_tables():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "0"
+
+
+def test_cli_import_leaves_out_what_reconstruct_never_needs():
+    # the oracle suite and the thread pool load on first use
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, heliodsm.cli; print(sorted({'concurrent.futures', 'heliodsm.verify'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
